@@ -2,8 +2,9 @@
 
 Conventions: machine-readable JSON goes to stdout, human-readable messages to
 stderr. Exit codes: 0 success, 2 bad flags or validation failure, 3 I/O
-failure, 4 numerical abort (NaN during estimation), 5 rank deficiency in
-endmember extraction. Every command is deterministic given its flags; seeds
+failure, 4 numerical abort (NaN during estimation, or a covariance that
+stays indefinite after the jitter retry), 5 rank deficiency in endmember
+extraction. Every command is deterministic given its flags; seeds
 default to 0 rather than being time-derived.
 """
 
@@ -18,7 +19,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NumericalAbortError, RankDeficiencyError, SequenceFormatError
+from .errors import (
+    FactorizationError,
+    NumericalAbortError,
+    RankDeficiencyError,
+    SequenceFormatError,
+)
 from .fcls import fcls_refine_frame
 from .hseq import (
     GlmmModel,
@@ -152,7 +158,9 @@ def _load_m0(args, L: int, P_hint: int | None):
     sidecar = Path(str(path) + ".json")
     if sidecar.is_file():
         meta = json.loads(sidecar.read_text())
-        file_L = int(meta["L"])
+        file_L = meta.get("L") if isinstance(meta, dict) else None
+        if not isinstance(file_L, int) or isinstance(file_L, bool):
+            raise ValueError(f"endmember sidecar {sidecar} has no integer L")
         if file_L != L:
             raise ValueError(
                 f"endmember file declares L={file_L} but the sequence has L={L}"
@@ -380,7 +388,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NumericalAbortError as exc:
+    except (NumericalAbortError, FactorizationError) as exc:
         _note(f"numerical abort: {exc}")
         return 4
     except RankDeficiencyError as exc:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+from __future__ import annotations
+
 
 class UnmixError(Exception):
     """Base class for all errors raised by this package."""
@@ -10,7 +12,14 @@ class SequenceFormatError(UnmixError):
 
 
 class FactorizationError(UnmixError):
-    """A symmetric positive-definite factorization failed after the jitter retry."""
+    """A symmetric positive-definite factorization failed after the jitter retry.
+
+    ``iteration`` is the EM iteration it happened in, when known.
+    """
+
+    def __init__(self, message: str, iteration: int | None = None):
+        super().__init__(message)
+        self.iteration = iteration
 
 
 class RankDeficiencyError(UnmixError):

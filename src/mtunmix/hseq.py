@@ -324,20 +324,21 @@ def write_result_dir(
 
     Abundances are P x N per frame, endmembers L x P, scaling factors L x P
     (the devectorized state), frames L x N. All arrays are optional; a
-    manifest records dimensions and whichever frame files exist.
+    manifest records dimensions and whichever frame files exist. The manifest
+    is written last, after any earlier one is removed, so a directory whose
+    writing failed part way has none.
     """
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SequenceFormatError(f"cannot create directory {root}: {exc}") from exc
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
     frame_names: tuple[str, ...] = ()
     if frames is not None:
         frame_names = tuple(frame_file_name(t) for t in range(T))
         for t, name in enumerate(frame_names):
             write_matrix(root / name, frames[t])
-    manifest = Manifest(L=L, N=N, T=T, P=P, frame_files=frame_names, seed=seed)
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
     for t in range(T):
         if abundances is not None:
             write_matrix(root / abundance_file_name(t), abundances[t])
@@ -345,6 +346,8 @@ def write_result_dir(
             write_matrix(root / endmember_file_name(t), endmembers[t])
         if psis is not None:
             write_matrix(root / psi_file_name(t), psis[t])
+    manifest = Manifest(L=L, N=N, T=T, P=P, frame_files=frame_names, seed=seed)
+    (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
 
 
 def read_result_dir(path: Path | str) -> dict:

@@ -9,12 +9,13 @@ toward the learned average abundances.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .em import EmParams, em_iterate
-from .errors import NumericalAbortError
+from .errors import FactorizationError, NumericalAbortError
 from .fcls import fcls_refine_frame
 from .hseq import AbundanceSequence, GlmmModel, HsiSequence, devectorize_frame, vectorize_frame
 from .kalman import Belief, ModelMatrices, Trajectory, rts_smooth, run_filter
@@ -86,6 +87,15 @@ def _check_finite(theta: EmParams, traj: Trajectory, iteration: int) -> None:
             )
 
 
+@contextmanager
+def _em_iteration(iteration: int):
+    """Name the EM iteration in a factorization failure raised inside."""
+    try:
+        yield
+    except FactorizationError as exc:
+        raise FactorizationError(f"{exc} at EM iteration {iteration}", iteration=iteration) from exc
+
+
 def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) -> UnmixResult:
     """Full unmixing run over one sequence.
 
@@ -103,14 +113,16 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
 
     logliks, q_values, sigmas = [], [], []
     for k in range(1, config.K_max + 1):
-        theta, traj_k, q_value = em_iterate(ys, model.m0, theta)
+        with _em_iteration(k):
+            theta, traj_k, q_value = em_iterate(ys, model.m0, theta)
         logliks.append(float(sum(traj_k.loglik_terms)))
         q_values.append(float(q_value))
         sigmas.append(float(theta.sigma_r2))
         _check_finite(theta, traj_k, k)
 
     mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
-    traj = rts_smooth(run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00)))
+    with _em_iteration(config.K_max + 1):
+        traj = rts_smooth(run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00)))
     logliks.append(float(sum(traj.loglik_terms)))
     _check_finite(theta, traj, config.K_max + 1)
 

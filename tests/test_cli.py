@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from mtunmix import cli
 from mtunmix.cli import main
+from mtunmix.errors import FactorizationError
 from mtunmix.fcls import SimplexQpProblem, fcls_solve, project_simplex
 from mtunmix.hseq import (
     HsiSequence,
@@ -169,6 +171,35 @@ class TestUnmix:
         )
         assert code == 2
         assert "16" in err and "20" in err
+
+    def test_m0_sidecar_without_band_count_exit_2(self, small_dataset, tmp_path, capsys):
+        data, _ = small_dataset
+        m0_path = tmp_path / "m0.f64"
+        write_matrix(m0_path, synthetic_endmembers(20, 3, seed=0))
+        sidecar = tmp_path / "m0.f64.json"
+        sidecar.write_text(json.dumps({"P": 3}))
+        code, _, err = run_cli(
+            capsys,
+            "unmix", "--input", str(data), "--m0", str(m0_path),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert str(sidecar) in err and "Traceback" not in err
+
+    def test_factorization_failure_exit_4(self, small_dataset, tmp_path, capsys, monkeypatch):
+        data, _ = small_dataset
+
+        def failing(*args, **kwargs):
+            raise FactorizationError("matrix of size 60 not positive definite at EM iteration 3")
+
+        monkeypatch.setattr(cli, "run_kalman_em", failing)
+        code, stdout, err = run_cli(
+            capsys,
+            "unmix", "--input", str(data), "--vca", "--out", str(tmp_path / "x"),
+        )
+        assert code == 4
+        assert "EM iteration 3" in err and "Traceback" not in err
+        assert stdout == ""
 
     def test_requires_m0_or_vca(self, small_dataset, tmp_path, capsys):
         data, _ = small_dataset

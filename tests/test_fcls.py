@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mtunmix import fcls
 from mtunmix.fcls import (
+    ENUMERATION_MAX_P,
     SimplexQpProblem,
     fcls_refine_frame,
     fcls_solve,
@@ -49,6 +53,11 @@ def active_set_oracle(M, y, lam=0.0, a_ref=None):
             if obj < best_obj - 1e-14:
                 best, best_obj = np.maximum(a, 0.0), obj
     return best
+
+
+def objective(M, y, a, lam=0.0, a_ref=None):
+    r = y - M @ a
+    return float(r @ r) + (lam * float((a - a_ref) @ (a - a_ref)) if lam > 0 else 0.0)
 
 
 def projection_oracle(v):
@@ -223,3 +232,142 @@ class TestFrameSolve:
         for n in range(4):
             problem = SimplexQpProblem(M=M, y=Y[:, n], lam=0.1, a_ref=A_ref[:, n])
             assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+
+    def test_single_column_frame(self):
+        rng = np.random.default_rng(12)
+        M = well_posed_design(rng, 6, 3)
+        y = rng.standard_normal((6, 1))
+        frame = fcls_refine_frame(y, M, None, 0.0)
+        assert frame.shape == (3, 1)
+        np.testing.assert_allclose(frame[:, 0], active_set_oracle(M, y[:, 0]), atol=1e-9)
+
+
+# a projected-gradient solver with a stall test that counts any bitwise
+# fixed point or 2-cycle as converged stopped at the vertex e2 on this
+# problem, 2.5e-3 from the minimizer (0, 0.99746, 0.00254)
+STALL_M = np.array([
+    [0.5807800169766768, 0.5668327413091219, 1.2791146580038322],
+    [0.8951879195744101, 0.5286638273919173, 0.23162153472823688],
+    [0.9077109260063496, 2.715339401294851, 0.6655614156828586],
+    [0.71512953790003, 1.0736433447310327, 0.4521890298742729],
+    [1.329336359709089, 1.8795630078154344, 1.1963676229499327],
+])
+STALL_Y = np.array(
+    [0.6473193676205643, 0.5284723648822144, 2.7490271884128226,
+     1.0737788433519309, 1.8413668722679157]
+)
+
+
+class TestDegenerateInputs:
+    def test_momentum_stall_problem_reaches_the_minimizer(self):
+        out = fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+        np.testing.assert_allclose(out, active_set_oracle(STALL_M, STALL_Y), atol=1e-9)
+
+    def test_single_material_is_the_vertex(self):
+        rng = np.random.default_rng(13)
+        Y, M = rng.standard_normal((4, 5)), rng.standard_normal((4, 1))
+        frame = fcls_refine_frame(Y, M, None, 0.0)
+        np.testing.assert_array_equal(frame, np.ones((1, 5)))
+
+    def test_identical_endmembers(self):
+        # every support holding both copies has a singular KKT matrix; the
+        # minimizer is not unique, but its objective and the copies' total are
+        rng = np.random.default_rng(14)
+        base = well_posed_design(rng, 7, 3)
+        M = base[:, [0, 1, 2, 1]]
+        Y = rng.standard_normal((7, 6))
+        frame = fcls_refine_frame(Y, M, None, 0.0)
+        assert frame.min() >= 0.0
+        np.testing.assert_allclose(frame.sum(axis=0), 1.0, atol=1e-12)
+        for n in range(6):
+            oracle = active_set_oracle(M, Y[:, n])
+            assert objective(M, Y[:, n], frame[:, n]) <= objective(M, Y[:, n], oracle) + 1e-10
+            folded = frame[[0, 1, 2], n] + np.array([0.0, frame[3, n], 0.0])
+            np.testing.assert_allclose(folded, active_set_oracle(base, Y[:, n]), atol=1e-8)
+
+    def test_all_zero_frame(self):
+        rng = np.random.default_rng(15)
+        M = well_posed_design(rng, 6, 4)
+        frame = fcls_refine_frame(np.zeros((6, 3)), M, None, 0.0)
+        oracle = active_set_oracle(M, np.zeros(6))
+        for n in range(3):
+            np.testing.assert_allclose(frame[:, n], oracle, atol=1e-9)
+
+    def test_zero_design_rejected_in_a_frame(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            fcls_refine_frame(np.ones((3, 4)), np.zeros((3, 2)), None, 0.0)
+
+
+class TestGradientPath:
+    """P above ENUMERATION_MAX_P runs accelerated projected gradient."""
+
+    P = ENUMERATION_MAX_P + 1
+
+    def problem(self, seed, N):
+        rng = np.random.default_rng(seed)
+        M = well_posed_design(rng, 2 * self.P, self.P)
+        A_ref = rng.dirichlet(np.ones(self.P), size=N).T
+        A = rng.dirichlet(np.full(self.P, 0.3), size=N).T
+        Y = M @ A + 0.3 * rng.standard_normal((2 * self.P, N))
+        return M, Y, A_ref
+
+    def test_regularized_matches_active_set_oracle(self):
+        M, Y, A_ref = self.problem(16, 3)
+        frame = fcls_refine_frame(Y, M, A_ref, 0.5)
+        for n in range(3):
+            oracle = active_set_oracle(M, Y[:, n], lam=0.5, a_ref=A_ref[:, n])
+            np.testing.assert_allclose(frame[:, n], oracle, atol=1e-6)
+            assert abs(frame[:, n].sum() - 1.0) <= 1e-9 and frame[:, n].min() >= 0.0
+
+    def test_columns_bit_identical_to_single_solves(self):
+        M, Y, A_ref = self.problem(17, 5)
+        frame = fcls_refine_frame(Y, M, A_ref, 0.2)
+        for n in range(5):
+            col = fcls_solve(SimplexQpProblem(M=M, y=Y[:, n], lam=0.2, a_ref=A_ref[:, n]))
+            np.testing.assert_array_equal(frame[:, n], col)
+
+    def test_momentum_stall_problem_reaches_the_minimizer(self, monkeypatch):
+        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
+        out = fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+        np.testing.assert_allclose(out, active_set_oracle(STALL_M, STALL_Y), atol=1e-6)
+
+    def test_small_problems_meet_the_kkt_bound(self, monkeypatch):
+        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
+        rng = np.random.default_rng(18)
+        for _ in range(40):
+            P = int(rng.integers(2, 5))
+            M = well_posed_design(rng, int(rng.integers(P + 1, 9)), P)
+            Y = rng.standard_normal((M.shape[0], 3))
+            frame = fcls_refine_frame(Y, M, None, 0.0)
+            for n in range(3):
+                problem = SimplexQpProblem(M=M, y=Y[:, n])
+                assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+                np.testing.assert_allclose(frame[:, n], active_set_oracle(M, Y[:, n]), atol=1e-6)
+
+    def test_iteration_cap_warns(self, monkeypatch):
+        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
+        monkeypatch.setattr(fcls, "MAX_ITERS", 1)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    P=st.integers(1, 6),
+    extra_bands=st.integers(0, 5),
+    N=st.integers(1, 8),
+    lam=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
+)
+def test_frame_solver_matches_oracle(seed, P, extra_bands, N, lam):
+    rng = np.random.default_rng(seed)
+    M = well_posed_design(rng, P + extra_bands, P)
+    Y = rng.standard_normal((M.shape[0], N))
+    A_ref = rng.dirichlet(np.ones(P), size=N).T
+    frame = fcls_refine_frame(Y, M, A_ref, lam)
+    for n in range(N):
+        problem = SimplexQpProblem(M=M, y=Y[:, n], lam=lam, a_ref=A_ref[:, n])
+        oracle = active_set_oracle(M, Y[:, n], lam=lam, a_ref=A_ref[:, n])
+        assert np.max(np.abs(frame[:, n] - oracle)) <= 1e-6
+        assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+        assert max(abs(frame[:, n].sum() - 1.0), -frame[:, n].min()) <= 1e-9

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from mtunmix import hseq
 from mtunmix.errors import SequenceFormatError
 from mtunmix.hseq import (
     GlmmModel,
@@ -17,6 +18,7 @@ from mtunmix.hseq import (
     vectorize_frame,
     write_hseq,
     write_matrix,
+    write_result_dir,
 )
 
 
@@ -146,6 +148,26 @@ class TestSequenceIO:
         with pytest.raises(SequenceFormatError, match="dtype"):
             read_hseq(tmp_path / "seq")
 
+
+    def test_failed_result_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        out = tmp_path / "est"
+        A = [np.full((2, 3), 0.5)] * 2
+        M = [np.ones((4, 2))] * 2
+        write_result_dir(out, L=4, N=3, T=2, P=2, abundances=A, endmembers=M)
+        assert (out / "manifest.json").is_file()
+        real = hseq.write_matrix
+        written = []
+
+        def failing(path, X):
+            if len(written) == 2:
+                raise OSError("disk full")
+            written.append(path)
+            real(path, X)
+
+        monkeypatch.setattr(hseq, "write_matrix", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_result_dir(out, L=4, N=3, T=2, P=2, abundances=A, endmembers=M)
+        assert not (out / "manifest.json").exists()
 
 class TestDomainTypes:
     def test_glmm_model_vectorization_exact(self):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mtunmix.em import EmParams
-from mtunmix.errors import NumericalAbortError
+from mtunmix import pipeline
+from mtunmix.errors import FactorizationError, NumericalAbortError
 from mtunmix.hseq import GlmmModel, devectorize_frame
 from mtunmix.metrics import nrmse
 from mtunmix.pipeline import PipelineConfig, _check_finite, default_init, run_kalman_em
@@ -158,3 +159,19 @@ class TestFiniteGuard:
         with pytest.raises(NumericalAbortError, match="iteration 3") as err:
             _check_finite(bad, result.psi_trajectory, 3)
         assert err.value.iteration == 3
+
+    def test_factorization_failure_names_em_iteration(self, monkeypatch):
+        seq, truth, model = identity_scene()
+        config = PipelineConfig(init=default_init(seq.L, seq.N, 3, truth.abundances[0]))
+        real, calls = pipeline.em_iterate, []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise FactorizationError("matrix of size 30 not positive definite")
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "em_iterate", failing)
+        with pytest.raises(FactorizationError, match="at EM iteration 2") as err:
+            run_kalman_em(seq, model, config)
+        assert err.value.iteration == 2
