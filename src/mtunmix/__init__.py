@@ -3,8 +3,8 @@
 Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
-- :mod:`mtunmix.kronops`  Kronecker utilities, block traces, Woodbury solves
-- :mod:`mtunmix.kalman`   filter / RTS smoother / marginal likelihood
+- :mod:`mtunmix.kronops`  jittered Cholesky solves, PSD flooring, block traces
+- :mod:`mtunmix.kalman`   Woodbury filter update / RTS smoother
 - :mod:`mtunmix.em`       sufficient statistics and closed-form M-steps
 - :mod:`mtunmix.fcls`     simplex-constrained least squares
 - :mod:`mtunmix.vca`      endmember extraction

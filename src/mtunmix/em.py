@@ -8,8 +8,8 @@ variance, and the average abundance matrix.
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
 enter the normal equations, so the solve is P x P instead of PL x PL. The
-dense NL x PL observation/state cross moment is never stored unless
-explicitly requested (streaming contraction over frames).
+observation/state cross moment enters only through its N x P block traces,
+contracted frame by frame, so the dense NL x PL matrix is never formed.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class SufficientStats:
     ``gram_block_trace``      P x P block traces of diag(m0) S diag(m0),
                               S the state second moment
     ``cross_block_trace``     N x P streaming contraction sum_t Y_t.T (M0 * Psi_t^s)
-    ``obs_state_outer``       optional dense sum_t y_t psi_t^s.T (testing only)
     """
 
     T: int
@@ -79,15 +78,20 @@ class SufficientStats:
     obs_energy: float
     gram_block_trace: np.ndarray
     cross_block_trace: np.ndarray
-    obs_state_outer: np.ndarray | None = None
+
+    @property
+    def increment_second_moment(self) -> np.ndarray:
+        """D = S1 - S4 - S4.T + S2 = sum_t E[(psi_t - psi_{t-1})(psi_t - psi_{t-1}).T]."""
+        return (
+            self.state_second_moment
+            - self.cross_second_moment
+            - self.cross_second_moment.T
+            + self.lagged_second_moment
+        )
 
 
 def accumulate_stats(
-    traj: Trajectory,
-    ys: list[np.ndarray],
-    m0: np.ndarray,
-    L: int,
-    store_dense_cross: bool = False,
+    traj: Trajectory, ys: list[np.ndarray], m0: np.ndarray, L: int
 ) -> SufficientStats:
     """Reduce a smoothed trajectory to the statistics the M-steps need."""
     if traj.smoothed is None or traj.gains is None or traj.init_smoothed is None:
@@ -104,7 +108,6 @@ def accumulate_stats(
     cross = np.zeros((PL, PL))
     obs_energy = 0.0
     cross_bt = np.zeros((N, P))
-    dense = np.zeros((N * L, PL)) if store_dense_cross else None
 
     prev = traj.init_smoothed
     for i in range(T):
@@ -117,8 +120,6 @@ def accumulate_stats(
         Y = y.reshape((L, N), order="F")
         Psi = sm.mean.reshape((L, P), order="F")
         cross_bt += Y.T @ (m0_mat * Psi)
-        if dense is not None:
-            dense += np.outer(y, sm.mean)
         prev = sm
 
     scaled = second * m0[:, None] * m0[None, :]
@@ -134,7 +135,6 @@ def accumulate_stats(
         obs_energy=obs_energy,
         gram_block_trace=gram_bt,
         cross_block_trace=cross_bt,
-        obs_state_outer=dense,
     )
 
 
@@ -155,19 +155,15 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
              + tr(Q^-1 D) + T log|Q|
              + tr_resid / sigma_r2 + T N L log sigma_r2 )
 
-    where d = psi_0^s - psi00 and D = S1 - S4 - S4.T + S2.
+    where d = psi_0^s - psi00 and D = S1 - S4 - S4.T + S2
+    (``stats.increment_second_moment``).
     """
     d = smoothed0.mean - theta.psi00
     S0 = smoothed0.cov + np.outer(d, d)
     c_p00 = cho_factor_jittered(theta.P00)
     term0 = float(np.trace(cho_solve(c_p00, S0))) + cho_logdet(c_p00)
 
-    D = (
-        stats.state_second_moment
-        - stats.cross_second_moment
-        - stats.cross_second_moment.T
-        + stats.lagged_second_moment
-    )
+    D = stats.increment_second_moment
     c_q = cho_factor_jittered(theta.Q)
     term_q = float(np.trace(cho_solve(c_q, D))) + stats.T * cho_logdet(c_q)
 
@@ -194,13 +190,7 @@ def m_step_q(stats: SufficientStats) -> np.ndarray:
     The 1/T factor makes this the exact maximizer of the surrogate's Q block;
     tiny negative eigenvalues from smoother round-off are clipped at zero.
     """
-    D = (
-        stats.state_second_moment
-        - stats.cross_second_moment
-        - stats.cross_second_moment.T
-        + stats.lagged_second_moment
-    )
-    return psd_floor(D / stats.T)
+    return psd_floor(stats.increment_second_moment / stats.T)
 
 
 def m_step_sigma(stats: SufficientStats, A: np.ndarray) -> float:

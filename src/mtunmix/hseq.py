@@ -56,7 +56,6 @@ class HsiSequence:
     """An observed image sequence: T frames of L bands by N pixels."""
 
     frames: tuple[np.ndarray, ...]
-    wavelengths: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if len(self.frames) < 1:
@@ -72,11 +71,6 @@ class HsiSequence:
                 l, n = np.argwhere(~np.isfinite(f))[0]
                 raise ValueError(f"non-finite entry at frame {t}, band {l}, pixel {n}")
         object.__setattr__(self, "frames", frames)
-        if self.wavelengths is not None:
-            wl = tuple(float(w) for w in self.wavelengths)
-            if len(wl) != shape[0]:
-                raise ValueError(f"{len(wl)} wavelengths for {shape[0]} bands")
-            object.__setattr__(self, "wavelengths", wl)
 
     @property
     def L(self) -> int:
@@ -255,17 +249,12 @@ def read_matrix(path: Path | str, rows: int, cols: int | None = None) -> np.ndar
 def write_hseq(
     seq: HsiSequence, path: Path | str, seed: int | None = None, P: int | None = None
 ) -> None:
-    """Write a sequence to an HSEQ directory (manifest + one file per frame)."""
-    root = Path(path)
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise SequenceFormatError(f"cannot create directory {root}: {exc}") from exc
-    names = tuple(frame_file_name(t) for t in range(seq.T))
-    manifest = Manifest(L=seq.L, N=seq.N, T=seq.T, P=P, frame_files=names, seed=seed)
-    for t, name in enumerate(names):
-        write_matrix(root / name, seq.frames[t])
-    (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
+    """Write a sequence to an HSEQ directory (manifest + one file per frame).
+
+    The directory is a result directory holding frames only, written by
+    :func:`write_result_dir`, so its manifest too is written last.
+    """
+    write_result_dir(path, L=seq.L, N=seq.N, T=seq.T, P=P, frames=seq.frames, seed=seed)
 
 
 def read_manifest(path: Path | str) -> Manifest:
@@ -313,7 +302,7 @@ def write_result_dir(
     L: int,
     N: int,
     T: int,
-    P: int,
+    P: int | None,
     abundances=None,
     endmembers=None,
     psis=None,

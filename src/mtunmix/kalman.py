@@ -1,4 +1,4 @@
-"""Kalman filter, RTS smoother, and marginal likelihood for the scaling-factor model.
+"""Kalman filter and RTS smoother for the scaling-factor model.
 
 State model: random walk ``psi_t = psi_{t-1} + q_t`` with ``q_t ~ N(0, Q)``.
 Observation model: ``y_t = B psi_t + r_t`` with ``B = kron(A.T, I_L) diag(m0)``
@@ -12,12 +12,16 @@ and likelihood terms go through the Woodbury identity
 using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m0)``
 is assembled analytically. The posterior covariance uses the algebraic form
 ``P - P B.T S^-1 B P`` with re-symmetrization.
+
+The update also returns the inverse of the predicted covariance it forms on
+the way, and the filter keeps it per frame, so the smoother's gains
+``G_t = P_{t|t} P_{t+1|t}^-1`` need no factorization of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -27,6 +31,12 @@ from .kronops import cho_factor_jittered, cho_logdet, cho_solve, symmetrize
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
+#: Largest 1-norm condition number of the predicted covariance that ``update``
+#: inverts. The Woodbury form's error grows like cond * eps, so past about
+#: 1/sqrt(eps) the square-root path runs instead, and the precision it returns
+#: treats eigenvalues below largest / MAX_PRED_COND as zero.
+MAX_PRED_COND = 1e8
+
 
 @dataclass(frozen=True)
 class ModelMatrices:
@@ -34,7 +44,7 @@ class ModelMatrices:
 
     ``B`` is defined by construction from the average abundances ``A`` (P x N)
     and the vectorized reference endmembers ``m0`` (length LP); the dense
-    NL x PL matrix is only materialized on demand.
+    NL x PL matrix is never formed.
     """
 
     A: np.ndarray
@@ -86,11 +96,6 @@ class ModelMatrices:
         G = np.kron(self.A @ self.A.T, np.eye(self.L))
         return symmetrize(G * self.m0[:, None] * self.m0[None, :])
 
-    @cached_property
-    def B(self) -> np.ndarray:
-        """Dense NL x PL observation matrix kron(A.T, I_L) @ diag(m0)."""
-        return np.kron(self.A.T, np.eye(self.L)) * self.m0[None, :]
-
     def apply_B(self, psi: np.ndarray) -> np.ndarray:
         """B @ psi as vec((M0 * Psi) @ A) without forming B."""
         scaled = self._m0_mat * psi.reshape((self.L, self.P), order="F")
@@ -104,11 +109,10 @@ class ModelMatrices:
 
 @dataclass(frozen=True)
 class Belief:
-    """Gaussian state belief (mean psi, covariance P) at time index t."""
+    """Gaussian state belief (mean psi, covariance P)."""
 
     mean: np.ndarray
     cov: np.ndarray
-    t: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "mean", np.ascontiguousarray(self.mean, dtype=float).reshape(-1))
@@ -121,17 +125,22 @@ class Belief:
 class Trajectory:
     """Filter/smoother output over a window t = 1..T plus the initial belief.
 
-    ``predicted[i]``, ``filtered[i]``, ``smoothed[i]`` refer to frame t = i+1;
-    the t = 0 belief lives in ``init_filtered`` / ``init_smoothed``. ``gains[i]``
-    is the smoother gain G_i coupling time i to i+1 (G_0 involves the initial
-    belief), so ``gains`` has T entries. ``loglik_terms[i]`` is the innovation
-    log-density of frame i+1; their sum is the marginal log-likelihood.
+    ``filtered[i]``, ``pred_precisions[i]`` and ``smoothed[i]`` refer to frame
+    t = i+1; the t = 0 belief lives in ``init_filtered`` / ``init_smoothed``.
+    ``pred_precisions[i]`` is the inverse of the predicted covariance
+    P_{i+1|i} that the update formed (a pseudo-inverse if that covariance is
+    singular or nearly so); the predicted belief itself is the prediction of
+    the belief before it under the process noise ``Q``.
+    ``gains[i]`` is the smoother gain G_i coupling time i to i+1 (G_0 involves
+    the initial belief), so ``gains`` has T entries. ``loglik_terms[i]`` is the
+    innovation log-density of frame i+1; their sum is the marginal
+    log-likelihood.
     """
 
     init_filtered: Belief
-    predicted: list[Belief]
     filtered: list[Belief]
-    innovations: list[np.ndarray]
+    pred_precisions: list[np.ndarray]
+    Q: np.ndarray
     loglik_terms: list[float]
     smoothed: list[Belief] | None = None
     gains: list[np.ndarray] | None = None
@@ -144,13 +153,13 @@ class Trajectory:
 
 def predict(prior: Belief, Q: np.ndarray) -> Belief:
     """Prediction step of the random-walk state: mean kept, covariance grown by Q."""
-    return Belief(mean=prior.mean, cov=symmetrize(prior.cov + Q), t=prior.t + 1)
+    return Belief(mean=prior.mean, cov=symmetrize(prior.cov + Q))
 
 
 def update(
     pred: Belief, y: np.ndarray, model: ModelMatrices
-) -> tuple[Belief, np.ndarray, float]:
-    """Measurement update; returns (posterior, innovation, loglik increment).
+) -> tuple[Belief, float, np.ndarray]:
+    """Measurement update; returns (posterior, loglik increment, P^-1).
 
     The gain is applied through the Woodbury identity: with C = P^-1 + s2i B.T B
     and s2i = 1/sigma_r2, the posterior covariance P - P B.T S^-1 B P collapses
@@ -158,7 +167,8 @@ def update(
     only PL x PL factorizations. The likelihood increment log N(v_t; 0, S_t)
     uses the matrix determinant lemma log|S| = NL log sigma_r2 + log|P| + log|C|.
 
-    If P is singular even after the jitter retry (an exactly known state), the
+    If P is singular even after the jitter retry (an exactly known state), or
+    its condition number exceeds ``MAX_PRED_COND`` (a nearly known state), the
     step falls back to the PSD square root P = H H with H symmetric:
 
         C^-1 -> H (I + s2i H B.T B H)^-1 H,   log|S| -> NL log sigma_r2 + log|Chat|
@@ -166,6 +176,9 @@ def update(
     which stays valid for merely positive-semidefinite P (continuous at the
     boundary), with the mean/covariance assembled from the explicit gain factor
     W = s2i B.T - s2i^2 B.T B C^-1 B.T applied to the prediction.
+
+    The returned P^-1 is the inverse the Woodbury form needs anyway, or, on the
+    fallback path, the pseudo-inverse of P from the same eigendecomposition.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != model.obs_dim:
@@ -179,7 +192,11 @@ def update(
 
     try:
         cP = cho_factor_jittered(pred.cov)
-        inner = symmetrize(cho_solve(cP, np.eye(d)) + s2i * BtB)
+        pred_precision = cho_solve(cP, np.eye(d))
+        cond = np.linalg.norm(pred.cov, 1) * np.linalg.norm(pred_precision, 1)
+        if not cond <= MAX_PRED_COND:
+            raise FactorizationError(f"predicted covariance has condition number {cond:.1e}")
+        inner = symmetrize(pred_precision + s2i * BtB)
         c_inner = cho_factor_jittered(inner)
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
         mid_bv = cho_solve(c_inner, bv)
@@ -200,30 +217,29 @@ def update(
         mean = pred.mean + pred.cov @ Wv
         WB = s2i * BtB - s2i**2 * (BtB @ c_solve(BtB))
         cov = symmetrize(pred.cov - pred.cov @ WB @ pred.cov)
+        keep = w > w[-1] / MAX_PRED_COND
+        pred_precision = (V[:, keep] / w[keep]) @ V[:, keep].T
 
     maha = s2i * float(v @ v) - s2i**2 * float(bv @ mid_bv)
     loglik = -0.5 * (model.obs_dim * _LOG_2PI + logdet_S + maha)
-    return Belief(mean=mean, cov=cov, t=pred.t), v, loglik
+    return Belief(mean=mean, cov=cov), loglik, pred_precision
 
 
 def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Trajectory:
     """Forward pass over the window; beliefs indexed t = 1..T, init at t = 0."""
-    init = replace(init, t=0)
-    predicted, filtered, innovations, terms = [], [], [], []
+    filtered, precisions, terms = [], [], []
     prior = init
     for y in ys:
-        pred = predict(prior, model.Q)
-        post, v, ll = update(pred, y, model)
-        predicted.append(pred)
+        post, ll, precision = update(predict(prior, model.Q), y, model)
         filtered.append(post)
-        innovations.append(v)
+        precisions.append(precision)
         terms.append(ll)
         prior = post
     return Trajectory(
         init_filtered=init,
-        predicted=predicted,
         filtered=filtered,
-        innovations=innovations,
+        pred_precisions=precisions,
+        Q=model.Q,
         loglik_terms=terms,
     )
 
@@ -235,6 +251,8 @@ def rts_smooth(traj: Trajectory) -> Trajectory:
     psi_t^s = psi_{t|t} + G_t (psi_{t+1}^s - psi_{t+1|t}),
     P_t^s = P_{t|t} + G_t (P_{t+1}^s - P_{t+1|t}) G_t^T.
 
+    P_{t+1|t}^-1 is the inverse the filter's update stored, and the prediction
+    is formed again from the filtered belief, so no matrix is factored here.
     The last smoothed belief equals the last filtered belief exactly.
     """
     T = traj.T
@@ -242,25 +260,24 @@ def rts_smooth(traj: Trajectory) -> Trajectory:
     gains: list[np.ndarray | None] = [None] * T
     smoothed[T - 1] = traj.filtered[T - 1]
 
-    def backward(filt: Belief, pred_next: Belief, smooth_next: Belief) -> tuple[Belief, np.ndarray]:
-        c = cho_factor_jittered(pred_next.cov)
-        G = cho_solve(c, filt.cov).T  # filt.cov @ inv(pred_next.cov), both symmetric
+    def backward(
+        filt: Belief, pred_precision: np.ndarray, smooth_next: Belief
+    ) -> tuple[Belief, np.ndarray]:
+        pred_next = predict(filt, traj.Q)
+        G = filt.cov @ pred_precision
         mean = filt.mean + G @ (smooth_next.mean - pred_next.mean)
         cov = symmetrize(filt.cov + G @ (smooth_next.cov - pred_next.cov) @ G.T)
-        return Belief(mean=mean, cov=cov, t=filt.t), G
+        return Belief(mean=mean, cov=cov), G
 
     for t in range(T - 2, -1, -1):
         smoothed[t], gains[t + 1] = backward(
-            traj.filtered[t], traj.predicted[t + 1], smoothed[t + 1]
+            traj.filtered[t], traj.pred_precisions[t + 1], smoothed[t + 1]
         )
-    init_smoothed, gains[0] = backward(traj.init_filtered, traj.predicted[0], smoothed[0])
+    init_smoothed, gains[0] = backward(
+        traj.init_filtered, traj.pred_precisions[0], smoothed[0]
+    )
 
     traj.smoothed = smoothed  # type: ignore[assignment]
     traj.gains = gains  # type: ignore[assignment]
     traj.init_smoothed = init_smoothed
     return traj
-
-
-def marginal_loglik(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> float:
-    """Marginal log-likelihood of the window via the prediction-error decomposition."""
-    return float(sum(run_filter(ys, model, init).loglik_terms))

@@ -15,8 +15,9 @@ from mtunmix.em import (
     m_step_sigma,
     q_function,
 )
-from mtunmix.kalman import Belief, ModelMatrices, marginal_loglik, rts_smooth, run_filter
-from mtunmix.kronops import block_trace_cross, block_trace_gram, nkp_decompose
+from mtunmix.kalman import Belief, ModelMatrices, rts_smooth, run_filter
+from mtunmix.kronops import block_trace_gram
+from oracles import block_trace_cross, dense_B, marginal_loglik, nkp_decompose, obs_state_outer
 
 
 def random_spd(rng, n, scale=1.0):
@@ -91,7 +92,7 @@ def joint_posterior_oracle(ys, model, init):
     """Exact joint Gaussian posterior over x_0..x_T by dense conditioning."""
     d = model.state_dim
     T = len(ys)
-    B = model.B
+    B = dense_B(model)
     H = np.zeros(((T + 1) * d, (T + 1) * d))
     g = np.zeros((T + 1) * d)
     H[:d, :d] += np.linalg.inv(init.cov)
@@ -170,12 +171,11 @@ class TestAccumulateStats:
         L, N, P, T = 3, 2, 2, 5
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L, store_dense_cross=True)
+            stats = accumulate_stats(traj, ys, model.m0, L)
             oracle = literal_stats_oracle(traj, ys, model.m0, L)
             np.testing.assert_allclose(stats.state_second_moment, oracle["S1"], rtol=1e-12)
             np.testing.assert_allclose(stats.lagged_second_moment, oracle["S2"], rtol=1e-12)
             np.testing.assert_allclose(stats.cross_second_moment, oracle["S4"], rtol=1e-12)
-            np.testing.assert_allclose(stats.obs_state_outer, oracle["S3"], rtol=1e-12)
             np.testing.assert_allclose(stats.obs_energy, oracle["s5"], rtol=1e-12)
             np.testing.assert_allclose(stats.gram_block_trace, oracle["Tb"], rtol=1e-10)
             np.testing.assert_allclose(stats.cross_block_trace, oracle["U"], rtol=1e-10)
@@ -186,9 +186,9 @@ class TestAccumulateStats:
         model, init, _ = random_instance(rng, L, N, P, T)
         ys = [np.zeros(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        stats = accumulate_stats(traj, ys, model.m0, L, store_dense_cross=True)
+        stats = accumulate_stats(traj, ys, model.m0, L)
         assert stats.obs_energy == 0.0
-        np.testing.assert_array_equal(stats.obs_state_outer, np.zeros((N * L, P * L)))
+        np.testing.assert_array_equal(stats.cross_block_trace, np.zeros((N, P)))
 
 
 class TestQFunction:
@@ -217,7 +217,7 @@ class TestQFunction:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L, store_dense_cross=True)
+            stats = accumulate_stats(traj, ys, model.m0, L)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -338,7 +338,7 @@ class TestMStepClosedForms:
         m0 = rng.uniform(0.2, 1, L * P)
         model = ModelMatrices(A=A, m0=m0, Q=np.eye(P * L), sigma_r2=1.0)
         psis = [rng.standard_normal(P * L) for _ in range(T + 1)]
-        ys = [model.B @ psi for psi in psis[1:]]
+        ys = [dense_B(model) @ psi for psi in psis[1:]]
         beliefs = [Belief(mean=p, cov=np.zeros((P * L, P * L))) for p in psis]
         traj = run_filter(ys, model, beliefs[0])
         traj.smoothed = beliefs[1:]
@@ -368,11 +368,11 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L, store_dense_cross=True)
+            stats = accumulate_stats(traj, ys, model.m0, L)
             A = rng.standard_normal((P, N))
             B = np.kron(A.T, np.eye(L)) @ np.diag(model.m0)
             S1 = stats.state_second_moment
-            S3 = stats.obs_state_outer
+            S3 = obs_state_outer(traj, ys)
             dense = (
                 stats.obs_energy - 2 * np.trace(B @ S3.T) + np.trace(B @ S1 @ B.T)
             ) / (T * L * N)
@@ -421,10 +421,10 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(13)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats = accumulate_stats(traj, ys, model.m0, L, store_dense_cross=True)
+        stats = accumulate_stats(traj, ys, model.m0, L)
         D0 = np.diag(model.m0)
         S1t = D0 @ stats.state_second_moment @ D0
-        S3t = stats.obs_state_outer @ D0
+        S3t = obs_state_outer(traj, ys) @ D0
         terms1 = nkp_decompose(S1t, L, L, K=min(P * P, L * L))
         terms3 = nkp_decompose(S3t, L, L, K=min(N * P, L * L))
         lhs = sum(np.trace(D) * (C + C.T) for C, D in zip(terms1.left_factors, terms1.right_factors))

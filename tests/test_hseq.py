@@ -169,6 +169,26 @@ class TestSequenceIO:
             write_result_dir(out, L=4, N=3, T=2, P=2, abundances=A, endmembers=M)
         assert not (out / "manifest.json").exists()
 
+    def test_failed_sequence_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        out = tmp_path / "seq"
+        seq = HsiSequence(frames=tuple(rng.random((4, 3)) for _ in range(3)))
+        write_hseq(seq, out)
+        assert (out / "manifest.json").is_file()
+        real = hseq.write_matrix
+        written = []
+
+        def failing(path, X):
+            if len(written) == 1:
+                raise OSError("disk full")
+            written.append(path)
+            real(path, X)
+
+        monkeypatch.setattr(hseq, "write_matrix", failing)
+        with pytest.raises(OSError, match="disk full"):
+            write_hseq(seq, out)
+        assert not (out / "manifest.json").exists()
+
 class TestDomainTypes:
     def test_glmm_model_vectorization_exact(self):
         rng = np.random.default_rng(11)

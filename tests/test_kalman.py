@@ -1,16 +1,12 @@
 """Filter/smoother against dense textbook, batch-MAP, and joint-Gaussian oracles."""
 
 import numpy as np
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mtunmix.kalman import (
-    Belief,
-    ModelMatrices,
-    marginal_loglik,
-    predict,
-    rts_smooth,
-    run_filter,
-    update,
-)
+from mtunmix.kalman import Belief, ModelMatrices, predict, rts_smooth, run_filter, update
+from oracles import dense_B, marginal_loglik
 
 
 def random_spd(rng, n, scale=1.0):
@@ -44,7 +40,7 @@ def batch_map_oracle(ys, model, init):
     """Joint normal-equations solve for all states x_0..x_T at once."""
     d = model.state_dim
     T = len(ys)
-    B = model.B
+    B = dense_B(model)
     P0inv = np.linalg.inv(init.cov)
     Qinv = np.linalg.inv(model.Q)
     Rinv_scale = 1.0 / model.sigma_r2
@@ -67,7 +63,7 @@ def batch_map_oracle(ys, model, init):
 def joint_gaussian_loglik_oracle(ys, model, init):
     """Log-density of the stacked observations under the exact joint Gaussian."""
     T = len(ys)
-    B = model.B
+    B = dense_B(model)
     NL = model.obs_dim
     mean = np.concatenate([B @ init.mean] * T)
     cov = np.zeros((T * NL, T * NL))
@@ -117,10 +113,9 @@ class TestUpdate:
         )
         pred = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L))
         y = rng.standard_normal(N * L)
-        post, v, _ = update(pred, y, model)
+        post, _, _ = update(pred, y, model)
         np.testing.assert_allclose(post.mean, pred.mean, rtol=1e-12)
         np.testing.assert_allclose(post.cov, pred.cov, rtol=1e-12)
-        np.testing.assert_array_equal(v, y)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -129,9 +124,9 @@ class TestUpdate:
             model = random_model(rng, L, N, P)
             pred = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L))
             y = rng.standard_normal(N * L)
-            post, v, ll = update(pred, y, model)
+            post, ll, _ = update(pred, y, model)
             mean_o, cov_o, ll_o = dense_update_oracle(
-                pred.mean, pred.cov, y, model.B, model.sigma_r2
+                pred.mean, pred.cov, y, dense_B(model), model.sigma_r2
             )
             np.testing.assert_allclose(post.mean, mean_o, rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(post.cov, cov_o, rtol=1e-8, atol=1e-10)
@@ -164,7 +159,8 @@ class TestUpdate:
         model = random_model(rng, L, N, P)
         pred = Belief(mean=rng.standard_normal(P * L), cov=np.zeros((P * L, P * L)))
         y = rng.standard_normal(N * L)
-        post, v, ll = update(pred, y, model)
+        post, ll, _ = update(pred, y, model)
+        v = y - model.apply_B(pred.mean)
         np.testing.assert_allclose(post.mean, pred.mean, atol=1e-12)
         np.testing.assert_allclose(post.cov, np.zeros((P * L, P * L)), atol=1e-12)
         # loglik equals the density of the innovation under N(0, sigma_r2 I)
@@ -173,6 +169,35 @@ class TestUpdate:
             NL * np.log(2 * np.pi) + NL * np.log(model.sigma_r2) + v @ v / model.sigma_r2
         )
         np.testing.assert_allclose(ll, expected, rtol=1e-10)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 4),
+    N=st.integers(1, 4),
+    P=st.integers(1, 3),
+    log_scale=st.floats(-3.0, 3.0),
+    data=st.data(),
+)
+def test_update_matches_dense_update_for_low_rank_prediction(seed, L, N, P, log_scale, data):
+    # P_pred = X X.T of any rank 0..PL: singular and nearly singular
+    # predicted covariances take the square-root path
+    d = P * L
+    rank = data.draw(st.integers(0, d), label="rank")
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, L, N, P)
+    X = 10.0**log_scale * rng.standard_normal((d, rank))
+    cov = X @ X.T
+    pred = Belief(mean=rng.standard_normal(d), cov=cov)
+    y = rng.standard_normal(N * L)
+    post, ll, precision = update(pred, y, model)
+    mean_o, cov_o, ll_o = dense_update_oracle(pred.mean, cov, y, dense_B(model), model.sigma_r2)
+    scale = max(np.abs(cov).max(), 1e-300)
+    np.testing.assert_allclose(post.mean, mean_o, rtol=1e-7, atol=1e-7 * np.abs(mean_o).max())
+    np.testing.assert_allclose(post.cov, cov_o, rtol=0, atol=1e-7 * scale)
+    np.testing.assert_allclose(ll, ll_o, rtol=1e-8)
+    np.testing.assert_allclose(cov @ precision @ cov, cov, rtol=0, atol=1e-7 * scale)
 
 
 class TestSmoother:
@@ -207,6 +232,35 @@ class TestSmoother:
         traj = rts_smooth(run_filter(ys, model, init))
         for sm, filt in zip(traj.smoothed, traj.filtered):
             np.testing.assert_allclose(sm.mean, filt.mean, rtol=1e-4, atol=1e-4)
+
+    def test_exactly_known_state_stays_put(self):
+        # P00 = 0 and Q = 0: every predicted covariance is zero, so the
+        # smoother must keep the initial mean with zero covariance
+        rng = np.random.default_rng(14)
+        L, N, P, T = 3, 2, 2, 4
+        d = P * L
+        model = random_model(rng, L, N, P)
+        model = ModelMatrices(A=model.A, m0=model.m0, Q=np.zeros((d, d)), sigma_r2=0.3)
+        init = Belief(mean=rng.standard_normal(d), cov=np.zeros((d, d)))
+        ys = [rng.standard_normal(N * L) for _ in range(T)]
+        traj = rts_smooth(run_filter(ys, model, init))
+        for sm in traj.smoothed + [traj.init_smoothed]:
+            np.testing.assert_allclose(sm.mean, init.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sm.cov, np.zeros((d, d)), rtol=0, atol=1e-12)
+
+    def test_smoother_factors_nothing(self, monkeypatch):
+        # the gains come from the inverses the filter's updates stored
+        rng = np.random.default_rng(15)
+        L, N, P, T = 3, 2, 2, 4
+        model = random_model(rng, L, N, P)
+        init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
+        traj = run_filter([rng.standard_normal(N * L) for _ in range(T)], model, init)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("rts_smooth factored a matrix")
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+        rts_smooth(traj)
 
     def test_smoothed_means_equal_batch_map(self):
         rng = np.random.default_rng(10)
@@ -291,7 +345,7 @@ class TestModelMatrices:
         L, N, P = 4, 3, 2
         model = random_model(rng, L, N, P)
         B = np.kron(model.A.T, np.eye(L)) @ np.diag(model.m0)
-        np.testing.assert_allclose(model.B, B, rtol=1e-14)
+        np.testing.assert_allclose(dense_B(model), B, rtol=1e-14)
         np.testing.assert_allclose(model.btb, B.T @ B, rtol=1e-12)
         psi = rng.standard_normal(P * L)
         v = rng.standard_normal(N * L)
