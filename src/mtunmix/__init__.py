@@ -3,7 +3,8 @@
 Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
-- :mod:`mtunmix.kronops`  jittered Cholesky solves, PSD flooring, block traces
+- :mod:`mtunmix.kronops`  jittered Cholesky solves and factor inverses, PSD flooring
+                          with a positive-definite test, block traces
 - :mod:`mtunmix.kalman`   Woodbury filter update / RTS smoother
 - :mod:`mtunmix.em`       sufficient statistics and closed-form M-steps
 - :mod:`mtunmix.fcls`     simplex-constrained least squares

@@ -22,8 +22,8 @@ from .kalman import Belief, ModelMatrices, Trajectory, rts_smooth, run_filter
 from .kronops import (
     block_trace_gram,
     cho_factor_jittered,
+    cho_inverse,
     cho_logdet,
-    cho_solve,
     psd_floor,
     spd_solve,
     symmetrize,
@@ -156,16 +156,17 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
              + tr_resid / sigma_r2 + T N L log sigma_r2 )
 
     where d = psi_0^s - psi00 and D = S1 - S4 - S4.T + S2
-    (``stats.increment_second_moment``).
+    (``stats.increment_second_moment``). Each trace tr(X^-1 S) with X
+    symmetric is the elementwise sum of X^-1 * S, X^-1 from X's factor.
     """
     d = smoothed0.mean - theta.psi00
     S0 = smoothed0.cov + np.outer(d, d)
     c_p00 = cho_factor_jittered(theta.P00)
-    term0 = float(np.trace(cho_solve(c_p00, S0))) + cho_logdet(c_p00)
+    term0 = float(np.sum(cho_inverse(c_p00) * S0)) + cho_logdet(c_p00)
 
     D = stats.increment_second_moment
     c_q = cho_factor_jittered(theta.Q)
-    term_q = float(np.trace(cho_solve(c_q, D))) + stats.T * cho_logdet(c_q)
+    term_q = float(np.sum(cho_inverse(c_q) * D)) + stats.T * cho_logdet(c_q)
 
     term_r = _obs_residual_trace(stats, theta.A) / theta.sigma_r2 + (
         stats.T * stats.N * stats.L * np.log(theta.sigma_r2)

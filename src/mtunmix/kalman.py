@@ -10,8 +10,9 @@ and likelihood terms go through the Woodbury identity
     B.T S_t^-1 = s2i B.T - s2i^2 B.T B (P^-1 + s2i B.T B)^-1 B.T,   s2i = 1/sigma_r2
 
 using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m0)``
-is assembled analytically. The posterior covariance uses the algebraic form
-``P - P B.T S^-1 B P`` with re-symmetrization.
+is assembled analytically. The posterior covariance ``P - P B.T S^-1 B P``
+is formed as ``C^-1`` with ``C = P^-1 + s2i B.T B``, and both inverses come
+from their Cholesky factors (LAPACK ``potri``), exactly symmetric.
 
 The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains
@@ -27,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationError
-from .kronops import cho_factor_jittered, cho_logdet, cho_solve, symmetrize
+from .kronops import cho_factor_jittered, cho_inverse, cho_logdet, cho_solve, symmetrize
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -192,16 +193,16 @@ def update(
 
     try:
         cP = cho_factor_jittered(pred.cov)
-        pred_precision = cho_solve(cP, np.eye(d))
+        pred_precision = cho_inverse(cP)
         cond = np.linalg.norm(pred.cov, 1) * np.linalg.norm(pred_precision, 1)
         if not cond <= MAX_PRED_COND:
             raise FactorizationError(f"predicted covariance has condition number {cond:.1e}")
-        inner = symmetrize(pred_precision + s2i * BtB)
-        c_inner = cho_factor_jittered(inner)
+        # exactly symmetric: both terms are
+        c_inner = cho_factor_jittered(pred_precision + s2i * BtB)
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
         mid_bv = cho_solve(c_inner, bv)
         mean = pred.mean + s2i * mid_bv
-        cov = symmetrize(cho_solve(c_inner, np.eye(d)))
+        cov = cho_inverse(c_inner)
     except FactorizationError:
         w, V = np.linalg.eigh(symmetrize(pred.cov))
         H = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T

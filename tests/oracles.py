@@ -3,7 +3,8 @@
 None of this runs in the unmixing pipeline: the dense observation matrix, the
 dense observation/state cross moment, the marginal log-likelihood as a sum of
 filter terms, the textbook Woodbury gain factor, the N x P block traces of a
-cross moment, and the nearest-Kronecker-product (Van Loan) expansion.
+cross moment, the nearest-Kronecker-product (Van Loan) expansion, and the EM
+surrogate with its traces taken as traces of solves.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mtunmix.em import EmParams, SufficientStats, _obs_residual_trace
 from mtunmix.kalman import Belief, ModelMatrices, Trajectory, run_filter
-from mtunmix.kronops import spd_solve, symmetrize
+from mtunmix.kronops import cho_factor_jittered, cho_logdet, cho_solve, spd_solve, symmetrize
 
 
 def dense_B(model: ModelMatrices) -> np.ndarray:
@@ -122,3 +124,18 @@ def woodbury_gain_factor(B: np.ndarray, P_pred: np.ndarray, sigma_r2: float) -> 
     inner = symmetrize(P_inv + BtB / sigma_r2)
     mid = spd_solve(inner, Bt)
     return Bt / sigma_r2 - (BtB @ mid) / sigma_r2**2
+
+
+def q_function_trace_form(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> float:
+    """``em.q_function`` with tr(P00^-1 S0) and tr(Q^-1 D) as np.trace(cho_solve(c, S))."""
+    d = smoothed0.mean - theta.psi00
+    S0 = smoothed0.cov + np.outer(d, d)
+    c_p00 = cho_factor_jittered(theta.P00)
+    term0 = float(np.trace(cho_solve(c_p00, S0))) + cho_logdet(c_p00)
+    c_q = cho_factor_jittered(theta.Q)
+    D = stats.increment_second_moment
+    term_q = float(np.trace(cho_solve(c_q, D))) + stats.T * cho_logdet(c_q)
+    term_r = _obs_residual_trace(stats, theta.A) / theta.sigma_r2 + (
+        stats.T * stats.N * stats.L * np.log(theta.sigma_r2)
+    )
+    return -0.5 * (term0 + term_q + term_r)

@@ -29,6 +29,11 @@ def json_out(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def tree_bytes(root):
+    """{relative path: contents} of every file under root."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 @pytest.fixture()
 def small_dataset(tmp_path, capsys):
     out = tmp_path / "data"
@@ -251,12 +256,24 @@ class TestUnmix:
         out = tmp_path / "umc"
         code, stdout, _ = run_cli(
             capsys,
-            "unmix", "--input", str(gen), "--vca", "--iters", "1",
+            "unmix", "--input", str(gen), "--vca", "--iters", "2",
             "--seed", "4", "--mc", "2", "--out", str(out),
         )
         assert code == 0
-        assert len(json_out(stdout)["replicas"]) == 2
-        assert (out / "rep_0001" / "abund_0001.f64").is_file()
+        assert [r["seed"] for r in json_out(stdout)["replicas"]] == [4, 5]
+        # each replica's files are byte for byte those of a single run with its seed
+        for i, seed in enumerate([4, 5]):
+            rep = f"rep_{i:04d}"
+            single = tmp_path / f"single_{i}"
+            code, _, _ = run_cli(
+                capsys,
+                "unmix", "--input", str(gen / rep), "--vca", "--iters", "2",
+                "--seed", str(seed), "--out", str(single),
+            )
+            assert code == 0
+            files = tree_bytes(out / rep)
+            assert {"manifest.json", "diagnostics.json", "abund_0001.f64"} <= files.keys()
+            assert files == tree_bytes(single)
 
 
 class TestFcls:

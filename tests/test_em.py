@@ -17,7 +17,14 @@ from mtunmix.em import (
 )
 from mtunmix.kalman import Belief, ModelMatrices, rts_smooth, run_filter
 from mtunmix.kronops import block_trace_gram
-from oracles import block_trace_cross, dense_B, marginal_loglik, nkp_decompose, obs_state_outer
+from oracles import (
+    block_trace_cross,
+    dense_B,
+    marginal_loglik,
+    nkp_decompose,
+    obs_state_outer,
+    q_function_trace_form,
+)
 
 
 def random_spd(rng, n, scale=1.0):
@@ -230,6 +237,41 @@ class TestQFunction:
             expected = q_transcription_oracle(theta, dense, traj.init_smoothed, B, T, N * L)
             np.testing.assert_allclose(
                 q_function(theta, stats, traj.init_smoothed), expected, rtol=1e-10
+            )
+
+    def test_matches_trace_form_random_spd(self):
+        rng = np.random.default_rng(21)
+        L, N, P, T = 4, 3, 2, 4
+        for _ in range(10):
+            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
+            stats = accumulate_stats(traj, ys, model.m0, L)
+            theta = EmParams(
+                A=rng.standard_normal((P, N)),
+                P00=random_spd(rng, P * L),
+                Q=random_spd(rng, P * L, 0.01),
+                sigma_r2=float(rng.uniform(0.2, 2)),
+                psi00=rng.standard_normal(P * L),
+            )
+            np.testing.assert_allclose(
+                q_function(theta, stats, traj.init_smoothed),
+                q_function_trace_form(theta, stats, traj.init_smoothed),
+                rtol=1e-12,
+            )
+
+    def test_matches_trace_form_after_m_step(self):
+        # the parameters em_iterate evaluates the surrogate at: P00 and Q from
+        # the M-steps on the same smoothed statistics
+        rng = np.random.default_rng(22)
+        L, N, P, T = 5, 4, 3, 3
+        for _ in range(5):
+            model, init, ys = random_instance(rng, L, N, P, T)
+            theta = EmParams(
+                A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
+            )
+            theta_new, traj, q_new = em_iterate(ys, model.m0, theta)
+            stats = accumulate_stats(traj, ys, model.m0, L)
+            np.testing.assert_allclose(
+                q_new, q_function_trace_form(theta_new, stats, traj.init_smoothed), rtol=1e-12
             )
 
     def test_m_step_improves_surrogate(self):

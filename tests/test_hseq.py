@@ -2,9 +2,14 @@
 
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mtunmix import hseq
 from mtunmix.errors import SequenceFormatError
@@ -14,6 +19,7 @@ from mtunmix.hseq import (
     devectorize_frame,
     frame_file_name,
     read_hseq,
+    read_manifest,
     read_matrix,
     vectorize_frame,
     write_hseq,
@@ -188,6 +194,53 @@ class TestSequenceIO:
         with pytest.raises(OSError, match="disk full"):
             write_hseq(seq, out)
         assert not (out / "manifest.json").exists()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    X=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=9), elements=FINITE),
+    order=st.sampled_from(["C", "F"]),
+)
+def test_matrix_roundtrip_property(X, order):
+    # any finite values (signed zeros and subnormals included), either memory order
+    X = np.asarray(X, order=order)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.f64"
+        write_matrix(path, X)
+        assert path.stat().st_size == 8 * X.size
+        for back in (read_matrix(path, X.shape[0], X.shape[1]), read_matrix(path, X.shape[0])):
+            assert back.shape == X.shape
+            assert back.tobytes() == X.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    T=st.integers(1, 4),
+    seed=st.none() | st.integers(0, 2**31 - 1),
+    P=st.none() | st.integers(2, 5),
+    data=st.data(),
+)
+def test_hseq_roundtrip_property(shape, T, seed, P, data):
+    frames = tuple(
+        data.draw(hnp.arrays(np.float64, shape, elements=FINITE), label=f"frame {t}")
+        for t in range(T)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "seq"
+        write_hseq(HsiSequence(frames=frames), path, seed=seed, P=P)
+        back = read_hseq(path)
+        manifest = read_manifest(path)
+    assert back.T == T
+    for orig, loaded in zip(frames, back.frames):
+        assert loaded.shape == orig.shape
+        assert loaded.tobytes() == orig.tobytes()
+    assert (manifest.L, manifest.N, manifest.T) == (shape[0], shape[1], T)
+    assert (manifest.seed, manifest.P) == (seed, P)
+
 
 class TestDomainTypes:
     def test_glmm_model_vectorization_exact(self):

@@ -1,9 +1,11 @@
-"""Block traces and PSD flooring, plus the Kronecker, NKP and Woodbury test oracles."""
+"""Block traces, factor inverses and PSD flooring, plus the Kronecker, NKP and
+Woodbury test oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from mtunmix.kronops import block_trace_gram, psd_floor
+from mtunmix.kronops import block_trace_gram, cho_inverse, psd_floor, symmetrize
 from oracles import block_trace_cross, kron_product, nkp_decompose, woodbury_gain_factor
 
 
@@ -189,6 +191,60 @@ class TestWoodburyGainFactor:
         np.testing.assert_allclose(W, dense, rtol=1e-8, atol=1e-12)
 
 
+def eigh_clip_oracle(X):
+    """psd_floor as an eigendecomposition with every negative eigenvalue set to 0."""
+    w, V = np.linalg.eigh(symmetrize(X))
+    return symmetrize((V * np.clip(w, 0.0, None)) @ V.T)
+
+
+class TestChoInverse:
+    @pytest.mark.parametrize("n", [1, 7, 60])
+    def test_matches_dense_inverse(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            S = random_spd(rng, n)
+            X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+            ref = np.linalg.inv(S)
+            assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_matches_dense_inverse_condition_1e8(self):
+        # ill-conditioned through its scaling, so its inverse is well determined
+        # and two inverse routines can agree to 1e-12
+        rng = np.random.default_rng(15)
+        n = 30
+        d = np.logspace(0, 4, n)
+        S = random_spd(rng, n) * d[:, None] * d[None, :]
+        assert 1e7 < np.linalg.cond(S) < 1e9
+        X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+        ref = np.linalg.inv(S)
+        assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_residual_with_spread_eigenvalues(self):
+        # cond 1e8 from the spectrum: any computed inverse is off by about
+        # cond * eps, so bound the residual instead
+        rng = np.random.default_rng(16)
+        n = 40
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        S = symmetrize((V * np.logspace(0, 8, n)) @ V.T)
+        X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(X @ S - np.eye(n)) <= 10 * n * eps * np.linalg.cond(S)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_exactly_symmetric(self, lower):
+        rng = np.random.default_rng(17)
+        X = cho_inverse(scipy.linalg.cho_factor(random_spd(rng, 25), lower=lower))
+        assert np.array_equal(X, X.T)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_factor_left_unchanged(self, lower):
+        rng = np.random.default_rng(18)
+        c, flag = scipy.linalg.cho_factor(random_spd(rng, 25), lower=lower)
+        before = c.copy()
+        cho_inverse((c, flag))
+        assert np.array_equal(c, before)
+
+
 class TestPsdHelpers:
     def test_floor_clips_negative_eigenvalues(self):
         X = np.diag([1.0, -0.5])
@@ -199,3 +255,40 @@ class TestPsdHelpers:
         rng = np.random.default_rng(14)
         S = random_spd(rng, 5)
         np.testing.assert_allclose(psd_floor(S), S, rtol=1e-12)
+
+    def test_floor_positive_definite_skips_eigh(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        X = random_spd(rng, 8) + 1e-9 * rng.standard_normal((8, 8))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called on a positive-definite input")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        out = psd_floor(X)
+        assert np.array_equal(out, symmetrize(X))
+
+    def test_floor_indefinite_matches_eigh_oracle(self):
+        rng = np.random.default_rng(20)
+        for _ in range(5):
+            V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+            X = (V * np.array([-2.0, -1e-9, 0.5, 1.0, 2.0, 3.0])) @ V.T
+            X = X + 1e-12 * rng.standard_normal((6, 6))
+            np.testing.assert_allclose(psd_floor(X), eigh_clip_oracle(X), rtol=0, atol=1e-13)
+
+    def test_floor_exact_zero_eigenvalue_takes_eigh_path(self, monkeypatch):
+        # PSD but singular: the Cholesky fails, eigh finds no negative eigenvalue
+        X = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 0.0]])
+        with pytest.raises(scipy.linalg.LinAlgError):
+            scipy.linalg.cho_factor(X, lower=True)
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def spy(A):
+            calls.append(A)
+            return real_eigh(A)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        out = psd_floor(X)
+        assert len(calls) == 1
+        assert real_eigh(X)[0][0] >= 0.0
+        assert np.array_equal(out, symmetrize(X))
