@@ -3,8 +3,9 @@
 Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
-- :mod:`mtunmix.kronops`  jittered Cholesky solves and factor inverses, PSD flooring
-                          with a positive-definite test, block traces
+- :mod:`mtunmix.kronops`  Cholesky solves (plain or jittered) and factor inverses,
+                          PSD flooring with a positive-definite test, block traces;
+                          imports SciPy on first use
 - :mod:`mtunmix.kalman`   Woodbury filter update / RTS smoother
 - :mod:`mtunmix.em`       sufficient statistics and closed-form M-steps
 - :mod:`mtunmix.fcls`     simplex-constrained least squares

@@ -12,7 +12,8 @@ class SequenceFormatError(UnmixError):
 
 
 class FactorizationError(UnmixError):
-    """A symmetric positive-definite factorization failed after the jitter retry.
+    """A symmetric positive-definite factorization failed (after the jitter
+    retry, where one is made).
 
     ``iteration`` is the EM iteration it happened in, when known.
     """

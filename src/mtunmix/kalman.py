@@ -28,7 +28,14 @@ from functools import cached_property
 import numpy as np
 
 from .errors import FactorizationError
-from .kronops import cho_factor_jittered, cho_inverse, cho_logdet, cho_solve, symmetrize
+from .kronops import (
+    cho_factor,
+    cho_factor_jittered,
+    cho_inverse,
+    cho_logdet,
+    cho_solve,
+    symmetrize,
+)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -45,7 +52,8 @@ class ModelMatrices:
 
     ``B`` is defined by construction from the average abundances ``A`` (P x N)
     and the vectorized reference endmembers ``m0`` (length LP); the dense
-    NL x PL matrix is never formed.
+    NL x PL matrix is never formed. ``Q`` is stored symmetrized, so the
+    predictions built from it stay exactly symmetric.
     """
 
     A: np.ndarray
@@ -60,9 +68,10 @@ class ModelMatrices:
             raise ValueError(f"m0 length {m0.size} not divisible by P={A.shape[0]}")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "Q", np.ascontiguousarray(self.Q, dtype=float))
-        if self.Q.shape != (m0.size, m0.size):
-            raise ValueError(f"Q shape {self.Q.shape} vs state dim {m0.size}")
+        Q = np.asarray(self.Q, dtype=float)
+        if Q.shape != (m0.size, m0.size):
+            raise ValueError(f"Q shape {Q.shape} vs state dim {m0.size}")
+        object.__setattr__(self, "Q", symmetrize(Q))
         if not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 must be positive")
 
@@ -153,8 +162,13 @@ class Trajectory:
 
 
 def predict(prior: Belief, Q: np.ndarray) -> Belief:
-    """Prediction step of the random-walk state: mean kept, covariance grown by Q."""
-    return Belief(mean=prior.mean, cov=symmetrize(prior.cov + Q))
+    """Prediction step of the random-walk state: mean kept, covariance grown by Q.
+
+    The sum is exactly symmetric when both terms are, as they are in the filter
+    and smoother: ``ModelMatrices`` symmetrizes Q, ``run_filter`` the initial
+    covariance, and every posterior covariance comes out exactly symmetric.
+    """
+    return Belief(mean=prior.mean, cov=prior.cov + Q)
 
 
 def update(
@@ -168,7 +182,7 @@ def update(
     only PL x PL factorizations. The likelihood increment log N(v_t; 0, S_t)
     uses the matrix determinant lemma log|S| = NL log sigma_r2 + log|P| + log|C|.
 
-    If P is singular even after the jitter retry (an exactly known state), or
+    If P has no Cholesky factor (it is singular: an exactly known state), or
     its condition number exceeds ``MAX_PRED_COND`` (a nearly known state), the
     step falls back to the PSD square root P = H H with H symmetric:
 
@@ -192,7 +206,7 @@ def update(
     bv = model.apply_Bt(v)
 
     try:
-        cP = cho_factor_jittered(pred.cov)
+        cP = cho_factor(pred.cov)
         pred_precision = cho_inverse(cP)
         cond = np.linalg.norm(pred.cov, 1) * np.linalg.norm(pred_precision, 1)
         if not cond <= MAX_PRED_COND:
@@ -229,6 +243,7 @@ def update(
 def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Trajectory:
     """Forward pass over the window; beliefs indexed t = 1..T, init at t = 0."""
     filtered, precisions, terms = [], [], []
+    init = Belief(mean=init.mean, cov=symmetrize(init.cov))
     prior = init
     for y in ys:
         post, ll, precision = update(predict(prior, model.Q), y, model)

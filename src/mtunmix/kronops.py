@@ -1,5 +1,6 @@
-"""Cholesky solves with one jitter retry, inverses from the factor, PSD
-flooring with a positive-definite fast test, and block traces.
+"""Cholesky factors (plain, or with one jitter retry) and solves, inverses
+from the factor, PSD flooring with a positive-definite fast test, and block
+traces.
 
 These primitives back the state-space machinery: the observation matrix has
 the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
@@ -7,13 +8,16 @@ reduces to block traces or PL x PL factorizations instead of operations on
 NL x NL matrices. Where an explicit inverse is needed (the filter's predicted
 precision and posterior covariance, P00^-1 and Q^-1 in the EM surrogate) it
 comes from the Cholesky factor at hand through :func:`cho_inverse`.
+
+SciPy is imported on first use, not when the package loads: only the
+commands that factor a matrix (``unmix`` and the library's EM) pay for it.
+Every call looks ``scipy.linalg.cho_factor`` up on the module when it runs,
+so a wrapper set on the module sees each factorization.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
-import scipy.linalg.lapack
 
 from .errors import FactorizationError
 
@@ -26,6 +30,17 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
     return (X + X.T) / 2.0
 
 
+def cho_factor(M: np.ndarray):
+    """Lower Cholesky factor of M, no jitter; :class:`FactorizationError` if
+    M is not numerically positive definite."""
+    import scipy.linalg
+
+    try:
+        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite") from exc
+
+
 def cho_factor_jittered(M: np.ndarray):
     """Cholesky of a symmetric positive-definite matrix with one jitter retry.
 
@@ -33,21 +48,21 @@ def cho_factor_jittered(M: np.ndarray):
     :class:`FactorizationError` if both attempts fail.
     """
     try:
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
+        return cho_factor(M)
+    except FactorizationError:
         pass
     jitter = JITTER_SCALE * float(np.mean(np.diag(M)))
     try:
-        return scipy.linalg.cho_factor(
-            M + jitter * np.eye(M.shape[0]), lower=True, check_finite=False
-        )
-    except scipy.linalg.LinAlgError as exc:
+        return cho_factor(M + jitter * np.eye(M.shape[0]))
+    except FactorizationError as exc:
         raise FactorizationError(
             f"matrix of size {M.shape[0]} not positive definite after jitter retry"
         ) from exc
 
 
 def cho_solve(factor, B: np.ndarray) -> np.ndarray:
+    import scipy.linalg
+
     return scipy.linalg.cho_solve(factor, B, check_finite=False)
 
 
@@ -64,6 +79,8 @@ def cho_inverse(factor) -> np.ndarray:
     It fills one triangle, which is mirrored into the other; the factor is
     left as it is.
     """
+    import scipy.linalg.lapack
+
     c, lower = factor
     inv, info = scipy.linalg.lapack.dpotri(c, lower=lower, overwrite_c=False)
     if info != 0:
@@ -86,9 +103,9 @@ def psd_floor(X: np.ndarray) -> np.ndarray:
     """
     S = symmetrize(X)
     try:
-        scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+        cho_factor(S)
         return S
-    except scipy.linalg.LinAlgError:
+    except FactorizationError:
         pass
     w, V = np.linalg.eigh(S)
     if w[0] >= 0.0:

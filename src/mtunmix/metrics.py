@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 EXHAUSTIVE_ALIGN_LIMIT = 8
 
@@ -73,6 +72,8 @@ def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
             if total < best_total:
                 best, best_total = perm, total
         return tuple(best)
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     perm = np.empty(P, dtype=int)
     perm[rows] = cols

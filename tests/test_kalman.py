@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtunmix.kalman import Belief, ModelMatrices, predict, rts_smooth, run_filter, update
+from mtunmix.kronops import symmetrize
 from oracles import dense_B, marginal_loglik
 
 
@@ -103,6 +104,30 @@ class TestPredict:
         prior = Belief(mean=rng.standard_normal(5), cov=cov)
         np.testing.assert_allclose(predict(prior, Q).cov, cov + Q, rtol=1e-14)
 
+    def test_adds_without_symmetrizing(self):
+        # the symmetric inputs are the caller's job: ModelMatrices and run_filter
+        rng = np.random.default_rng(16)
+        cov = rng.standard_normal((4, 4))
+        Q = rng.standard_normal((4, 4))
+        pred = predict(Belief(mean=np.zeros(4), cov=cov), Q)
+        assert np.array_equal(pred.cov, cov + Q)
+
+    def test_filter_symmetrizes_q_and_initial_covariance_once(self):
+        rng = np.random.default_rng(17)
+        L, N, P, T = 3, 2, 2, 3
+        d = P * L
+        model = random_model(rng, L, N, P)
+        skew = 1e-6 * rng.standard_normal((d, d))
+        lopsided = ModelMatrices(A=model.A, m0=model.m0, Q=model.Q + skew, sigma_r2=model.sigma_r2)
+        assert np.array_equal(lopsided.Q, symmetrize(model.Q + skew))
+        cov0 = random_spd(rng, d)
+        init = Belief(mean=np.ones(d), cov=cov0 + skew)
+        ys = [rng.standard_normal(N * L) for _ in range(T)]
+        traj = rts_smooth(run_filter(ys, lopsided, init))
+        assert np.array_equal(traj.init_filtered.cov, symmetrize(cov0 + skew))
+        for belief in traj.filtered + traj.smoothed + [traj.init_smoothed]:
+            assert np.array_equal(belief.cov, belief.cov.T)
+
 
 class TestUpdate:
     def test_zero_observation_matrix(self):
@@ -151,6 +176,38 @@ class TestUpdate:
             post, _, _ = update(pred, rng.standard_normal(N * L), model)
             np.testing.assert_allclose(post.cov, post.cov.T, rtol=0, atol=1e-14)
             assert min_eig_ratio(post.cov) >= -1e-9
+
+    def test_singular_prediction_goes_straight_to_square_root_path(self, monkeypatch):
+        # a zero 3x3 block: the plain Cholesky fails and no jittered factor is
+        # tried; the one factorization after it is the square-root path's
+        rng = np.random.default_rng(18)
+        L, N, P = 3, 2, 2
+        model = random_model(rng, L, N, P)
+        cov = np.zeros((6, 6))
+        cov[:3, :3] = random_spd(rng, 3)
+        pred = Belief(mean=rng.standard_normal(6), cov=cov)
+        y = rng.standard_normal(N * L)
+        outcomes = []
+        real = scipy.linalg.cho_factor
+
+        def recording(*args, **kwargs):
+            try:
+                factor = real(*args, **kwargs)
+            except np.linalg.LinAlgError:
+                outcomes.append("fail")
+                raise
+            outcomes.append("ok")
+            return factor
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        post, ll, _ = update(pred, y, model)
+        assert outcomes == ["fail", "ok"]
+        mean_o, cov_o, ll_o = dense_update_oracle(
+            pred.mean, cov, y, dense_B(model), model.sigma_r2
+        )
+        np.testing.assert_allclose(post.mean, mean_o, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(post.cov, cov_o, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ll, ll_o, rtol=1e-8)
 
     def test_singular_predicted_covariance(self):
         # exactly known state: posterior stays put, gain is zero

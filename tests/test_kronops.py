@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mtunmix.kronops import block_trace_gram, cho_inverse, psd_floor, symmetrize
+from mtunmix.errors import FactorizationError
+from mtunmix.kronops import (
+    block_trace_gram,
+    cho_factor,
+    cho_factor_jittered,
+    cho_inverse,
+    psd_floor,
+    symmetrize,
+)
 from oracles import block_trace_cross, kron_product, nkp_decompose, woodbury_gain_factor
 
 
@@ -243,6 +251,39 @@ class TestChoInverse:
         before = c.copy()
         cho_inverse((c, flag))
         assert np.array_equal(c, before)
+
+
+class TestChoFactor:
+    SINGULAR = np.diag([1.0, 2.0, 0.0])
+
+    def count_attempts(self, monkeypatch):
+        attempts = []
+        real = scipy.linalg.cho_factor
+
+        def counting(M, **kwargs):
+            attempts.append(M.copy())
+            return real(M, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        return attempts
+
+    def test_plain_factor_makes_one_attempt(self, monkeypatch):
+        attempts = self.count_attempts(monkeypatch)
+        with pytest.raises(FactorizationError):
+            cho_factor(self.SINGULAR)
+        assert len(attempts) == 1
+        c, lower = cho_factor(np.diag([4.0, 9.0]))
+        assert lower
+        np.testing.assert_array_equal(np.diag(c), [2.0, 3.0])
+
+    def test_jittered_factor_retries_with_jitter(self, monkeypatch):
+        attempts = self.count_attempts(monkeypatch)
+        c, _ = cho_factor_jittered(self.SINGULAR)
+        assert len(attempts) == 2
+        assert attempts[1][2, 2] == pytest.approx(1e-10)
+        assert c[2, 2] == pytest.approx(1e-5)
+        with pytest.raises(FactorizationError, match="after jitter retry"):
+            cho_factor_jittered(np.diag([1.0, -1.0]))
 
 
 class TestPsdHelpers:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtunmix.metrics import (
+    EXHAUSTIVE_ALIGN_LIMIT,
     align_endmember_sequences,
     align_endmembers,
     apply_permutation,
@@ -164,3 +165,31 @@ class TestAlignment:
         best = sam([M], [est[:, perm]])
         for other in itertools.permutations(range(3)):
             assert best <= sam([M], [est[:, list(other)]]) + 1e-12
+
+    def test_planted_permutation_past_exhaustive_limit(self):
+        # P = 10 takes the Hungarian branch
+        rng = np.random.default_rng(8)
+        P = 10
+        assert P > EXHAUSTIVE_ALIGN_LIMIT
+        M = synthetic_endmembers(60, P, seed=4)
+        planted = rng.permutation(P)
+        noisy = M[:, planted] * (1 + 0.02 * rng.standard_normal((60, P)))
+        perm = align_endmembers(M, np.abs(noisy))
+        np.testing.assert_array_equal(planted[list(perm)], np.arange(P))
+
+    def test_hungarian_total_equals_exhaustive_optimum(self):
+        import itertools
+
+        rng = np.random.default_rng(9)
+        P = 9
+        assert P > EXHAUSTIVE_ALIGN_LIMIT
+        M = np.abs(rng.standard_normal((40, P))) + 0.1
+        est = np.abs(rng.standard_normal((40, P))) + 0.1
+        perm = align_endmembers(M, est)
+        assert sorted(perm) == list(range(P))
+        unit_m = M / np.linalg.norm(M, axis=0)
+        unit_e = est / np.linalg.norm(est, axis=0)
+        cost = np.arccos(np.clip(unit_m.T @ unit_e, -1.0, 1.0))
+        every = np.array(list(itertools.permutations(range(P))))
+        best = cost[np.arange(P), every].sum(axis=1).min()
+        np.testing.assert_allclose(cost[np.arange(P), list(perm)].sum(), best, rtol=1e-12)
