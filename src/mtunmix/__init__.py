@@ -4,10 +4,12 @@ Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
 - :mod:`mtunmix.kronops`  Cholesky solves (plain or jittered) and factor inverses,
-                          PSD flooring with a positive-definite test, block traces;
+                          PSD flooring with a positive-definite test;
                           imports SciPy on first use
-- :mod:`mtunmix.kalman`   Woodbury filter update / RTS smoother
-- :mod:`mtunmix.em`       sufficient statistics and closed-form M-steps
+- :mod:`mtunmix.kalman`   Woodbury filter update, means-only RTS smoother and the
+                          smoothed-covariance recursion, one backward step at a time
+- :mod:`mtunmix.em`       sufficient statistics streamed from that recursion,
+                          closed-form M-steps
 - :mod:`mtunmix.fcls`     simplex-constrained least squares
 - :mod:`mtunmix.vca`      endmember extraction
 - :mod:`mtunmix.pipeline` end-to-end unmixing driver

@@ -59,8 +59,13 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _replica_workers(count: int) -> int:
-    return max(1, min(count, os.cpu_count() or 1))
+def _run_replicas(fn, jobs: list[tuple]) -> list:
+    """``fn(*job)`` for every job on a thread pool of at most one thread per
+    core; the results in job order, the first exception re-raised."""
+    workers = max(1, min(len(jobs), os.cpu_count() or 1))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *job) for job in jobs]
+        return [f.result() for f in futures]
 
 
 # ---------------------------------------------------------------- generate
@@ -138,14 +143,8 @@ def cmd_generate(args) -> int:
     if args.mc <= 1:
         _emit(_generate_one(args, args.seed, out))
         return 0
-    seeds = [args.seed + i for i in range(args.mc)]
-    with ThreadPoolExecutor(max_workers=_replica_workers(args.mc)) as pool:
-        futures = [
-            pool.submit(_generate_one, args, seed, out / REPLICA_DIR_FMT.format(i))
-            for i, seed in enumerate(seeds)
-        ]
-        replicas = [f.result() for f in futures]
-    _emit({"replicas": replicas})
+    jobs = [(args, args.seed + i, out / REPLICA_DIR_FMT.format(i)) for i in range(args.mc)]
+    _emit({"replicas": _run_replicas(_generate_one, jobs)})
     return 0
 
 
@@ -200,8 +199,8 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
         abundances=result.abundances.maps,
         endmembers=result.endmembers,
         psis=[
-            b.mean.reshape((seq.L, model.P), order="F")
-            for b in result.psi_trajectory.smoothed
+            psi.reshape((seq.L, model.P), order="F")
+            for psi in result.psi_trajectory.smoothed_means
         ],
         seed=seed,
     )
@@ -238,11 +237,8 @@ def cmd_unmix(args) -> int:
         rep = REPLICA_DIR_FMT.format(i)
         if not (input_dir / rep).is_dir():
             raise SequenceFormatError(f"missing replica directory {input_dir / rep}")
-        jobs.append((args.seed + i, input_dir / rep, out / rep))
-    with ThreadPoolExecutor(max_workers=_replica_workers(args.mc)) as pool:
-        futures = [pool.submit(_unmix_one, args, *job) for job in jobs]
-        replicas = [f.result() for f in futures]
-    _emit({"replicas": replicas})
+        jobs.append((args, args.seed + i, input_dir / rep, out / rep))
+    _emit({"replicas": _run_replicas(_unmix_one, jobs)})
     return 0
 
 

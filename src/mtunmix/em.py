@@ -1,9 +1,12 @@
 """EM parameter learning on top of the smoother: statistics, surrogate, M-steps.
 
-One EM iteration runs filter + smoother under the current parameters, reduces
-the smoothed trajectory to sufficient statistics, and applies closed-form
-maximizers for the initial belief, the process noise, the observation noise
-variance, and the average abundance matrix.
+One EM iteration runs the filter and the smoothed-mean pass under the current
+parameters, then one backward pass of the smoothed-covariance recursion whose
+every step is reduced to the sufficient statistics as it comes (Shumway &
+Stoffer 1982): the increment moment D in one PL x PL array and the same-band
+entries the block traces read. It then applies closed-form maximizers for
+the initial belief, the process noise, the observation noise variance, and
+the average abundance matrix.
 
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
@@ -18,9 +21,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kalman import Belief, ModelMatrices, Trajectory, rts_smooth, run_filter
+from .kalman import (
+    Belief,
+    ModelMatrices,
+    Trajectory,
+    rts_smooth,
+    run_filter,
+    smoothed_covariances,
+)
 from .kronops import (
-    block_trace_gram,
     cho_factor_jittered,
     cho_inverse,
     cho_logdet,
@@ -59,42 +68,38 @@ class EmParams:
 class SufficientStats:
     """Smoothed-trajectory statistics consumed by the M-steps.
 
-    ``state_second_moment``   sum_t P_t^s + psi_t^s psi_t^s.T           (t = 1..T)
-    ``lagged_second_moment``  same sum taken at t-1                     (t-1 = 0..T-1)
-    ``cross_second_moment``   sum_t P_t^s G_{t-1}.T + psi_t^s psi_{t-1}^s.T
-    ``obs_energy``            sum_t y_t.T y_t
-    ``gram_block_trace``      P x P block traces of diag(m0) S diag(m0),
-                              S the state second moment
-    ``cross_block_trace``     N x P streaming contraction sum_t Y_t.T (M0 * Psi_t^s)
+    ``increment_second_moment``  D = sum_t E[(psi_t - psi_{t-1})(psi_t - psi_{t-1}).T]
+                                 = sum_t S_t + S_{t-1} - X_t - X_t.T + delta_t delta_t.T,
+                                 delta_t = psi_t^s - psi_{t-1}^s             (t = 1..T)
+    ``obs_energy``               sum_t y_t.T y_t
+    ``gram_block_trace``         P x P block traces of diag(m0) S1 diag(m0), with
+                                 S1 = sum_t S_t + psi_t^s psi_t^s.T the state second moment
+    ``cross_block_trace``        N x P streaming contraction sum_t Y_t.T (M0 * Psi_t^s)
     """
 
     T: int
     L: int
     N: int
     P: int
-    state_second_moment: np.ndarray
-    lagged_second_moment: np.ndarray
-    cross_second_moment: np.ndarray
+    increment_second_moment: np.ndarray
     obs_energy: float
     gram_block_trace: np.ndarray
     cross_block_trace: np.ndarray
 
-    @property
-    def increment_second_moment(self) -> np.ndarray:
-        """D = S1 - S4 - S4.T + S2 = sum_t E[(psi_t - psi_{t-1})(psi_t - psi_{t-1}).T]."""
-        return (
-            self.state_second_moment
-            - self.cross_second_moment
-            - self.cross_second_moment.T
-            + self.lagged_second_moment
-        )
-
 
 def accumulate_stats(
     traj: Trajectory, ys: list[np.ndarray], m0: np.ndarray, L: int
-) -> SufficientStats:
-    """Reduce a smoothed trajectory to the statistics the M-steps need."""
-    if traj.smoothed is None or traj.gains is None or traj.init_smoothed is None:
+) -> tuple[SufficientStats, Belief]:
+    """Reduce a smoothed trajectory to the M-step statistics and the smoothed
+    t = 0 belief (mean and covariance S_0).
+
+    The smoothed covariances come from :func:`smoothed_covariances` and are
+    reduced as each backward step yields them: added into D, and their
+    same-band entries S_t[(p, l), (q, l)] (the only ones the block traces of
+    diag(m0) S1 diag(m0) read) into an L x P x P array. No smoothed
+    covariance outlives its step, and S1 itself is never formed.
+    """
+    if traj.smoothed_means is None or traj.init_smoothed_mean is None:
         raise ValueError("trajectory must be smoothed first")
     T = traj.T
     m0 = np.asarray(m0, dtype=float).reshape(-1)
@@ -102,40 +107,43 @@ def accumulate_stats(
     P = PL // L
     N = ys[0].size // L
     m0_mat = m0.reshape((L, P), order="F")
+    means = [traj.init_smoothed_mean] + traj.smoothed_means
 
-    second = np.zeros((PL, PL))
-    lagged = np.zeros((PL, PL))
-    cross = np.zeros((PL, PL))
+    D = np.zeros((PL, PL))
+    band = np.zeros((L, P, P))
+    t = T
+    for S_t, S_prev, X in smoothed_covariances(traj):
+        delta = means[t] - means[t - 1]
+        D += S_t
+        D += S_prev
+        D -= X + X.T  # exactly symmetric, as every other term, so D is too
+        D += np.outer(delta, delta)
+        band += np.einsum("iljl->lij", S_t.reshape(P, L, P, L))
+        S_0 = S_prev
+        del S_t, X  # not alive beside the next step's matrices
+        t -= 1
+
     obs_energy = 0.0
     cross_bt = np.zeros((N, P))
-
-    prev = traj.init_smoothed
-    for i in range(T):
-        sm = traj.smoothed[i]
-        second += sm.cov + np.outer(sm.mean, sm.mean)
-        lagged += prev.cov + np.outer(prev.mean, prev.mean)
-        cross += sm.cov @ traj.gains[i].T + np.outer(sm.mean, prev.mean)
-        y = np.asarray(ys[i], dtype=float).reshape(-1)
+    gram_bt = np.einsum("lij,li,lj->ij", band, m0_mat, m0_mat)
+    for t in range(1, T + 1):
+        y = np.asarray(ys[t - 1], dtype=float).reshape(-1)
         obs_energy += float(y @ y)
-        Y = y.reshape((L, N), order="F")
-        Psi = sm.mean.reshape((L, P), order="F")
-        cross_bt += Y.T @ (m0_mat * Psi)
-        prev = sm
+        scaled = m0_mat * means[t].reshape((L, P), order="F")
+        cross_bt += y.reshape((L, N), order="F").T @ scaled
+        gram_bt += scaled.T @ scaled
 
-    scaled = second * m0[:, None] * m0[None, :]
-    gram_bt = block_trace_gram(scaled, L, P)
-    return SufficientStats(
+    stats = SufficientStats(
         T=T,
         L=L,
         N=N,
         P=P,
-        state_second_moment=symmetrize(second),
-        lagged_second_moment=symmetrize(lagged),
-        cross_second_moment=cross,
+        increment_second_moment=D,
         obs_energy=obs_energy,
         gram_block_trace=gram_bt,
         cross_block_trace=cross_bt,
     )
+    return stats, Belief(mean=traj.init_smoothed_mean, cov=S_0)
 
 
 def _obs_residual_trace(stats: SufficientStats, A: np.ndarray) -> float:
@@ -155,18 +163,19 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
              + tr(Q^-1 D) + T log|Q|
              + tr_resid / sigma_r2 + T N L log sigma_r2 )
 
-    where d = psi_0^s - psi00 and D = S1 - S4 - S4.T + S2
-    (``stats.increment_second_moment``). Each trace tr(X^-1 S) with X
-    symmetric is the elementwise sum of X^-1 * S, X^-1 from X's factor.
+    where d = psi_0^s - psi00 and D = ``stats.increment_second_moment``. Each
+    trace tr(X^-1 S) with X symmetric is the inner product of X^-1 and S, X^-1
+    from X's factor; the rank-one part of the first is d.T P00^-1 d.
     """
     d = smoothed0.mean - theta.psi00
-    S0 = smoothed0.cov + np.outer(d, d)
     c_p00 = cho_factor_jittered(theta.P00)
-    term0 = float(np.sum(cho_inverse(c_p00) * S0)) + cho_logdet(c_p00)
+    p00_inv = cho_inverse(c_p00)
+    term0 = float(np.vdot(p00_inv, smoothed0.cov) + d @ p00_inv @ d) + cho_logdet(c_p00)
+    del c_p00, p00_inv
 
-    D = stats.increment_second_moment
     c_q = cho_factor_jittered(theta.Q)
-    term_q = float(np.sum(cho_inverse(c_q) * D)) + stats.T * cho_logdet(c_q)
+    term_q = float(np.vdot(cho_inverse(c_q), stats.increment_second_moment))
+    term_q += stats.T * cho_logdet(c_q)
 
     term_r = _obs_residual_trace(stats, theta.A) / theta.sigma_r2 + (
         stats.T * stats.N * stats.L * np.log(theta.sigma_r2)
@@ -186,7 +195,7 @@ def m_step_psi00(smoothed0: Belief) -> np.ndarray:
 
 
 def m_step_q(stats: SufficientStats) -> np.ndarray:
-    """Q* = (S1 - S4 - S4.T + S2) / T, floored to the PSD cone.
+    """Q* = D / T, floored to the PSD cone.
 
     The 1/T factor makes this the exact maximizer of the surrogate's Q block;
     tiny negative eigenvalues from smoother round-off are clipped at zero.
@@ -221,9 +230,9 @@ def m_step_abundance(stats: SufficientStats) -> np.ndarray:
 def em_iterate(
     ys: list[np.ndarray], m0: np.ndarray, theta: EmParams
 ) -> tuple[EmParams, Trajectory, float]:
-    """One full EM iteration; returns the updated parameters, the smoothed
-    trajectory under the *input* parameters, and the surrogate value at the
-    updated parameters.
+    """One full EM iteration; returns the updated parameters, the trajectory
+    (filter output and smoothed means) under the *input* parameters, and the
+    surrogate value at the updated parameters.
 
     Order of the closed-form updates: initial covariance (which uses the old
     initial mean), initial mean, process noise, abundances, then observation
@@ -232,14 +241,14 @@ def em_iterate(
     """
     model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
     traj = rts_smooth(run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00)))
-    stats = accumulate_stats(traj, ys, m0, model.L)
+    stats, smoothed0 = accumulate_stats(traj, ys, m0, model.L)
 
-    P00_new = m_step_p00(traj.init_smoothed, theta.psi00)
-    psi00_new = m_step_psi00(traj.init_smoothed)
+    P00_new = m_step_p00(smoothed0, theta.psi00)
+    psi00_new = m_step_psi00(smoothed0)
     Q_new = m_step_q(stats)
     A_new = m_step_abundance(stats)
     sigma_new = m_step_sigma(stats, A_new)
 
     theta_new = EmParams(A=A_new, P00=P00_new, Q=Q_new, sigma_r2=sigma_new, psi00=psi00_new)
-    q_value = q_function(theta_new, stats, traj.init_smoothed)
+    q_value = q_function(theta_new, stats, smoothed0)
     return theta_new, traj, q_value

@@ -17,11 +17,19 @@ from their Cholesky factors (LAPACK ``potri``), exactly symmetric.
 The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains
 ``G_t = P_{t|t} P_{t+1|t}^-1`` need no factorization of their own.
+
+A :class:`Trajectory` holds the filter's output only: per frame the filtered
+belief and that inverse, about 2T + 1 PL x PL matrices. The smoother is split
+in two. :func:`rts_smooth` runs the mean recursion, two matrix-vector
+products per step. :func:`smoothed_covariances` yields each smoothed
+covariance and lag-one cross covariance as the backward pass reaches it, for
+the EM statistics to reduce at once; none of them is stored.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -133,18 +141,18 @@ class Belief:
 
 @dataclass
 class Trajectory:
-    """Filter/smoother output over a window t = 1..T plus the initial belief.
+    """Filter output over a window t = 1..T plus the initial belief, and the
+    smoothed means once :func:`rts_smooth` has run.
 
-    ``filtered[i]``, ``pred_precisions[i]`` and ``smoothed[i]`` refer to frame
-    t = i+1; the t = 0 belief lives in ``init_filtered`` / ``init_smoothed``.
-    ``pred_precisions[i]`` is the inverse of the predicted covariance
-    P_{i+1|i} that the update formed (a pseudo-inverse if that covariance is
-    singular or nearly so); the predicted belief itself is the prediction of
-    the belief before it under the process noise ``Q``.
-    ``gains[i]`` is the smoother gain G_i coupling time i to i+1 (G_0 involves
-    the initial belief), so ``gains`` has T entries. ``loglik_terms[i]`` is the
-    innovation log-density of frame i+1; their sum is the marginal
-    log-likelihood.
+    ``filtered[i]``, ``pred_precisions[i]`` and ``smoothed_means[i]`` refer to
+    frame t = i+1; the t = 0 belief lives in ``init_filtered`` /
+    ``init_smoothed_mean``. ``pred_precisions[i]`` is the inverse of the
+    predicted covariance P_{i+1|i} that the update formed (a pseudo-inverse if
+    that covariance is singular or nearly so); the predicted belief itself is
+    the prediction of the belief before it under the process noise ``Q``.
+    ``loglik_terms[i]`` is the innovation log-density of frame i+1; their sum
+    is the marginal log-likelihood. The smoothed covariances are not stored:
+    :func:`smoothed_covariances` yields them one backward step at a time.
     """
 
     init_filtered: Belief
@@ -152,9 +160,8 @@ class Trajectory:
     pred_precisions: list[np.ndarray]
     Q: np.ndarray
     loglik_terms: list[float]
-    smoothed: list[Belief] | None = None
-    gains: list[np.ndarray] | None = None
-    init_smoothed: Belief | None = None
+    smoothed_means: list[np.ndarray] | None = None
+    init_smoothed_mean: np.ndarray | None = None
 
     @property
     def T(self) -> int:
@@ -261,39 +268,59 @@ def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Traj
 
 
 def rts_smooth(traj: Trajectory) -> Trajectory:
-    """Backward smoothing pass; fills smoothed beliefs, gains, and the t=0 belief.
+    """Backward pass for the smoothed means; fills ``smoothed_means`` and
+    ``init_smoothed_mean``.
 
-    G_t = P_{t|t} P_{t+1|t}^-1,
-    psi_t^s = psi_{t|t} + G_t (psi_{t+1}^s - psi_{t+1|t}),
-    P_t^s = P_{t|t} + G_t (P_{t+1}^s - P_{t+1|t}) G_t^T.
+        psi_t^s = psi_{t|t} + P_{t|t} (P_{t+1|t}^-1 (psi_{t+1}^s - psi_{t|t}))
 
-    P_{t+1|t}^-1 is the inverse the filter's update stored, and the prediction
-    is formed again from the filtered belief, so no matrix is factored here.
-    The last smoothed belief equals the last filtered belief exactly.
+    The random walk predicts psi_{t+1|t} = psi_{t|t}, and P_{t+1|t}^-1 is the
+    inverse the filter's update stored, so a step is two matrix-vector
+    products and nothing is factored. The last smoothed mean is the last
+    filtered mean, the same array.
     """
-    T = traj.T
-    smoothed: list[Belief | None] = [None] * T
-    gains: list[np.ndarray | None] = [None] * T
-    smoothed[T - 1] = traj.filtered[T - 1]
-
-    def backward(
-        filt: Belief, pred_precision: np.ndarray, smooth_next: Belief
-    ) -> tuple[Belief, np.ndarray]:
-        pred_next = predict(filt, traj.Q)
-        G = filt.cov @ pred_precision
-        mean = filt.mean + G @ (smooth_next.mean - pred_next.mean)
-        cov = symmetrize(filt.cov + G @ (smooth_next.cov - pred_next.cov) @ G.T)
-        return Belief(mean=mean, cov=cov), G
-
-    for t in range(T - 2, -1, -1):
-        smoothed[t], gains[t + 1] = backward(
-            traj.filtered[t], traj.pred_precisions[t + 1], smoothed[t + 1]
-        )
-    init_smoothed, gains[0] = backward(
-        traj.init_filtered, traj.pred_precisions[0], smoothed[0]
-    )
-
-    traj.smoothed = smoothed  # type: ignore[assignment]
-    traj.gains = gains  # type: ignore[assignment]
-    traj.init_smoothed = init_smoothed
+    beliefs = [traj.init_filtered] + traj.filtered
+    means = [b.mean for b in beliefs]
+    for t in range(traj.T - 1, -1, -1):
+        filt = beliefs[t]
+        means[t] = filt.mean + filt.cov @ (traj.pred_precisions[t] @ (means[t + 1] - filt.mean))
+    traj.init_smoothed_mean = means[0]
+    traj.smoothed_means = means[1:]
     return traj
+
+
+def smoothed_covariances(
+    traj: Trajectory,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Backward covariance recursion: yields (S_{t+1}, S_t, X_{t+1}) for
+    t = T-1, ..., 0, one step at a time.
+
+    S_t is the smoothed covariance of psi_t and X_{t+1} = Cov(psi_{t+1}, psi_t)
+    under the smoothed posterior:
+
+        G_t = P_{t|t} P_{t+1|t}^-1,
+        S_t = P_{t|t} + G_t (S_{t+1} - P_{t+1|t}) G_t^T,
+        X_{t+1} = S_{t+1} G_t^T,
+
+    starting from S_T = P_{T|T}. The recursion subtracts the predicted
+    covariance explicitly rather than using G_t P_{t+1|t} = P_{t|t}, which
+    holds only as far as the stored inverse is exact. Only the step's own
+    matrices are alive, so a consumer that reduces each step and keeps none
+    of them holds no per-frame covariance. The first S_{t+1} yielded is the
+    trajectory's own P_{T|T}: read what is yielded, do not write into it.
+    """
+    beliefs = [traj.init_filtered] + traj.filtered
+    S_next = beliefs[-1].cov
+    for t in range(traj.T - 1, -1, -1):
+        filt = beliefs[t]
+        G = filt.cov @ traj.pred_precisions[t]
+        gap = predict(filt, traj.Q).cov
+        np.subtract(S_next, gap, out=gap)
+        gap = G @ gap
+        S = gap @ G.T
+        del gap
+        S += filt.cov
+        S = symmetrize(S)
+        X = S_next @ G.T
+        del G
+        yield S_next, S, X
+        S_next = S

@@ -1,6 +1,5 @@
 """Cholesky factors (plain, or with one jitter retry) and solves, inverses
-from the factor, PSD flooring with a positive-definite fast test, and block
-traces.
+from the factor, and PSD flooring with a positive-definite fast test.
 
 These primitives back the state-space machinery: the observation matrix has
 the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
@@ -27,7 +26,9 @@ JITTER_SCALE = 1e-10
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
     """(X + X.T) / 2, suppressing asymmetry drift after updates/inversions."""
-    return (X + X.T) / 2.0
+    out = X + X.T
+    out /= 2.0
+    return out
 
 
 def cho_factor(M: np.ndarray):
@@ -112,15 +113,3 @@ def psd_floor(X: np.ndarray) -> np.ndarray:
         return S
     w = np.clip(w, 0.0, None)
     return symmetrize((V * w) @ V.T)
-
-
-def block_trace_gram(Sigma_tilde: np.ndarray, L: int, P: int) -> np.ndarray:
-    """P x P matrix of traces of the L x L blocks of a PL x PL matrix.
-
-    For any exact expansion sum_k C_k (x) D_k of the input this equals
-    sum_k tr(D_k) C_k, so tr((A A.T (x) I_L) X) == tr(A A.T @ block_trace_gram(X)).
-    """
-    X = np.asarray(Sigma_tilde, dtype=float)
-    if X.shape != (P * L, P * L):
-        raise ValueError(f"expected {(P * L, P * L)}, got {X.shape}")
-    return np.einsum("iljl->ij", X.reshape(P, L, P, L))

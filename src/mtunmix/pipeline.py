@@ -77,8 +77,8 @@ def default_init(L: int, N: int, P: int, A0: np.ndarray) -> EmParams:
 def _check_finite(theta: EmParams, traj: Trajectory, iteration: int) -> None:
     arrays = [theta.A, theta.Q, theta.P00, theta.psi00, np.asarray(theta.sigma_r2)]
     arrays += [b.mean for b in traj.filtered]
-    if traj.smoothed is not None:
-        arrays += [b.mean for b in traj.smoothed]
+    if traj.smoothed_means is not None:
+        arrays += traj.smoothed_means
     for arr in arrays:
         if not np.all(np.isfinite(arr)):
             raise NumericalAbortError(
@@ -114,11 +114,12 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
     logliks, q_values, sigmas = [], [], []
     for k in range(1, config.K_max + 1):
         with _em_iteration(k):
-            theta, traj_k, q_value = em_iterate(ys, model.m0, theta)
-        logliks.append(float(sum(traj_k.loglik_terms)))
+            theta, traj, q_value = em_iterate(ys, model.m0, theta)
+        logliks.append(float(sum(traj.loglik_terms)))
         q_values.append(float(q_value))
         sigmas.append(float(theta.sigma_r2))
-        _check_finite(theta, traj_k, k)
+        _check_finite(theta, traj, k)
+        del traj  # so the next iteration's filter does not run beside it
 
     mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
     with _em_iteration(config.K_max + 1):
@@ -128,8 +129,7 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
 
     clamped = 0
     endmembers = []
-    for sm in traj.smoothed:
-        psi = sm.mean
+    for psi in traj.smoothed_means:
         if config.clamp_psi_nonneg:
             clamped += int(np.sum(psi < 0))
             psi = np.maximum(psi, 0.0)

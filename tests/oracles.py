@@ -2,9 +2,11 @@
 
 None of this runs in the unmixing pipeline: the dense observation matrix, the
 dense observation/state cross moment, the marginal log-likelihood as a sum of
-filter terms, the textbook Woodbury gain factor, the N x P block traces of a
-cross moment, the nearest-Kronecker-product (Van Loan) expansion, and the EM
-surrogate with its traces taken as traces of solves.
+filter terms, the RTS smoother that stores every smoothed covariance and gain,
+the EM statistics summed densely from it, the joint Gaussian posterior of all
+states by dense conditioning, the textbook Woodbury gain factor, the block
+traces of a state or cross moment, the nearest-Kronecker-product (Van Loan)
+expansion, and the EM surrogate with its traces taken as traces of solves.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from mtunmix.em import EmParams, SufficientStats, _obs_residual_trace
-from mtunmix.kalman import Belief, ModelMatrices, Trajectory, run_filter
+from mtunmix.kalman import Belief, ModelMatrices, Trajectory, predict, run_filter
 from mtunmix.kronops import cho_factor_jittered, cho_logdet, cho_solve, spd_solve, symmetrize
 
 
@@ -25,7 +27,97 @@ def dense_B(model: ModelMatrices) -> np.ndarray:
 
 def obs_state_outer(traj: Trajectory, ys: list[np.ndarray]) -> np.ndarray:
     """Dense NL x PL cross moment sum_t y_t psi_t^s.T of a smoothed trajectory."""
-    return sum(np.outer(y, sm.mean) for y, sm in zip(ys, traj.smoothed))
+    return sum(np.outer(y, psi) for y, psi in zip(ys, traj.smoothed_means))
+
+
+def full_rts_smooth(traj: Trajectory) -> tuple[list[Belief], list[np.ndarray]]:
+    """RTS smoother that keeps every smoothed belief and gain.
+
+    Returns the smoothed beliefs for t = 0..T and the gains G_0..G_{T-1}:
+
+        G_t = P_{t|t} P_{t+1|t}^-1,
+        psi_t^s = psi_{t|t} + G_t (psi_{t+1}^s - psi_{t+1|t}),
+        P_t^s = P_{t|t} + G_t (P_{t+1}^s - P_{t+1|t}) G_t^T,
+
+    with P_{t+1|t}^-1 the inverse the filter stored.
+    """
+    T = traj.T
+    beliefs = [traj.init_filtered] + traj.filtered
+    smoothed: list[Belief] = [None] * (T + 1)  # type: ignore[list-item]
+    gains: list[np.ndarray] = [None] * T  # type: ignore[list-item]
+    smoothed[T] = beliefs[T]
+    for t in range(T - 1, -1, -1):
+        filt, nxt = beliefs[t], smoothed[t + 1]
+        pred_next = predict(filt, traj.Q)
+        G = filt.cov @ traj.pred_precisions[t]
+        mean = filt.mean + G @ (nxt.mean - pred_next.mean)
+        cov = symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ G.T)
+        smoothed[t], gains[t] = Belief(mean=mean, cov=cov), G
+    return smoothed, gains
+
+
+def literal_stats_oracle(traj: Trajectory, ys: list[np.ndarray], m0: np.ndarray, L: int) -> dict:
+    """The EM statistic sums transcribed densely from :func:`full_rts_smooth`.
+
+    ``S1``/``S2`` are the state second moments at t and t-1, ``S4`` the lag-one
+    cross moment, ``D`` = S1 - S4 - S4.T + S2, ``S3`` the dense observation/state
+    cross moment, ``s5`` the observation energy, ``Tb``/``U`` their block traces
+    and ``smoothed0`` the smoothed t = 0 belief.
+    """
+    beliefs, gains = full_rts_smooth(traj)
+    m0 = np.asarray(m0, dtype=float).reshape(-1)
+    PL = m0.size
+    N = ys[0].size // L
+    P = PL // L
+    S1 = np.zeros((PL, PL))
+    S2 = np.zeros((PL, PL))
+    S4 = np.zeros((PL, PL))
+    S3 = np.zeros((N * L, PL))
+    s5 = 0.0
+    for t in range(1, len(beliefs)):
+        cur, prev = beliefs[t], beliefs[t - 1]
+        S1 += cur.cov + np.outer(cur.mean, cur.mean)
+        S2 += prev.cov + np.outer(prev.mean, prev.mean)
+        S4 += cur.cov @ gains[t - 1].T + np.outer(cur.mean, prev.mean)
+        S3 += np.outer(ys[t - 1], cur.mean)
+        s5 += float(ys[t - 1] @ ys[t - 1])
+    D0 = np.diag(m0)
+    return {
+        "S1": S1,
+        "S2": S2,
+        "S3": S3,
+        "S4": S4,
+        "D": S1 - S4 - S4.T + S2,
+        "s5": s5,
+        "Tb": block_trace_gram(D0 @ S1 @ D0, L, P),
+        "U": block_trace_cross(S3 @ D0, L),
+        "smoothed0": beliefs[0],
+    }
+
+
+def joint_posterior(
+    ys: list[np.ndarray], model: ModelMatrices, init: Belief
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact joint posterior of the stacked states x_0..x_T by dense conditioning.
+
+    Conditions the prior Cov(x_s, x_t) = P00 + min(s, t) Q on the stacked
+    observations, whose covariance carries sigma_r2 I and so is positive
+    definite however singular P00 and Q are.
+    """
+    d, T = model.state_dim, len(ys)
+    B = dense_B(model)
+    prior = np.zeros(((T + 1) * d, (T + 1) * d))
+    for s in range(T + 1):
+        for t in range(T + 1):
+            prior[s * d : (s + 1) * d, t * d : (t + 1) * d] = init.cov + min(s, t) * model.Q
+    H = np.zeros((T * model.obs_dim, (T + 1) * d))
+    for t in range(1, T + 1):
+        H[(t - 1) * model.obs_dim : t * model.obs_dim, t * d : (t + 1) * d] = B
+    mean0 = np.tile(init.mean, T + 1)
+    S = H @ prior @ H.T + model.sigma_r2 * np.eye(T * model.obs_dim)
+    K = np.linalg.solve(S, H @ prior).T
+    mean = mean0 + K @ (np.concatenate(ys) - H @ mean0)
+    return mean, prior - K @ H @ prior
 
 
 def marginal_loglik(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> float:
@@ -98,6 +190,18 @@ def nkp_decompose(S: np.ndarray, block_rows: int, block_cols: int, K: int) -> Kr
         lefts.append((scale * U[:, k]).reshape(m, n))
         rights.append((scale * Vt[k, :]).reshape(p, q))
     return KronTerms(left_factors=tuple(lefts), right_factors=tuple(rights))
+
+
+def block_trace_gram(Sigma_tilde: np.ndarray, L: int, P: int) -> np.ndarray:
+    """P x P matrix of traces of the L x L blocks of a PL x PL matrix.
+
+    For any exact expansion sum_k C_k (x) D_k of the input this equals
+    sum_k tr(D_k) C_k, so tr((A A.T (x) I_L) X) == tr(A A.T @ block_trace_gram(X)).
+    """
+    X = np.asarray(Sigma_tilde, dtype=float)
+    if X.shape != (P * L, P * L):
+        raise ValueError(f"expected {(P * L, P * L)}, got {X.shape}")
+    return np.einsum("iljl->ij", X.reshape(P, L, P, L))
 
 
 def block_trace_cross(Sigma_tilde: np.ndarray, L: int) -> np.ndarray:

@@ -1,7 +1,11 @@
 """EM statistics, surrogate, and M-steps against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mtunmix.em import (
     EmParams,
@@ -15,11 +19,21 @@ from mtunmix.em import (
     m_step_sigma,
     q_function,
 )
-from mtunmix.kalman import Belief, ModelMatrices, rts_smooth, run_filter
-from mtunmix.kronops import block_trace_gram
+from mtunmix.kalman import (
+    Belief,
+    ModelMatrices,
+    Trajectory,
+    rts_smooth,
+    run_filter,
+    smoothed_covariances,
+)
 from oracles import (
     block_trace_cross,
+    block_trace_gram,
     dense_B,
+    full_rts_smooth,
+    joint_posterior,
+    literal_stats_oracle,
     marginal_loglik,
     nkp_decompose,
     obs_state_outer,
@@ -49,42 +63,12 @@ def smoothed_instance(rng, L, N, P, T):
     return model, init, ys, traj
 
 
-def literal_stats_oracle(traj, ys, m0, L):
-    """Direct transcription of the five statistic sums, densely."""
-    PL = traj.smoothed[0].mean.size
-    N = ys[0].size // L
-    P = PL // L
-    beliefs = [traj.init_smoothed] + list(traj.smoothed)
-    S1 = np.zeros((PL, PL))
-    S2 = np.zeros((PL, PL))
-    S4 = np.zeros((PL, PL))
-    S3 = np.zeros((N * L, PL))
-    s5 = 0.0
-    for t in range(1, len(beliefs)):
-        cur, prev = beliefs[t], beliefs[t - 1]
-        S1 += cur.cov + np.outer(cur.mean, cur.mean)
-        S2 += prev.cov + np.outer(prev.mean, prev.mean)
-        S4 += cur.cov @ traj.gains[t - 1].T + np.outer(cur.mean, prev.mean)
-        S3 += np.outer(ys[t - 1], cur.mean)
-        s5 += float(ys[t - 1] @ ys[t - 1])
-    D0 = np.diag(m0)
-    return {
-        "S1": S1,
-        "S2": S2,
-        "S3": S3,
-        "S4": S4,
-        "s5": s5,
-        "Tb": block_trace_gram(D0 @ S1 @ D0, L, P),
-        "U": block_trace_cross(S3 @ D0, L),
-    }
-
-
 def q_transcription_oracle(theta, stats_dense, smoothed0, B, T, NL):
     """Term-by-term dense re-implementation of the surrogate."""
     d = smoothed0.mean - theta.psi00
     S0 = smoothed0.cov + np.outer(d, d)
     term0 = np.trace(np.linalg.solve(theta.P00, S0)) + np.linalg.slogdet(theta.P00)[1]
-    D = stats_dense["S1"] - stats_dense["S4"] - stats_dense["S4"].T + stats_dense["S2"]
+    D = stats_dense["D"]
     term_q = np.trace(np.linalg.solve(theta.Q, D)) + T * np.linalg.slogdet(theta.Q)[1]
     resid = (
         stats_dense["s5"]
@@ -93,28 +77,6 @@ def q_transcription_oracle(theta, stats_dense, smoothed0, B, T, NL):
     )
     term_r = resid / theta.sigma_r2 + T * NL * np.log(theta.sigma_r2)
     return -0.5 * (term0 + term_q + term_r)
-
-
-def joint_posterior_oracle(ys, model, init):
-    """Exact joint Gaussian posterior over x_0..x_T by dense conditioning."""
-    d = model.state_dim
-    T = len(ys)
-    B = dense_B(model)
-    H = np.zeros(((T + 1) * d, (T + 1) * d))
-    g = np.zeros((T + 1) * d)
-    H[:d, :d] += np.linalg.inv(init.cov)
-    g[:d] += np.linalg.solve(init.cov, init.mean)
-    Qinv = np.linalg.inv(model.Q)
-    for t in range(1, T + 1):
-        i, j = t * d, (t - 1) * d
-        H[i : i + d, i : i + d] += Qinv + (B.T @ B) / model.sigma_r2
-        H[j : j + d, j : j + d] += Qinv
-        H[i : i + d, j : j + d] -= Qinv
-        H[j : j + d, i : i + d] -= Qinv
-        g[i : i + d] += (B.T @ ys[t - 1]) / model.sigma_r2
-    cov = np.linalg.inv(H)
-    mean = cov @ g
-    return mean, cov
 
 
 def abundance_cost(stats, A):
@@ -146,9 +108,7 @@ def make_stats_from_scaled_moments(S1_tilde, S3_tilde, T, L, N, P, obs_energy=0.
         L=L,
         N=N,
         P=P,
-        state_second_moment=np.zeros((P * L, P * L)),
-        lagged_second_moment=np.zeros((P * L, P * L)),
-        cross_second_moment=np.zeros((P * L, P * L)),
+        increment_second_moment=np.zeros((P * L, P * L)),
         obs_energy=obs_energy,
         gram_block_trace=block_trace_gram(S1_tilde, L, P),
         cross_block_trace=block_trace_cross(S3_tilde, L),
@@ -167,9 +127,12 @@ class TestAccumulateStats:
                 Belief(mean=np.zeros(PL), cov=np.zeros((PL, PL))),
             )
         )
-        # zero observation matrix + zero init: smoothed state is 0 with cov Q
-        stats = accumulate_stats(traj_like, [np.zeros(4)], np.ones(PL), L=2)
-        np.testing.assert_allclose(stats.state_second_moment, np.eye(PL), rtol=1e-12)
+        # zero observation matrix + zero init: smoothed state is 0 with cov Q,
+        # the initial state stays exactly known, so D = Q and S1 = Q
+        stats, smoothed0 = accumulate_stats(traj_like, [np.zeros(4)], np.ones(PL), L=2)
+        np.testing.assert_allclose(stats.increment_second_moment, np.eye(PL), rtol=1e-12)
+        np.testing.assert_allclose(stats.gram_block_trace, 2.0 * np.eye(2), rtol=1e-12)
+        np.testing.assert_array_equal(smoothed0.cov, np.zeros((PL, PL)))
         np.testing.assert_allclose(stats.cross_block_trace, 0.0, atol=1e-15)
         assert stats.obs_energy == 0.0
 
@@ -178,11 +141,19 @@ class TestAccumulateStats:
         L, N, P, T = 3, 2, 2, 5
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
             oracle = literal_stats_oracle(traj, ys, model.m0, L)
-            np.testing.assert_allclose(stats.state_second_moment, oracle["S1"], rtol=1e-12)
-            np.testing.assert_allclose(stats.lagged_second_moment, oracle["S2"], rtol=1e-12)
-            np.testing.assert_allclose(stats.cross_second_moment, oracle["S4"], rtol=1e-12)
+            D = oracle["D"]
+            np.testing.assert_allclose(
+                stats.increment_second_moment, D, rtol=0, atol=1e-12 * np.abs(D).max()
+            )
+            ref0 = oracle["smoothed0"]
+            np.testing.assert_allclose(
+                smoothed0.mean, ref0.mean, rtol=0, atol=1e-12 * np.abs(ref0.mean).max()
+            )
+            np.testing.assert_allclose(
+                smoothed0.cov, ref0.cov, rtol=0, atol=1e-12 * np.abs(ref0.cov).max()
+            )
             np.testing.assert_allclose(stats.obs_energy, oracle["s5"], rtol=1e-12)
             np.testing.assert_allclose(stats.gram_block_trace, oracle["Tb"], rtol=1e-10)
             np.testing.assert_allclose(stats.cross_block_trace, oracle["U"], rtol=1e-10)
@@ -193,9 +164,157 @@ class TestAccumulateStats:
         model, init, _ = random_instance(rng, L, N, P, T)
         ys = [np.zeros(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        stats = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model.m0, L)
         assert stats.obs_energy == 0.0
         np.testing.assert_array_equal(stats.cross_block_trace, np.zeros((N, P)))
+
+
+#: Largest error of the streamed S_t, X_t and D against the dense joint
+#: posterior, relative to the largest entry of that posterior's covariance
+#: (or of D, for D). The worst of the 302 cases below measured 6.2e-10.
+JOINT_POSTERIOR_TOL = 2e-9
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 4),
+    N=st.integers(1, 3),
+    P=st.integers(1, 3),
+    T=st.integers(1, 5),
+    log_scale=st.floats(-8.0, 2.0),
+    rank0=st.integers(0, 12),
+    rank_q=st.integers(0, 12),
+)
+@example(seed=0, L=3, N=2, P=2, T=4, log_scale=0.0, rank0=12, rank_q=12)
+@example(seed=1, L=3, N=2, P=2, T=4, log_scale=0.0, rank0=0, rank_q=0)
+def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, rank0, rank_q):
+    # P00 = scale X X.T and Q = scale Z Z.T of any rank 0..PL: full rank takes
+    # update's Woodbury path, singular the square-root path. P00 and Q share
+    # one scale; scales further apart than MAX_PRED_COND are where update's
+    # pseudo-inverse cuts eigenvalues off, which this test does not measure.
+    d = P * L
+    rng = np.random.default_rng(seed)
+    scale = 10.0**log_scale
+    X0 = rng.standard_normal((d, min(rank0, d)))
+    Z = rng.standard_normal((d, min(rank_q, d)))
+    model = ModelMatrices(
+        A=rng.standard_normal((P, N)),
+        m0=rng.uniform(0.2, 1.0, d),
+        Q=scale * (Z @ Z.T),
+        sigma_r2=float(rng.uniform(0.05, 1.0)),
+    )
+    init = Belief(mean=rng.standard_normal(d), cov=scale * (X0 @ X0.T))
+    ys = [rng.standard_normal(N * L) for _ in range(T)]
+    traj = rts_smooth(run_filter(ys, model, init))
+    stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+
+    mean, cov = joint_posterior(ys, model, init)
+
+    def block(s, t):
+        return cov[s * d : (s + 1) * d, t * d : (t + 1) * d]
+
+    tol = JOINT_POSTERIOR_TOL * max(np.abs(cov).max(), 1e-300)
+    D = np.zeros((d, d))
+    for t, (S_t, S_prev, X) in zip(range(T, 0, -1), smoothed_covariances(traj)):
+        np.testing.assert_allclose(S_t, block(t, t), rtol=0, atol=tol)
+        np.testing.assert_allclose(S_prev, block(t - 1, t - 1), rtol=0, atol=tol)
+        np.testing.assert_allclose(X, block(t, t - 1), rtol=0, atol=tol)
+        delta = mean[t * d : (t + 1) * d] - mean[(t - 1) * d : t * d]
+        D += block(t, t) + block(t - 1, t - 1) - block(t, t - 1) - block(t - 1, t)
+        D += np.outer(delta, delta)
+    np.testing.assert_allclose(smoothed0.cov, block(0, 0), rtol=0, atol=tol)
+    np.testing.assert_allclose(
+        stats.increment_second_moment,
+        D,
+        rtol=0,
+        atol=JOINT_POSTERIOR_TOL * max(np.abs(cov).max(), np.abs(D).max(), 1e-300),
+    )
+
+
+def degenerate_instance(rng, L, N, P, T, known=False):
+    """A random instance; ``known`` sets P00 = Q = 0 (an exactly known state)."""
+    model, init, ys = random_instance(rng, L, N, P, T)
+    if known:
+        zero = np.zeros((P * L, P * L))
+        model = ModelMatrices(A=model.A, m0=model.m0, Q=zero, sigma_r2=model.sigma_r2)
+        init = Belief(mean=init.mean, cov=zero)
+    return model, ys, rts_smooth(run_filter(ys, model, init))
+
+
+class TestStreamedStatsDegenerate:
+    """The streamed statistics against the dense reference at edge shapes."""
+
+    def assert_matches_dense(self, model, ys, traj, L):
+        stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+        ref = literal_stats_oracle(traj, ys, model.m0, L)
+
+        def close(actual, expected):
+            atol = 1e-12 * max(np.abs(expected).max(), 1e-300)
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+        close(stats.increment_second_moment, ref["D"])
+        close(stats.gram_block_trace, ref["Tb"])
+        close(stats.cross_block_trace, ref["U"])
+        close(stats.obs_energy, ref["s5"])
+        close(smoothed0.mean, ref["smoothed0"].mean)
+        close(smoothed0.cov, ref["smoothed0"].cov)
+        return stats, smoothed0
+
+    def test_single_frame(self):
+        # T = 1: only the initial backward step runs
+        rng = np.random.default_rng(30)
+        for _ in range(5):
+            model, ys, traj = degenerate_instance(rng, L=3, N=2, P=2, T=1)
+            assert len(list(smoothed_covariances(traj))) == 1
+            self.assert_matches_dense(model, ys, traj, 3)
+
+    def test_one_material(self):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            model, ys, traj = degenerate_instance(rng, L=4, N=3, P=1, T=4)
+            self.assert_matches_dense(model, ys, traj, 4)
+
+    def test_one_pixel(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            model, ys, traj = degenerate_instance(rng, L=4, N=1, P=3, T=4)
+            self.assert_matches_dense(model, ys, traj, 4)
+
+    def test_exactly_known_state(self):
+        # P00 = Q = 0: every update takes the square-root path, the smoothed
+        # covariances and D vanish and the state stays at the initial mean
+        rng = np.random.default_rng(33)
+        L, N, P, T = 3, 2, 2, 4
+        model, ys, traj = degenerate_instance(rng, L, N, P, T, known=True)
+        stats, smoothed0 = self.assert_matches_dense(model, ys, traj, L)
+        np.testing.assert_array_equal(stats.increment_second_moment, np.zeros((P * L, P * L)))
+        np.testing.assert_array_equal(smoothed0.cov, np.zeros((P * L, P * L)))
+
+
+def test_em_iterate_peak_memory():
+    # One EM iteration keeps the filter's output, 2T + 1 PL x PL matrices
+    # (filtered covariances, predicted precisions, the initial covariance),
+    # plus a fixed number, whatever T is:
+    #   2  the model's Q and B.T B;
+    #   4  what the iteration hands on: D, S_0 and the new P00 and Q;
+    #   5  the largest step's own temporaries: a backward step's S_{t+1},
+    #      S_t, G and two products, or an update's factors and inverses.
+    # A trajectory that kept smoothed covariances and gains, or dense moment
+    # sums, would pass this bound by T or more matrices.
+    L, N, P, T = 60, 8, 3, 5
+    rng = np.random.default_rng(34)
+    model, init, ys = random_instance(rng, L, N, P, T)
+    theta = EmParams(A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean)
+    em_iterate(ys, model.m0, theta)  # imports and first-call caches outside the count
+    matrix_bytes = 8 * (P * L) ** 2
+    tracemalloc.start()
+    try:
+        em_iterate(ys, model.m0, theta)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / matrix_bytes <= (2 * T + 1) + 2 + 4 + 5
 
 
 class TestQFunction:
@@ -206,9 +325,7 @@ class TestQFunction:
             L=L,
             N=N,
             P=P,
-            state_second_moment=np.zeros((PL, PL)),
-            lagged_second_moment=np.zeros((PL, PL)),
-            cross_second_moment=np.zeros((PL, PL)),
+            increment_second_moment=np.zeros((PL, PL)),
             obs_energy=0.0,
             gram_block_trace=np.zeros((P, P)),
             cross_block_trace=np.zeros((N, P)),
@@ -224,7 +341,7 @@ class TestQFunction:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -234,17 +351,15 @@ class TestQFunction:
             )
             dense = literal_stats_oracle(traj, ys, model.m0, L)
             B = np.kron(theta.A.T, np.eye(L)) @ np.diag(model.m0)
-            expected = q_transcription_oracle(theta, dense, traj.init_smoothed, B, T, N * L)
-            np.testing.assert_allclose(
-                q_function(theta, stats, traj.init_smoothed), expected, rtol=1e-10
-            )
+            expected = q_transcription_oracle(theta, dense, dense["smoothed0"], B, T, N * L)
+            np.testing.assert_allclose(q_function(theta, stats, smoothed0), expected, rtol=1e-10)
 
     def test_matches_trace_form_random_spd(self):
         rng = np.random.default_rng(21)
         L, N, P, T = 4, 3, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -253,8 +368,8 @@ class TestQFunction:
                 psi00=rng.standard_normal(P * L),
             )
             np.testing.assert_allclose(
-                q_function(theta, stats, traj.init_smoothed),
-                q_function_trace_form(theta, stats, traj.init_smoothed),
+                q_function(theta, stats, smoothed0),
+                q_function_trace_form(theta, stats, smoothed0),
                 rtol=1e-12,
             )
 
@@ -269,9 +384,9 @@ class TestQFunction:
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
             theta_new, traj, q_new = em_iterate(ys, model.m0, theta)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
             np.testing.assert_allclose(
-                q_new, q_function_trace_form(theta_new, stats, traj.init_smoothed), rtol=1e-12
+                q_new, q_function_trace_form(theta_new, stats, smoothed0), rtol=1e-12
             )
 
     def test_m_step_improves_surrogate(self):
@@ -283,8 +398,8 @@ class TestQFunction:
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
             traj = rts_smooth(run_filter(ys, model, init))
-            stats = accumulate_stats(traj, ys, model.m0, L)
-            q_old = q_function(theta, stats, traj.init_smoothed)
+            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            q_old = q_function(theta, stats, smoothed0)
             theta_new, _, q_new = em_iterate(ys, model.m0, theta)
             assert q_new >= q_old - 1e-9
 
@@ -320,29 +435,25 @@ class TestMStepClosedForms:
         np.testing.assert_array_equal(m_step_psi00(Belief(mean=np.zeros(3), cov=np.eye(3))), np.zeros(3))
 
     def test_q_constant_states_zero(self):
+        # P00 = Q = 0: the state is known exactly and constant, so the
+        # increments have zero mean and zero covariance
+        rng = np.random.default_rng(19)
         PL, T, L, N, P = 4, 3, 2, 2, 2
         psi = np.arange(1.0, PL + 1)
-        second = T * np.outer(psi, psi)
-        stats = SufficientStats(
-            T=T,
-            L=L,
-            N=N,
-            P=P,
-            state_second_moment=second,
-            lagged_second_moment=second,
-            cross_second_moment=T * np.outer(psi, psi),
-            obs_energy=0.0,
-            gram_block_trace=np.zeros((P, P)),
-            cross_block_trace=np.zeros((N, P)),
+        model = ModelMatrices(
+            A=rng.standard_normal((P, N)), m0=np.ones(PL), Q=np.zeros((PL, PL)), sigma_r2=0.5
         )
+        ys = [rng.standard_normal(N * L) for _ in range(T)]
+        traj = rts_smooth(run_filter(ys, model, Belief(mean=psi, cov=np.zeros((PL, PL)))))
+        stats, _ = accumulate_stats(traj, ys, model.m0, L)
         np.testing.assert_allclose(m_step_q(stats), np.zeros((PL, PL)), atol=1e-12)
 
     def test_q_single_transition_reduces_to_one_term(self):
         rng = np.random.default_rng(20)
         L, N, P = 3, 2, 2
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T=1)
-        stats = accumulate_stats(traj, ys, model.m0, L)
-        sm, pr, G = traj.smoothed[0], traj.init_smoothed, traj.gains[0]
+        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        (pr, sm), (G,) = full_rts_smooth(traj)
         cross = sm.cov @ G.T + np.outer(sm.mean, pr.mean)
         expected = (
             sm.cov + np.outer(sm.mean, sm.mean)
@@ -356,8 +467,8 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(5):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
-            mean, cov = joint_posterior_oracle(ys, model, init)
+            stats, _ = accumulate_stats(traj, ys, model.m0, L)
+            mean, cov = joint_posterior(ys, model, init)
             d = model.state_dim
             expected = np.zeros((d, d))
             for t in range(1, T + 1):
@@ -381,12 +492,17 @@ class TestMStepClosedForms:
         model = ModelMatrices(A=A, m0=m0, Q=np.eye(P * L), sigma_r2=1.0)
         psis = [rng.standard_normal(P * L) for _ in range(T + 1)]
         ys = [dense_B(model) @ psi for psi in psis[1:]]
-        beliefs = [Belief(mean=p, cov=np.zeros((P * L, P * L))) for p in psis]
-        traj = run_filter(ys, model, beliefs[0])
-        traj.smoothed = beliefs[1:]
-        traj.init_smoothed = beliefs[0]
-        traj.gains = [np.zeros((P * L, P * L))] * T
-        stats = accumulate_stats(traj, ys, m0, L)
+        zero = np.zeros((P * L, P * L))
+        traj = Trajectory(
+            init_filtered=Belief(mean=psis[0], cov=zero),
+            filtered=[Belief(mean=p, cov=zero) for p in psis[1:]],
+            pred_precisions=[zero] * T,
+            Q=zero,
+            loglik_terms=[0.0] * T,
+            smoothed_means=psis[1:],
+            init_smoothed_mean=psis[0],
+        )
+        stats, _ = accumulate_stats(traj, ys, m0, L)
         assert m_step_sigma(stats, A) <= 1e-10
 
     def test_sigma_zero_everything(self):
@@ -396,9 +512,7 @@ class TestMStepClosedForms:
             L=L,
             N=N,
             P=P,
-            state_second_moment=np.zeros((PL, PL)),
-            lagged_second_moment=np.zeros((PL, PL)),
-            cross_second_moment=np.zeros((PL, PL)),
+            increment_second_moment=np.zeros((PL, PL)),
             obs_energy=0.0,
             gram_block_trace=np.zeros((P, P)),
             cross_block_trace=np.zeros((N, P)),
@@ -410,10 +524,10 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, _ = accumulate_stats(traj, ys, model.m0, L)
             A = rng.standard_normal((P, N))
             B = np.kron(A.T, np.eye(L)) @ np.diag(model.m0)
-            S1 = stats.state_second_moment
+            S1 = literal_stats_oracle(traj, ys, model.m0, L)["S1"]
             S3 = obs_state_outer(traj, ys)
             dense = (
                 stats.obs_energy - 2 * np.trace(B @ S3.T) + np.trace(B @ S1 @ B.T)
@@ -437,7 +551,7 @@ class TestAbundanceMStep:
         L, N, P, T = 3, 3, 2, 5
         for _ in range(5):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats = accumulate_stats(traj, ys, model.m0, L)
+            stats, _ = accumulate_stats(traj, ys, model.m0, L)
             A_hat = m_step_abundance(stats)
             A_gd = gradient_descent_abundance_oracle(stats, np.zeros((P, N)))
             np.testing.assert_allclose(A_hat, A_gd, rtol=1e-6, atol=1e-9)
@@ -446,7 +560,7 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(12)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model.m0, L)
         A_hat = m_step_abundance(stats)
         scale = np.linalg.norm(stats.gram_block_trace + stats.gram_block_trace.T, 2)
         h = 1e-6
@@ -463,9 +577,9 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(13)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model.m0, L)
         D0 = np.diag(model.m0)
-        S1t = D0 @ stats.state_second_moment @ D0
+        S1t = D0 @ literal_stats_oracle(traj, ys, model.m0, L)["S1"] @ D0
         S3t = obs_state_outer(traj, ys) @ D0
         terms1 = nkp_decompose(S1t, L, L, K=min(P * P, L * L))
         terms3 = nkp_decompose(S3t, L, L, K=min(N * P, L * L))
@@ -541,7 +655,7 @@ class TestEmIterate:
             traj = rts_smooth(
                 run_filter(ys, mm, Belief(mean=np.ones(P * L), cov=1e-6 * np.eye(P * L)))
             )
-            stats = accumulate_stats(traj, ys, m0, L)
+            stats, _ = accumulate_stats(traj, ys, m0, L)
             A = m_step_abundance(stats)
         nrmse_a = np.linalg.norm(A - A_true) / np.linalg.norm(A_true)
         assert nrmse_a <= 0.02

@@ -5,9 +5,17 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mtunmix.kalman import Belief, ModelMatrices, predict, rts_smooth, run_filter, update
+from mtunmix.kalman import (
+    Belief,
+    ModelMatrices,
+    predict,
+    rts_smooth,
+    run_filter,
+    smoothed_covariances,
+    update,
+)
 from mtunmix.kronops import symmetrize
-from oracles import dense_B, marginal_loglik
+from oracles import dense_B, full_rts_smooth, marginal_loglik
 
 
 def random_spd(rng, n, scale=1.0):
@@ -123,10 +131,11 @@ class TestPredict:
         cov0 = random_spd(rng, d)
         init = Belief(mean=np.ones(d), cov=cov0 + skew)
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, lopsided, init))
+        traj = run_filter(ys, lopsided, init)
         assert np.array_equal(traj.init_filtered.cov, symmetrize(cov0 + skew))
-        for belief in traj.filtered + traj.smoothed + [traj.init_smoothed]:
-            assert np.array_equal(belief.cov, belief.cov.T)
+        covs = [b.cov for b in traj.filtered] + [S for _, S, _ in smoothed_covariances(traj)]
+        for cov in covs:
+            assert np.array_equal(cov, cov.T)
 
 
 class TestUpdate:
@@ -264,7 +273,9 @@ class TestSmoother:
         model = random_model(rng, L, N, P)
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         traj = rts_smooth(run_filter([rng.standard_normal(N * L)], model, init))
-        assert traj.smoothed[0] is traj.filtered[0]
+        assert traj.smoothed_means[0] is traj.filtered[0].mean
+        ((S_1, _, _),) = smoothed_covariances(traj)
+        assert S_1 is traj.filtered[0].cov
 
     def test_last_smoothed_is_last_filtered_exactly(self):
         rng = np.random.default_rng(8)
@@ -273,8 +284,9 @@ class TestSmoother:
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        np.testing.assert_array_equal(traj.smoothed[-1].mean, traj.filtered[-1].mean)
-        np.testing.assert_array_equal(traj.smoothed[-1].cov, traj.filtered[-1].cov)
+        np.testing.assert_array_equal(traj.smoothed_means[-1], traj.filtered[-1].mean)
+        S_T, _, _ = next(smoothed_covariances(traj))
+        np.testing.assert_array_equal(S_T, traj.filtered[-1].cov)
 
     def test_huge_process_noise_decouples_frames(self):
         # well-conditioned observation so the filtered covariance stays O(1)
@@ -287,8 +299,8 @@ class TestSmoother:
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        for sm, filt in zip(traj.smoothed, traj.filtered):
-            np.testing.assert_allclose(sm.mean, filt.mean, rtol=1e-4, atol=1e-4)
+        for psi, filt in zip(traj.smoothed_means, traj.filtered):
+            np.testing.assert_allclose(psi, filt.mean, rtol=1e-4, atol=1e-4)
 
     def test_exactly_known_state_stays_put(self):
         # P00 = 0 and Q = 0: every predicted covariance is zero, so the
@@ -301,9 +313,11 @@ class TestSmoother:
         init = Belief(mean=rng.standard_normal(d), cov=np.zeros((d, d)))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        for sm in traj.smoothed + [traj.init_smoothed]:
-            np.testing.assert_allclose(sm.mean, init.mean, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(sm.cov, np.zeros((d, d)), rtol=0, atol=1e-12)
+        for psi in traj.smoothed_means + [traj.init_smoothed_mean]:
+            np.testing.assert_allclose(psi, init.mean, rtol=0, atol=1e-12)
+        for step in smoothed_covariances(traj):
+            for M in step:
+                np.testing.assert_allclose(M, np.zeros((d, d)), rtol=0, atol=1e-12)
 
     def test_smoother_factors_nothing(self, monkeypatch):
         # the gains come from the inverses the filter's updates stored
@@ -314,10 +328,11 @@ class TestSmoother:
         traj = run_filter([rng.standard_normal(N * L) for _ in range(T)], model, init)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("rts_smooth factored a matrix")
+            raise AssertionError("the smoother factored a matrix")
 
         monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
         rts_smooth(traj)
+        assert len(list(smoothed_covariances(traj))) == T
 
     def test_smoothed_means_equal_batch_map(self):
         rng = np.random.default_rng(10)
@@ -329,11 +344,11 @@ class TestSmoother:
             traj = rts_smooth(run_filter(ys, model, init))
             states = batch_map_oracle(ys, model, init)
             np.testing.assert_allclose(
-                traj.init_smoothed.mean, states[0], rtol=1e-6, atol=1e-9
+                traj.init_smoothed_mean, states[0], rtol=1e-6, atol=1e-9
             )
             for t in range(T):
                 np.testing.assert_allclose(
-                    traj.smoothed[t].mean, states[t + 1], rtol=1e-6, atol=1e-9
+                    traj.smoothed_means[t], states[t + 1], rtol=1e-6, atol=1e-9
                 )
 
     def test_smoothed_covs_valid(self):
@@ -342,10 +357,27 @@ class TestSmoother:
         model = random_model(rng, L, N, P)
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
+        traj = run_filter(ys, model, init)
+        for _, S, _ in smoothed_covariances(traj):
+            np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-12)
+            assert min_eig_ratio(S) >= -1e-9
+
+    def test_streamed_recursion_equals_stored_smoother(self):
+        # the same recursion as the smoother that keeps every belief and gain
+        rng = np.random.default_rng(19)
+        L, N, P, T = 3, 2, 2, 5
+        model = random_model(rng, L, N, P)
+        init = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L))
+        ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        for sm in traj.smoothed + [traj.init_smoothed]:
-            np.testing.assert_allclose(sm.cov, sm.cov.T, rtol=0, atol=1e-12)
-            assert min_eig_ratio(sm.cov) >= -1e-9
+        beliefs, gains = full_rts_smooth(traj)
+        means = [traj.init_smoothed_mean] + traj.smoothed_means
+        for t, b in enumerate(beliefs):
+            np.testing.assert_allclose(means[t], b.mean, rtol=0, atol=1e-13 * np.abs(b.mean).max())
+        for t, (S_next, S, X) in zip(range(T - 1, -1, -1), smoothed_covariances(traj)):
+            np.testing.assert_array_equal(S_next, beliefs[t + 1].cov)
+            np.testing.assert_array_equal(S, beliefs[t].cov)
+            np.testing.assert_array_equal(X, beliefs[t + 1].cov @ gains[t].T)
 
 
 class TestMarginalLoglik:

@@ -7,14 +7,19 @@ import scipy.linalg
 
 from mtunmix.errors import FactorizationError
 from mtunmix.kronops import (
-    block_trace_gram,
     cho_factor,
     cho_factor_jittered,
     cho_inverse,
     psd_floor,
     symmetrize,
 )
-from oracles import block_trace_cross, kron_product, nkp_decompose, woodbury_gain_factor
+from oracles import (
+    block_trace_cross,
+    block_trace_gram,
+    kron_product,
+    nkp_decompose,
+    woodbury_gain_factor,
+)
 
 
 def kron_oracle(X, Y):

@@ -48,7 +48,7 @@ class TestRunKalmanEm:
         assert result.abundances.T == 1
         assert len(result.endmembers) == 1
         # reconstruction uses the smoothed state verbatim
-        psi = result.psi_trajectory.smoothed[0].mean
+        psi = result.psi_trajectory.smoothed_means[0]
         np.testing.assert_array_equal(
             result.endmembers[0], model.M0 * devectorize_frame(psi, seq.L, model.P)
         )
