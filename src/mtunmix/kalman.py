@@ -313,11 +313,7 @@ def smoothed_covariances(
     for t in range(traj.T - 1, -1, -1):
         filt = beliefs[t]
         G = filt.cov @ traj.pred_precisions[t]
-        gap = predict(filt, traj.Q).cov
-        np.subtract(S_next, gap, out=gap)
-        gap = G @ gap
-        S = gap @ G.T
-        del gap
+        S = G @ (S_next - predict(filt, traj.Q).cov) @ G.T
         S += filt.cov
         S = symmetrize(S)
         X = S_next @ G.T
