@@ -6,15 +6,17 @@ Library layout:
 - :mod:`mtunmix.kronops`  Cholesky solves (plain or jittered) and factor inverses,
                           PSD flooring with a positive-definite test;
                           imports SciPy on first use
-- :mod:`mtunmix.kalman`   Woodbury filter update, means-only RTS smoother and the
+- :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
+                          predictions), means-only RTS smoother and the
                           smoothed-covariance recursion, one backward step at a time
 - :mod:`mtunmix.em`       sufficient statistics streamed from that recursion,
                           closed-form M-steps
-- :mod:`mtunmix.fcls`     simplex-constrained least squares
+- :mod:`mtunmix.fcls`     column-wise simplex projection and one frame-wide
+                          simplex-constrained least-squares solver
 - :mod:`mtunmix.vca`      endmember extraction
 - :mod:`mtunmix.pipeline` end-to-end unmixing driver
 - :mod:`mtunmix.synth`    synthetic benchmark generator
-- :mod:`mtunmix.metrics`  evaluation metrics and alignment
+- :mod:`mtunmix.metrics`  evaluation metrics and sequence alignment
 - :mod:`mtunmix.cli`      command-line front end
 """
 

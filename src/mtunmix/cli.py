@@ -102,9 +102,7 @@ def _synth_config_from_args(args, seed: int) -> SynthConfig:
 def _generate_one(args, seed: int, out: Path) -> dict:
     config = _synth_config_from_args(args, seed)
     if args.m0 is not None:
-        M0 = read_matrix(args.m0, config.L)
-        if M0.shape[1] != config.P:
-            raise ValueError(f"m0 file has P={M0.shape[1]}, requested P={config.P}")
+        M0 = _load_m0(args, config.L, config.P)
     else:
         M0 = synthetic_endmembers(config.L, config.P, seed=seed + M0_SEED_OFFSET)
     seq, truth = generate(config, M0)
@@ -161,9 +159,7 @@ def _load_m0(args, L: int, P_hint: int | None):
         if not isinstance(file_L, int) or isinstance(file_L, bool):
             raise ValueError(f"endmember sidecar {sidecar} has no integer L")
         if file_L != L:
-            raise ValueError(
-                f"endmember file declares L={file_L} but the sequence has L={L}"
-            )
+            raise ValueError(f"endmember sidecar {sidecar} declares L={file_L}, expected L={L}")
     M0 = read_matrix(path, L)
     if P_hint is not None and M0.shape[1] != P_hint:
         raise ValueError(f"endmember file has P={M0.shape[1]}, expected P={P_hint}")

@@ -14,11 +14,14 @@ and each column keeps its feasible candidate with the lowest objective (the
 active-set view of FCLS, Heinz & Chang 2001). Single-vertex supports always
 solve, so every column has a candidate. For larger P, where enumeration grows
 too costly, an accelerated projected-gradient method runs on all columns at
-once and stops each column on its own.
+once, through the column-wise projection :func:`project_simplex`, and stops
+each column on its own.
 
-Every product that involves the columns is summed term by term in a fixed
-order, never by a BLAS call whose blocking depends on the column count, so a
-column's result is bit-identical whether it is solved alone or in a frame.
+:func:`fcls_refine_frame` is the one solver; :func:`fcls_solve` calls it on a
+one-column frame. Every product that involves the columns is summed term by
+term in a fixed order, never by a BLAS call whose blocking depends on the
+column count, so a column's result is bit-identical whether it is solved alone
+or in a frame.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,59 +44,17 @@ KKT_STOP = 1e-8  # margin under the 1e-7 projected-gradient norm guaranteed
 BLOCK_ENTRIES = 1 << 20
 
 
-@dataclass(frozen=True)
-class SimplexQpProblem:
-    """One pixel's constrained least-squares problem."""
-
-    M: np.ndarray
-    y: np.ndarray
-    lam: float = 0.0
-    a_ref: np.ndarray | None = None
-
-    def __post_init__(self):
-        M = np.ascontiguousarray(self.M, dtype=float)
-        y = np.ascontiguousarray(self.y, dtype=float).reshape(-1)
-        if M.ndim != 2 or M.shape[0] != y.size:
-            raise ValueError(f"design shape {M.shape} vs target length {y.size}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "y", y)
-        if self.a_ref is not None:
-            a_ref = np.ascontiguousarray(self.a_ref, dtype=float).reshape(-1)
-            if a_ref.size != M.shape[1]:
-                raise ValueError(f"a_ref length {a_ref.size} vs P={M.shape[1]}")
-            object.__setattr__(self, "a_ref", a_ref)
-
-    @property
-    def P(self) -> int:
-        return self.M.shape[1]
-
-
-def project_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = 1} by sort-and-threshold.
-
-    Deterministic: equal entries keep their input order through the stable
-    threshold (the projection itself does not depend on tie order).
-    """
-    v = np.asarray(v, dtype=float).reshape(-1)
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    j = np.arange(1, v.size + 1)
-    rho = int(np.nonzero(u + (1.0 - css) / j > 0)[0][-1])
-    tau = (1.0 - css[rho]) / (rho + 1.0)
-    return np.maximum(v + tau, 0.0)
-
-
-def projected_gradient_norm(problem: SimplexQpProblem, a: np.ndarray) -> float:
-    """KKT residual: norm of the unit-step projected-gradient mapping at a."""
-    G = problem.M.T @ problem.M
-    b = problem.M.T @ problem.y
-    if problem.lam > 0 and problem.a_ref is not None:
-        g = G @ a - b + problem.lam * (a - problem.a_ref)
-    else:
-        g = G @ a - b
-    return float(np.linalg.norm(a - project_simplex(a - g)))
+def project_simplex(V: np.ndarray) -> np.ndarray:
+    """Euclidean projection of every column of V (P x N) onto the simplex
+    {x >= 0, sum(x) = 1}, by sort and threshold. Each column's threshold
+    reads that column only, so it projects alike alone or in a frame."""
+    P, N = V.shape
+    U = -np.sort(-V, axis=0)
+    css = np.cumsum(U, axis=0)
+    j = np.arange(1.0, P + 1.0)[:, None]
+    last = P - 1 - np.argmax((U + (1.0 - css) / j > 0)[::-1], axis=0)
+    tau = (1.0 - css[last, np.arange(N)]) / (last + 1.0)
+    return np.maximum(V + tau, 0.0)
 
 
 def _apply(W: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -120,20 +80,9 @@ def _objectives(G: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
     return _sum_rows(X * (_apply(G, X) - 2.0 * B))
 
 
-def _project_columns(V: np.ndarray) -> np.ndarray:
-    """Column-wise Euclidean projection onto the simplex (sort and threshold)."""
-    P, N = V.shape
-    U = -np.sort(-V, axis=0)
-    css = np.cumsum(U, axis=0)
-    j = np.arange(1.0, P + 1.0)[:, None]
-    last = P - 1 - np.argmax((U + (1.0 - css) / j > 0)[::-1], axis=0)
-    tau = (1.0 - css[last, np.arange(N)]) / (last + 1.0)
-    return np.maximum(V + tau, 0.0)
-
-
 def _kkt_residual(G: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Unit-step projected-gradient norm of every column."""
-    D = X - _project_columns(X - (_apply(G, X) - B))
+    D = X - project_simplex(X - (_apply(G, X) - B))
     return np.sqrt(_sum_rows(D * D))
 
 
@@ -212,11 +161,11 @@ def _accelerated_gradient(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     for _ in range(MAX_ITERS):
         x, z, b, f = X[:, act], Z[:, act], B[:, act], F[act]
         plain = np.all(z == x, axis=0)
-        x_new = _project_columns(z - step * (_apply(G, z) - b))
+        x_new = project_simplex(z - step * (_apply(G, z) - b))
         f_new = _objectives(G, b, x_new)
         up = f_new > f
         if up.any():
-            x_new[:, up] = _project_columns(x[:, up] - step * (_apply(G, x[:, up]) - b[:, up]))
+            x_new[:, up] = project_simplex(x[:, up] - step * (_apply(G, x[:, up]) - b[:, up]))
             f_new[up] = _objectives(G, b[:, up], x_new[:, up])
             plain |= up
         stalled = np.all(x_new == x, axis=0) | np.all(x_new == X_prev[:, act], axis=0)
@@ -240,13 +189,12 @@ def _accelerated_gradient(G: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
-def fcls_solve(problem: SimplexQpProblem) -> np.ndarray:
-    """Minimize one pixel's problem over the simplex: a one-column frame solve.
-
-    A missing ``a_ref`` with lambda > 0 pulls toward zero.
-    """
-    a_ref = np.zeros(problem.P) if problem.a_ref is None else problem.a_ref
-    return fcls_refine_frame(problem.y[:, None], problem.M, a_ref[:, None], problem.lam)[:, 0]
+def fcls_solve(
+    M: np.ndarray, y: np.ndarray, lam: float = 0.0, a_ref: np.ndarray | None = None
+) -> np.ndarray:
+    """One pixel's solve: :func:`fcls_refine_frame` on a one-column frame."""
+    A_ref = None if a_ref is None else np.reshape(a_ref, (-1, 1))
+    return fcls_refine_frame(np.reshape(y, (-1, 1)), M, A_ref, lam)[:, 0]
 
 
 def fcls_refine_frame(
@@ -255,11 +203,16 @@ def fcls_refine_frame(
     """Column-wise constrained solve of one frame against a fixed design.
 
     With lam = 0 this is the per-pixel FCLS of Y against M; with lam > 0 each
-    column is pulled toward the corresponding column of ``A_ref``. Each column
-    of the result is bit-identical to :func:`fcls_solve` on that column.
+    column is pulled toward the corresponding column of ``A_ref``, which is
+    then required. Each column of the result is bit-identical to
+    :func:`fcls_solve` on that column.
     """
     Y = np.asarray(Y, dtype=float)
     M = np.asarray(M, dtype=float)
+    if M.ndim != 2:
+        raise ValueError(f"design must be a matrix, got shape {M.shape}")
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
     if Y.shape[0] != M.shape[0]:
         raise ValueError(f"band mismatch: frame has {Y.shape[0]}, design has {M.shape[0]}")
     P, N = M.shape[1], Y.shape[1]

@@ -140,14 +140,6 @@ class AbundanceSequence:
     def T(self) -> int:
         return len(self.maps)
 
-    def max_simplex_violation(self) -> float:
-        """Worst deviation from the simplex over all columns (for diagnostics)."""
-        worst = 0.0
-        for m in self.maps:
-            worst = max(worst, float(np.max(np.abs(m.sum(axis=0) - 1.0))))
-            worst = max(worst, float(max(0.0, -m.min())))
-        return worst
-
 
 @dataclass(frozen=True)
 class Manifest:

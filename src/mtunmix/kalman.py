@@ -12,7 +12,10 @@ and likelihood terms go through the Woodbury identity
 using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m0)``
 is assembled analytically. The posterior covariance ``P - P B.T S^-1 B P``
 is formed as ``C^-1`` with ``C = P^-1 + s2i B.T B``, and both inverses come
-from their Cholesky factors (LAPACK ``potri``), exactly symmetric.
+from their Cholesky factors (LAPACK ``potri``), exactly symmetric. A singular
+or nearly singular P takes the same formulas through its PSD square root H,
+with ``C^-1 = H (I + s2i H B.T B H)^-1 H``; no explicit gain is formed on
+either path.
 
 The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains
@@ -94,10 +97,6 @@ class ModelMatrices:
     @property
     def L(self) -> int:
         return self.m0.size // self.P
-
-    @property
-    def state_dim(self) -> int:
-        return self.m0.size
 
     @property
     def obs_dim(self) -> int:
@@ -193,11 +192,12 @@ def update(
     its condition number exceeds ``MAX_PRED_COND`` (a nearly known state), the
     step falls back to the PSD square root P = H H with H symmetric:
 
-        C^-1 -> H (I + s2i H B.T B H)^-1 H,   log|S| -> NL log sigma_r2 + log|Chat|
+        C^-1 -> H Chat^-1 H,   Chat = I + s2i H B.T B H,
+        log|S| -> NL log sigma_r2 + log|Chat|
 
-    which stays valid for merely positive-semidefinite P (continuous at the
-    boundary), with the mean/covariance assembled from the explicit gain factor
-    W = s2i B.T - s2i^2 B.T B C^-1 B.T applied to the prediction.
+    which equals C^-1 for positive-definite P (Woodbury) and stays valid for
+    merely positive-semidefinite P (continuous at the boundary). Both paths
+    then form the mean from C^-1 B.T v in one place.
 
     The returned P^-1 is the inverse the Woodbury form needs anyway, or, on the
     fallback path, the pseudo-inverse of P from the same eigendecomposition.
@@ -222,26 +222,18 @@ def update(
         c_inner = cho_factor_jittered(pred_precision + s2i * BtB)
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
         mid_bv = cho_solve(c_inner, bv)
-        mean = pred.mean + s2i * mid_bv
         cov = cho_inverse(c_inner)
     except FactorizationError:
         w, V = np.linalg.eigh(symmetrize(pred.cov))
         H = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        chat = symmetrize(np.eye(d) + s2i * (H @ BtB @ H))
-        c_chat = cho_factor_jittered(chat)
+        c_chat = cho_factor_jittered(symmetrize(np.eye(d) + s2i * (H @ BtB @ H)))
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(c_chat)
-
-        def c_solve(X):
-            return H @ cho_solve(c_chat, H @ X)
-
-        mid_bv = c_solve(bv)
-        Wv = s2i * bv - s2i**2 * (BtB @ mid_bv)
-        mean = pred.mean + pred.cov @ Wv
-        WB = s2i * BtB - s2i**2 * (BtB @ c_solve(BtB))
-        cov = symmetrize(pred.cov - pred.cov @ WB @ pred.cov)
+        mid_bv = H @ cho_solve(c_chat, H @ bv)
+        cov = symmetrize(H @ cho_inverse(c_chat) @ H)
         keep = w > w[-1] / MAX_PRED_COND
         pred_precision = (V[:, keep] / w[keep]) @ V[:, keep].T
 
+    mean = pred.mean + s2i * mid_bv
     maha = s2i * float(v @ v) - s2i**2 * float(bv @ mid_bv)
     loglik = -0.5 * (model.obs_dim * _LOG_2PI + logdet_S + maha)
     return Belief(mean=mean, cov=cov), loglik, pred_precision

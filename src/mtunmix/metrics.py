@@ -9,25 +9,33 @@ import numpy as np
 EXHAUSTIVE_ALIGN_LIMIT = 8
 
 
+def _paired_frames(truth, estimate) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(truth, estimate) frame pairs as float arrays; raises unless the two
+    sequences are equally long and equal in shape frame by frame."""
+    truth = [np.asarray(x, dtype=float) for x in truth]
+    estimate = [np.asarray(x, dtype=float) for x in estimate]
+    if len(truth) != len(estimate):
+        raise ValueError(f"sequence lengths differ: {len(truth)} vs {len(estimate)}")
+    for t, (X, Xe) in enumerate(zip(truth, estimate)):
+        if X.shape != Xe.shape:
+            raise ValueError(f"shape mismatch at frame {t}: {X.shape} vs {Xe.shape}")
+    return list(zip(truth, estimate))
+
+
 def nrmse(truth, estimate) -> float:
     """Time-averaged normalized Frobenius error between two array sequences.
 
     (1/T) sum_t sqrt(||X_t - X_t*||_F^2 / ||X_t||_F^2); truth frames must be
     nonzero.
     """
-    truth = [np.asarray(x, dtype=float) for x in truth]
-    estimate = [np.asarray(x, dtype=float) for x in estimate]
-    if len(truth) != len(estimate):
-        raise ValueError(f"sequence lengths differ: {len(truth)} vs {len(estimate)}")
+    pairs = _paired_frames(truth, estimate)
     total = 0.0
-    for t, (X, Xe) in enumerate(zip(truth, estimate)):
-        if X.shape != Xe.shape:
-            raise ValueError(f"shape mismatch at frame {t}: {X.shape} vs {Xe.shape}")
+    for t, (X, Xe) in enumerate(pairs):
         denom = float(np.sum(X**2))
         if denom == 0.0:
             raise ValueError(f"zero-norm truth frame {t}")
         total += np.sqrt(float(np.sum((X - Xe) ** 2)) / denom)
-    return total / len(truth)
+    return total / len(pairs)
 
 
 def _angles(truth_cols: np.ndarray, est_cols: np.ndarray) -> np.ndarray:
@@ -51,16 +59,8 @@ def _angles(truth_cols: np.ndarray, est_cols: np.ndarray) -> np.ndarray:
 
 def sam(truth, estimate) -> float:
     """Average spectral angle: (1/T) sum_t sum_k angle(m_{k,t}, m*_{k,t}), radians."""
-    truth = [np.asarray(x, dtype=float) for x in truth]
-    estimate = [np.asarray(x, dtype=float) for x in estimate]
-    if len(truth) != len(estimate):
-        raise ValueError(f"sequence lengths differ: {len(truth)} vs {len(estimate)}")
-    total = 0.0
-    for t, (X, Xe) in enumerate(zip(truth, estimate)):
-        if X.shape != Xe.shape:
-            raise ValueError(f"shape mismatch at frame {t}: {X.shape} vs {Xe.shape}")
-        total += float(np.sum(_angles(X, Xe)))
-    return total / len(truth)
+    pairs = _paired_frames(truth, estimate)
+    return sum(float(np.sum(_angles(X, Xe))) for X, Xe in pairs) / len(pairs)
 
 
 def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
@@ -80,27 +80,13 @@ def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
     return tuple(int(j) for j in perm)
 
 
-def align_endmembers(truth: np.ndarray, estimate: np.ndarray) -> tuple[int, ...]:
-    """Permutation ``perm`` minimizing total spectral angle, so that
-    ``estimate[:, perm]`` matches ``truth`` column for column."""
-    truth = np.asarray(truth, dtype=float)
-    estimate = np.asarray(estimate, dtype=float)
-    if truth.shape != estimate.shape:
-        raise ValueError(f"shape mismatch: {truth.shape} vs {estimate.shape}")
-    P = truth.shape[1]
-    cost = np.empty((P, P))
-    for j in range(P):
-        cost[:, j] = _angles(truth, np.tile(estimate[:, j : j + 1], (1, P)))
-    return _best_permutation(cost)
-
-
 def align_endmember_sequences(truth_seq, est_seq) -> tuple[int, ...]:
-    """Single permutation minimizing spectral angle summed over all frames."""
-    truth_seq = [np.asarray(x, dtype=float) for x in truth_seq]
-    est_seq = [np.asarray(x, dtype=float) for x in est_seq]
-    P = truth_seq[0].shape[1]
+    """Permutation ``perm`` minimizing the spectral angle summed over all
+    frames, so that ``est[:, perm]`` matches ``truth`` column for column."""
+    pairs = _paired_frames(truth_seq, est_seq)
+    P = pairs[0][0].shape[1]
     cost = np.zeros((P, P))
-    for X, Xe in zip(truth_seq, est_seq):
+    for X, Xe in pairs:
         for j in range(P):
             cost[:, j] += _angles(X, np.tile(Xe[:, j : j + 1], (1, P)))
     return _best_permutation(cost)

@@ -10,7 +10,7 @@ over the whole sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,7 +69,6 @@ class GroundTruth:
     psis: tuple[np.ndarray, ...]
     clean_frames: tuple[np.ndarray, ...]
     noisy_frames: tuple[np.ndarray, ...]
-    base_abundance: np.ndarray = field(repr=False, default=None)  # type: ignore[assignment]
 
 
 def empirical_snr_db(clean_frames, noisy_frames) -> float:
@@ -97,7 +96,7 @@ def generate(config: SynthConfig, M0: np.ndarray) -> tuple[HsiSequence, GroundTr
     for _ in range(T):
         psi = config.F_scale * psi + q_std * rng.standard_normal(L * P)
         jitter = config.abundance_jitter_std * rng.standard_normal((P, N))
-        A_t = np.apply_along_axis(project_simplex, 0, base + jitter)
+        A_t = project_simplex(base + jitter)
         M_t = M0 * devectorize_frame(psi, L, P)
         abundances.append(A_t)
         endmembers.append(M_t)
@@ -117,7 +116,6 @@ def generate(config: SynthConfig, M0: np.ndarray) -> tuple[HsiSequence, GroundTr
         psis=tuple(psis),
         clean_frames=tuple(clean),
         noisy_frames=tuple(noisy),
-        base_abundance=base,
     )
     return HsiSequence(frames=tuple(noisy)), truth
 

@@ -6,7 +6,9 @@ filter terms, the RTS smoother that stores every smoothed covariance and gain,
 the EM statistics summed densely from it, the joint Gaussian posterior of all
 states by dense conditioning, the textbook Woodbury gain factor, the block
 traces of a state or cross moment, the nearest-Kronecker-product (Van Loan)
-expansion, and the EM surrogate with its traces taken as traces of solves.
+expansion, the EM surrogate with its traces taken as traces of solves, and
+one vector's simplex projection with the KKT residual of one
+simplex-constrained least-squares problem built on it.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def joint_posterior(
     observations, whose covariance carries sigma_r2 I and so is positive
     definite however singular P00 and Q are.
     """
-    d, T = model.state_dim, len(ys)
+    d, T = model.m0.size, len(ys)
     B = dense_B(model)
     prior = np.zeros(((T + 1) * d, (T + 1) * d))
     for s in range(T + 1):
@@ -243,3 +245,21 @@ def q_function_trace_form(theta: EmParams, stats: SufficientStats, smoothed0: Be
         stats.T * stats.N * stats.L * np.log(theta.sigma_r2)
     )
     return -0.5 * (term0 + term_q + term_r)
+
+
+def project_simplex_vector(v: np.ndarray) -> np.ndarray:
+    """Euclidean projection of one vector onto {x >= 0, sum(x) = 1} by sort
+    and threshold."""
+    u = np.sort(v)[::-1]
+    css = np.cumsum(u)
+    rho = np.nonzero(u + (1.0 - css) / np.arange(1, v.size + 1) > 0)[0][-1]
+    return np.maximum(v + (1.0 - css[rho]) / (rho + 1.0), 0.0)
+
+
+def projected_gradient_norm(M, y, a, lam=0.0, a_ref=None) -> float:
+    """KKT residual of min ||y - M a||^2 + lam ||a - a_ref||^2 over the simplex
+    at a: the norm of the unit-step projected-gradient mapping."""
+    g = (M.T @ M) @ a - M.T @ y
+    if lam > 0:
+        g = g + lam * (a - a_ref)
+    return float(np.linalg.norm(a - project_simplex_vector(a - g)))

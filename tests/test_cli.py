@@ -8,7 +8,7 @@ import pytest
 from mtunmix import cli
 from mtunmix.cli import main
 from mtunmix.errors import FactorizationError
-from mtunmix.fcls import SimplexQpProblem, fcls_solve, project_simplex
+from mtunmix.fcls import fcls_solve, project_simplex
 from mtunmix.hseq import (
     HsiSequence,
     read_matrix,
@@ -121,6 +121,22 @@ class TestGenerate:
         assert code == 0
         truth = read_result_dir(out / "truth")
         np.testing.assert_allclose(truth["endmembers"][0], M0, rtol=1e-12)
+
+    def test_m0_sidecar_band_count_checked(self, tmp_path, capsys):
+        # 90 floats that would read as 45 x 2 spectra without the sidecar check
+        m0_path = tmp_path / "m0.f64"
+        write_matrix(m0_path, synthetic_endmembers(30, 3, seed=0))
+        sidecar = tmp_path / "m0.f64.json"
+        sidecar.write_text(json.dumps({"L": 30, "P": 3, "seed": 0}))
+        out = tmp_path / "x"
+        code, _, err = run_cli(
+            capsys,
+            "generate", "--L", "45", "--N", "5", "--T", "2", "--P", "2",
+            "--m0", str(m0_path), "--out", str(out),
+        )
+        assert code == 2
+        assert str(sidecar) in err and "30" in err and "45" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_mc_replicas(self, tmp_path, capsys):
         out = tmp_path / "mc"
@@ -290,7 +306,7 @@ class TestFcls:
         est = read_result_dir(out)
         frame0 = read_matrix(data / "frame_0000.f64", 20, 12)
         for n in range(12):
-            expected = fcls_solve(SimplexQpProblem(M=M0, y=frame0[:, n]))
+            expected = fcls_solve(M0, frame0[:, n])
             np.testing.assert_array_equal(est["abundances"][0][:, n], expected)
         for M in est["endmembers"]:
             np.testing.assert_array_equal(M, M0)
@@ -308,10 +324,7 @@ class TestFcls:
         )
         assert code == 0
         est = read_result_dir(out)
-        for n in range(5):
-            np.testing.assert_allclose(
-                est["abundances"][0][:, n], project_simplex(frames[0][:, n]), atol=1e-8
-            )
+        np.testing.assert_allclose(est["abundances"][0], project_simplex(frames[0]), atol=1e-8)
 
 
 class TestVca:
@@ -404,6 +417,28 @@ class TestEval:
         )
         assert code == 2
         assert "T=3" in err and "T=4" in err
+
+    @pytest.mark.parametrize("est_p, truth_p", [(3, 2), (2, 3)])
+    def test_material_count_mismatch_names_both_shapes(
+        self, tmp_path, capsys, est_p, truth_p
+    ):
+        dirs = {}
+        for P in (2, 3):
+            dirs[P] = tmp_path / f"p{P}"
+            code, _, _ = run_cli(
+                capsys,
+                "generate", "--L", "20", "--N", "12", "--T", "2", "--P", str(P),
+                "--seed", "4", "--out", str(dirs[P]),
+            )
+            assert code == 0
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(
+            capsys, "eval", "--est", str(dirs[est_p] / "truth"),
+            "--truth", str(dirs[truth_p] / "truth"), "--out", str(out),
+        )
+        assert code == 2
+        assert "(20, 2)" in err and "(20, 3)" in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_stdout_is_pure_json(self, small_dataset, tmp_path, capsys):
         data, _ = small_dataset

@@ -469,7 +469,7 @@ class TestMStepClosedForms:
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
             stats, _ = accumulate_stats(traj, ys, model.m0, L)
             mean, cov = joint_posterior(ys, model, init)
-            d = model.state_dim
+            d = model.m0.size
             expected = np.zeros((d, d))
             for t in range(1, T + 1):
                 i, j = t * d, (t - 1) * d

@@ -8,14 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtunmix import fcls
-from mtunmix.fcls import (
-    ENUMERATION_MAX_P,
-    SimplexQpProblem,
-    fcls_refine_frame,
-    fcls_solve,
-    project_simplex,
-    projected_gradient_norm,
-)
+from mtunmix.fcls import ENUMERATION_MAX_P, fcls_refine_frame, fcls_solve, project_simplex
+from oracles import project_simplex_vector, projected_gradient_norm
 
 
 def active_set_oracle(M, y, lam=0.0, a_ref=None):
@@ -76,37 +70,48 @@ def well_posed_design(rng, L, P, min_sv=0.3):
 
 class TestProjectSimplex:
     def test_already_feasible(self):
-        np.testing.assert_allclose(project_simplex(np.array([0.3, 0.7])), [0.3, 0.7], rtol=1e-15)
+        out = project_simplex(np.array([[0.3], [0.7]]))
+        np.testing.assert_allclose(out, [[0.3], [0.7]], rtol=1e-15)
 
     def test_vertex(self):
-        np.testing.assert_allclose(project_simplex(np.array([2.0, 0.0])), [1.0, 0.0], atol=1e-15)
+        out = project_simplex(np.array([[2.0], [0.0]]))
+        np.testing.assert_allclose(out, [[1.0], [0.0]], atol=1e-15)
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            v = rng.uniform(-2, 2, size=5)
-            out = project_simplex(v)
-            oracle = projection_oracle(v)
-            np.testing.assert_allclose(out, oracle, atol=1e-8)
-            assert abs(out.sum() - 1.0) <= 1e-12
-            assert out.min() >= 0.0
+        V = rng.uniform(-2, 2, size=(50, 5)).T
+        out = project_simplex(V)
+        for n in range(50):
+            np.testing.assert_allclose(out[:, n], projection_oracle(V[:, n]), atol=1e-8)
+        assert np.max(np.abs(out.sum(axis=0) - 1.0)) <= 1e-12
+        assert out.min() >= 0.0
 
     def test_deterministic_on_ties(self):
-        v = np.array([0.5, 0.5, -1.0])
+        v = np.array([[0.5], [0.5], [-1.0]])
         a = project_simplex(v)
         b = project_simplex(v.copy())
         np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(a, [0.5, 0.5, 0.0], atol=1e-15)
+        np.testing.assert_allclose(a, [[0.5], [0.5], [0.0]], atol=1e-15)
+
+    def test_columns_bit_identical_to_one_vector_projection(self):
+        # ties (repeated entries) included
+        rng = np.random.default_rng(19)
+        V = rng.uniform(-2, 2, size=(4, 40))
+        V[1, ::2] = V[0, ::2]
+        V[:, 5] = 0.25
+        out = project_simplex(V)
+        for n in range(V.shape[1]):
+            np.testing.assert_array_equal(out[:, n], project_simplex_vector(V[:, n]))
 
 
 class TestFclsSolve:
     def test_identity_design_feasible_optimum(self):
-        problem = SimplexQpProblem(M=np.eye(2), y=np.array([0.3, 0.7]))
-        np.testing.assert_allclose(fcls_solve(problem), [0.3, 0.7], atol=1e-9)
+        out = fcls_solve(np.eye(2), np.array([0.3, 0.7]))
+        np.testing.assert_allclose(out, [0.3, 0.7], atol=1e-9)
 
     def test_identity_design_reduces_to_projection(self):
-        problem = SimplexQpProblem(M=np.eye(2), y=np.array([1.4, -0.2]))
-        np.testing.assert_allclose(fcls_solve(problem), [1.0, 0.0], atol=1e-9)
+        out = fcls_solve(np.eye(2), np.array([1.4, -0.2]))
+        np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-9)
 
     def test_two_material_golden_section_oracle(self):
         rng = np.random.default_rng(1)
@@ -130,7 +135,7 @@ class TestFclsSolve:
                     lo, c = c, d
                     d = lo + phi * (hi - lo)
             a_oracle = np.array([(lo + hi) / 2, 1 - (lo + hi) / 2])
-            out = fcls_solve(SimplexQpProblem(M=M, y=y))
+            out = fcls_solve(M, y)
             np.testing.assert_allclose(out, a_oracle, atol=1e-6)
 
     def test_matches_active_set_oracle(self):
@@ -140,7 +145,7 @@ class TestFclsSolve:
             L = int(rng.integers(P + 1, 8))
             M = well_posed_design(rng, L, P)
             y = rng.standard_normal(L)
-            out = fcls_solve(SimplexQpProblem(M=M, y=y))
+            out = fcls_solve(M, y)
             oracle = active_set_oracle(M, y)
             np.testing.assert_allclose(out, oracle, atol=1e-6)
 
@@ -150,16 +155,15 @@ class TestFclsSolve:
             P = int(rng.integers(2, 4))
             M = well_posed_design(rng, 5, P)
             y = rng.standard_normal(5)
-            problem = SimplexQpProblem(M=M, y=y)
-            out = fcls_solve(problem)
-            assert projected_gradient_norm(problem, out) <= 1e-7
+            out = fcls_solve(M, y)
+            assert projected_gradient_norm(M, y, out) <= 1e-7
 
     def test_feasibility(self):
         rng = np.random.default_rng(4)
         for _ in range(30):
             M = rng.standard_normal((6, 3))
             y = rng.standard_normal(6)
-            out = fcls_solve(SimplexQpProblem(M=M, y=y))
+            out = fcls_solve(M, y)
             assert abs(out.sum() - 1.0) <= 1e-9
             assert out.min() >= -1e-12
 
@@ -167,8 +171,8 @@ class TestFclsSolve:
         rng = np.random.default_rng(5)
         M = rng.standard_normal((5, 3))
         y = rng.standard_normal(5)
-        a1 = fcls_solve(SimplexQpProblem(M=M, y=y))
-        a2 = fcls_solve(SimplexQpProblem(M=7.3 * M, y=7.3 * y))
+        a1 = fcls_solve(M, y)
+        a2 = fcls_solve(7.3 * M, 7.3 * y)
         np.testing.assert_allclose(a1, a2, atol=1e-8)
 
     def test_huge_regularizer_returns_reference(self):
@@ -176,7 +180,7 @@ class TestFclsSolve:
         M = rng.standard_normal((4, 3))
         y = rng.standard_normal(4)
         a_ref = np.array([0.2, 0.5, 0.3])
-        out = fcls_solve(SimplexQpProblem(M=M, y=y, lam=1e12, a_ref=a_ref))
+        out = fcls_solve(M, y, 1e12, a_ref)
         np.testing.assert_allclose(out, a_ref, atol=1e-9)
 
     def test_regularized_matches_active_set_oracle(self):
@@ -186,13 +190,13 @@ class TestFclsSolve:
             y = rng.standard_normal(5)
             a_ref = rng.dirichlet(np.ones(3))
             lam = float(rng.uniform(0.01, 10))
-            out = fcls_solve(SimplexQpProblem(M=M, y=y, lam=lam, a_ref=a_ref))
+            out = fcls_solve(M, y, lam, a_ref)
             oracle = active_set_oracle(M, y, lam=lam, a_ref=a_ref)
             np.testing.assert_allclose(out, oracle, atol=1e-6)
 
     def test_zero_design_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            fcls_solve(SimplexQpProblem(M=np.zeros((3, 2)), y=np.ones(3)))
+            fcls_solve(np.zeros((3, 2)), np.ones(3))
 
 
 class TestFrameSolve:
@@ -202,24 +206,24 @@ class TestFrameSolve:
         M = rng.standard_normal((4, 3))
         frame = fcls_refine_frame(Y, M, None, 0.0)
         for n in range(5):
-            col = fcls_solve(SimplexQpProblem(M=M, y=Y[:, n]))
+            col = fcls_solve(M, Y[:, n])
             np.testing.assert_array_equal(frame[:, n], col)
 
     def test_pixel_independence_bit_identical(self):
         rng = np.random.default_rng(9)
         Y = rng.standard_normal((4, 6))
         M = rng.standard_normal((4, 2))
-        A_ref = np.apply_along_axis(project_simplex, 0, rng.standard_normal((2, 6)))
+        A_ref = project_simplex(rng.standard_normal((2, 6)))
         frame = fcls_refine_frame(Y, M, A_ref, 0.5)
         for n in range(6):
-            col = fcls_solve(SimplexQpProblem(M=M, y=Y[:, n], lam=0.5, a_ref=A_ref[:, n]))
+            col = fcls_solve(M, Y[:, n], 0.5, A_ref[:, n])
             np.testing.assert_array_equal(frame[:, n], col)
 
     def test_huge_lambda_returns_feasible_reference(self):
         rng = np.random.default_rng(10)
         Y = rng.standard_normal((4, 5))
         M = rng.standard_normal((4, 3))
-        A_ref = np.apply_along_axis(project_simplex, 0, rng.standard_normal((3, 5)))
+        A_ref = project_simplex(rng.standard_normal((3, 5)))
         frame = fcls_refine_frame(Y, M, A_ref, 1e12)
         np.testing.assert_allclose(frame, A_ref, atol=1e-9)
 
@@ -227,11 +231,29 @@ class TestFrameSolve:
         rng = np.random.default_rng(11)
         Y = rng.standard_normal((5, 4))
         M = rng.standard_normal((5, 3))
-        A_ref = np.apply_along_axis(project_simplex, 0, rng.standard_normal((3, 4)))
+        A_ref = project_simplex(rng.standard_normal((3, 4)))
         frame = fcls_refine_frame(Y, M, A_ref, 0.1)
         for n in range(4):
-            problem = SimplexQpProblem(M=M, y=Y[:, n], lam=0.1, a_ref=A_ref[:, n])
-            assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+            assert projected_gradient_norm(M, Y[:, n], frame[:, n], 0.1, A_ref[:, n]) <= 1e-7
+
+    def test_negative_lambda_rejected(self):
+        rng = np.random.default_rng(20)
+        Y, M = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        A_ref = project_simplex(rng.standard_normal((2, 3)))
+        with pytest.raises(ValueError, match="nonnegative"):
+            fcls_refine_frame(Y, M, A_ref, -5.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            fcls_solve(M, Y[:, 0], -5.0, A_ref[:, 0])
+
+    def test_positive_lambda_needs_a_reference(self):
+        rng = np.random.default_rng(21)
+        M, y = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        with pytest.raises(ValueError, match="reference"):
+            fcls_solve(M, y, 0.5)
+
+    def test_design_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            fcls_refine_frame(np.ones((3, 2)), np.ones(3), None, 0.0)
 
     def test_single_column_frame(self):
         rng = np.random.default_rng(12)
@@ -260,7 +282,7 @@ STALL_Y = np.array(
 
 class TestDegenerateInputs:
     def test_momentum_stall_problem_reaches_the_minimizer(self):
-        out = fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+        out = fcls_solve(STALL_M, STALL_Y)
         np.testing.assert_allclose(out, active_set_oracle(STALL_M, STALL_Y), atol=1e-9)
 
     def test_single_material_is_the_vertex(self):
@@ -323,12 +345,12 @@ class TestGradientPath:
         M, Y, A_ref = self.problem(17, 5)
         frame = fcls_refine_frame(Y, M, A_ref, 0.2)
         for n in range(5):
-            col = fcls_solve(SimplexQpProblem(M=M, y=Y[:, n], lam=0.2, a_ref=A_ref[:, n]))
+            col = fcls_solve(M, Y[:, n], 0.2, A_ref[:, n])
             np.testing.assert_array_equal(frame[:, n], col)
 
     def test_momentum_stall_problem_reaches_the_minimizer(self, monkeypatch):
         monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
-        out = fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+        out = fcls_solve(STALL_M, STALL_Y)
         np.testing.assert_allclose(out, active_set_oracle(STALL_M, STALL_Y), atol=1e-6)
 
     def test_small_problems_meet_the_kkt_bound(self, monkeypatch):
@@ -340,15 +362,14 @@ class TestGradientPath:
             Y = rng.standard_normal((M.shape[0], 3))
             frame = fcls_refine_frame(Y, M, None, 0.0)
             for n in range(3):
-                problem = SimplexQpProblem(M=M, y=Y[:, n])
-                assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+                assert projected_gradient_norm(M, Y[:, n], frame[:, n]) <= 1e-7
                 np.testing.assert_allclose(frame[:, n], active_set_oracle(M, Y[:, n]), atol=1e-6)
 
     def test_iteration_cap_warns(self, monkeypatch):
         monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
         monkeypatch.setattr(fcls, "MAX_ITERS", 1)
         with pytest.warns(RuntimeWarning, match="iteration cap"):
-            fcls_solve(SimplexQpProblem(M=STALL_M, y=STALL_Y))
+            fcls_solve(STALL_M, STALL_Y)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -366,8 +387,7 @@ def test_frame_solver_matches_oracle(seed, P, extra_bands, N, lam):
     A_ref = rng.dirichlet(np.ones(P), size=N).T
     frame = fcls_refine_frame(Y, M, A_ref, lam)
     for n in range(N):
-        problem = SimplexQpProblem(M=M, y=Y[:, n], lam=lam, a_ref=A_ref[:, n])
         oracle = active_set_oracle(M, Y[:, n], lam=lam, a_ref=A_ref[:, n])
         assert np.max(np.abs(frame[:, n] - oracle)) <= 1e-6
-        assert projected_gradient_norm(problem, frame[:, n]) <= 1e-7
+        assert projected_gradient_norm(M, Y[:, n], frame[:, n], lam, A_ref[:, n]) <= 1e-7
         assert max(abs(frame[:, n].sum() - 1.0), -frame[:, n].min()) <= 1e-9

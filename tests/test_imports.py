@@ -1,6 +1,8 @@
 """SciPy is imported only by the code that factors a matrix or aligns more
-than EXHAUSTIVE_ALIGN_LIMIT endmembers, so the other commands start faster."""
+than EXHAUSTIVE_ALIGN_LIMIT endmembers, so the other commands start faster.
+Every name the benchmark's tracer replaces exists."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 import mtunmix
 
 SRC = str(Path(mtunmix.__file__).resolve().parents[1])
+ROOT = str(Path(__file__).resolve().parents[1])
 
 SCRIPT = r"""
 import json, sys
@@ -54,3 +57,14 @@ def test_only_unmix_loads_scipy_and_only_its_linalg(tmp_path):
         assert loaded[step] == [], step
     assert "scipy.linalg" in loaded["unmix"]
     assert not any(m.startswith("scipy.optimize") for m in loaded["unmix"])
+
+
+def test_every_cli_name_the_tracer_binds_resolves():
+    # traced runs of the mtunmix command replace these attributes; a name
+    # missing from mtunmix.cli would only fail there
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    from perfbench.tracing import CLI_TARGETS
+
+    for module_name, attr, _, _ in CLI_TARGETS + [("mtunmix.fcls", "warnings", None, None)]:
+        assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)

@@ -47,7 +47,7 @@ def dense_update_oracle(mean, cov, y, B, sigma_r2):
 
 def batch_map_oracle(ys, model, init):
     """Joint normal-equations solve for all states x_0..x_T at once."""
-    d = model.state_dim
+    d = model.m0.size
     T = len(ys)
     B = dense_B(model)
     P0inv = np.linalg.inv(init.cov)

@@ -6,7 +6,6 @@ import pytest
 from mtunmix.metrics import (
     EXHAUSTIVE_ALIGN_LIMIT,
     align_endmember_sequences,
-    align_endmembers,
     apply_permutation,
     nrmse,
     sam,
@@ -126,12 +125,12 @@ class TestMetrics:
 class TestAlignment:
     def test_identity_permutation(self):
         M = synthetic_endmembers(20, 4, seed=0)
-        assert align_endmembers(M, M) == (0, 1, 2, 3)
+        assert align_endmember_sequences([M], [M]) == (0, 1, 2, 3)
 
     def test_inverse_swap(self):
         M = synthetic_endmembers(20, 3, seed=1)
         swapped = M[:, [2, 0, 1]]
-        perm = align_endmembers(M, swapped)
+        perm = align_endmember_sequences([M], [swapped])
         np.testing.assert_allclose(swapped[:, perm], M, rtol=1e-12)
 
     def test_planted_permutation_with_noise(self):
@@ -139,7 +138,7 @@ class TestAlignment:
         M = synthetic_endmembers(30, 4, seed=2)
         planted = rng.permutation(4)
         noisy = M[:, planted] * (1 + 0.02 * rng.standard_normal((30, 4)))
-        perm = align_endmembers(M, np.abs(noisy))
+        perm = align_endmember_sequences([M], [np.abs(noisy)])
         np.testing.assert_array_equal(np.array(planted)[list(perm)], np.arange(4))
 
     def test_sequence_alignment_and_apply(self):
@@ -161,10 +160,15 @@ class TestAlignment:
         rng = np.random.default_rng(7)
         M = synthetic_endmembers(25, 3, seed=3)
         est = np.abs(M[:, [1, 2, 0]] * (1 + 0.05 * rng.standard_normal((25, 3))))
-        perm = align_endmembers(M, est)
+        perm = align_endmember_sequences([M], [est])
         best = sam([M], [est[:, perm]])
         for other in itertools.permutations(range(3)):
             assert best <= sam([M], [est[:, list(other)]]) + 1e-12
+
+    def test_shape_mismatch_in_any_frame_rejected(self):
+        M = synthetic_endmembers(10, 3, seed=5)
+        with pytest.raises(ValueError, match=r"frame 1: \(10, 3\) vs \(10, 2\)"):
+            align_endmember_sequences([M, M], [M, M[:, :2]])
 
     def test_planted_permutation_past_exhaustive_limit(self):
         # P = 10 takes the Hungarian branch
@@ -174,7 +178,7 @@ class TestAlignment:
         M = synthetic_endmembers(60, P, seed=4)
         planted = rng.permutation(P)
         noisy = M[:, planted] * (1 + 0.02 * rng.standard_normal((60, P)))
-        perm = align_endmembers(M, np.abs(noisy))
+        perm = align_endmember_sequences([M], [np.abs(noisy)])
         np.testing.assert_array_equal(planted[list(perm)], np.arange(P))
 
     def test_hungarian_total_equals_exhaustive_optimum(self):
@@ -185,7 +189,7 @@ class TestAlignment:
         assert P > EXHAUSTIVE_ALIGN_LIMIT
         M = np.abs(rng.standard_normal((40, P))) + 0.1
         est = np.abs(rng.standard_normal((40, P))) + 0.1
-        perm = align_endmembers(M, est)
+        perm = align_endmember_sequences([M], [est])
         assert sorted(perm) == list(range(P))
         unit_m = M / np.linalg.norm(M, axis=0)
         unit_e = est / np.linalg.norm(est, axis=0)
