@@ -5,7 +5,7 @@ Library layout:
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
 - :mod:`mtunmix.kronops`  Cholesky solves (plain or jittered) and factor inverses,
                           PSD flooring with a positive-definite test;
-                          imports SciPy on first use
+                          loads SciPy's LAPACK extension on first use
 - :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
                           predictions), means-only RTS smoother and the
                           smoothed-covariance recursion, one backward step at a time

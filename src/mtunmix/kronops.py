@@ -8,13 +8,22 @@ NL x NL matrices. Where an explicit inverse is needed (the filter's predicted
 precision and posterior covariance, P00^-1 and Q^-1 in the EM surrogate) it
 comes from the Cholesky factor at hand through :func:`cho_inverse`.
 
-SciPy is imported on first use, not when the package loads: only the
-commands that factor a matrix (``unmix`` and the library's EM) pay for it.
-Every call looks ``scipy.linalg.cho_factor`` up on the module when it runs,
-so a wrapper set on the module sees each factorization.
+The three LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dpotri``)
+come from SciPy's extension module ``scipy.linalg._flapack``, loaded on
+first use by :func:`lapack` without running the ``scipy.linalg`` package,
+whose import costs about ten times as long and seven times the memory. Only
+the commands that factor a matrix (``unmix`` and the library's EM) load it.
+Every call looks :func:`lapack` up on this module when it runs, so a
+replacement set on the module sees each factorization, solve and inverse.
 """
 
 from __future__ import annotations
+
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -22,6 +31,58 @@ from .errors import FactorizationError
 
 #: Relative jitter added to the diagonal on the single Cholesky retry.
 JITTER_SCALE = 1e-10
+
+_FLAPACK = "scipy.linalg._flapack"
+_lapack_module = None
+_lapack_lock = threading.Lock()
+
+
+def lapack():
+    """SciPy's LAPACK wrappers, loaded once, thread-safe on first use.
+
+    ``import scipy`` runs first, so that SciPy sets up its bundled BLAS; then
+    the extension file is loaded under its own name, ``scipy.linalg._flapack``,
+    where a later ``import scipy.linalg`` finds it. A module already loaded
+    under that name is used as it is. Without the file, ``scipy.linalg.lapack``
+    (which re-exports the same routines) is imported instead.
+    """
+    global _lapack_module
+    if _lapack_module is None:
+        with _lapack_lock:
+            if _lapack_module is None:
+                _lapack_module = _load_lapack()
+    return _lapack_module
+
+
+def _extension_path(package_dir: str) -> str | None:
+    """Path of the ``_flapack`` extension file in SciPy's ``linalg`` folder."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(package_dir, "linalg", "_flapack" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _load_lapack():
+    import scipy
+
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    path = _extension_path(os.path.dirname(scipy.__file__))
+    if path is None:
+        from scipy.linalg import lapack as fallback
+
+        return fallback
+    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[_FLAPACK] = module
+    return module
+
+
+def _check_square(M: np.ndarray, what: str) -> None:
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
@@ -34,12 +95,14 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
 def cho_factor(M: np.ndarray):
     """Lower Cholesky factor of M, no jitter; :class:`FactorizationError` if
     M is not numerically positive definite."""
-    import scipy.linalg
-
-    try:
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite") from exc
+    M = np.asarray(M)
+    _check_square(M, "factored matrix")
+    c, info = lapack().dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite")
+    if info < 0:
+        raise ValueError(f"potrf rejected argument {-info}")
+    return c, True
 
 
 def cho_factor_jittered(M: np.ndarray):
@@ -62,9 +125,16 @@ def cho_factor_jittered(M: np.ndarray):
 
 
 def cho_solve(factor, B: np.ndarray) -> np.ndarray:
-    import scipy.linalg
-
-    return scipy.linalg.cho_solve(factor, B, check_finite=False)
+    """Solve M X = B from the Cholesky factor of M (LAPACK ``potrs``)."""
+    c, lower = factor
+    B = np.asarray(B)
+    _check_square(c, "factor")
+    if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
+        raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
+    X, info = lapack().dpotrs(c, B, lower=lower)
+    if info != 0:
+        raise ValueError(f"potrs rejected argument {-info}")
+    return X
 
 
 def cho_logdet(factor) -> float:
@@ -80,10 +150,9 @@ def cho_inverse(factor) -> np.ndarray:
     It fills one triangle, which is mirrored into the other; the factor is
     left as it is.
     """
-    import scipy.linalg.lapack
-
     c, lower = factor
-    inv, info = scipy.linalg.lapack.dpotri(c, lower=lower, overwrite_c=False)
+    _check_square(c, "factor")
+    inv, info = lapack().dpotri(c, lower=lower, overwrite_c=False)
     if info != 0:
         raise FactorizationError(f"potri failed on a factor of size {c.shape[0]} (info={info})")
     lower_tri = np.tri(c.shape[0], dtype=bool)

@@ -1,10 +1,13 @@
 """Filter/smoother against dense textbook, batch-MAP, and joint-Gaussian oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mtunmix import kronops
 from mtunmix.kalman import (
     Belief,
     ModelMatrices,
@@ -32,16 +35,22 @@ def random_model(rng, L, N, P, q_scale=1.0, sigma_r2=None):
 
 
 def dense_update_oracle(mean, cov, y, B, sigma_r2):
-    """Textbook update with the innovation covariance formed explicitly."""
+    """Textbook update with the innovation covariance S formed explicitly.
+
+    S enters only through its Cholesky factor, and the posterior covariance
+    takes the Joseph form (I - K B) P (I - K B).T + sigma_r2 K K.T, a sum of
+    two PSD terms, not the cancellation P - K S K.T.
+    """
     NL = B.shape[0]
     v = y - B @ mean
     S = B @ cov @ B.T + sigma_r2 * np.eye(NL)
-    Sinv = np.linalg.inv(S)
-    K = cov @ B.T @ Sinv
+    cS = scipy.linalg.cho_factor(S, lower=True)
+    K = scipy.linalg.cho_solve(cS, B @ cov).T
     mean_post = mean + K @ v
-    cov_post = cov - K @ S @ K.T
-    sign, logdet = np.linalg.slogdet(S)
-    ll = -0.5 * (NL * np.log(2 * np.pi) + logdet + v @ Sinv @ v)
+    IKB = np.eye(mean.size) - K @ B
+    cov_post = IKB @ cov @ IKB.T + sigma_r2 * (K @ K.T)
+    logdet = 2.0 * np.sum(np.log(np.diag(cS[0])))
+    ll = -0.5 * (NL * np.log(2 * np.pi) + logdet + v @ scipy.linalg.cho_solve(cS, v))
     return mean_post, cov_post, float(ll)
 
 
@@ -197,18 +206,15 @@ class TestUpdate:
         pred = Belief(mean=rng.standard_normal(6), cov=cov)
         y = rng.standard_normal(N * L)
         outcomes = []
-        real = scipy.linalg.cho_factor
+        real = kronops.lapack()
 
-        def recording(*args, **kwargs):
-            try:
-                factor = real(*args, **kwargs)
-            except np.linalg.LinAlgError:
-                outcomes.append("fail")
-                raise
-            outcomes.append("ok")
-            return factor
+        def recording(M, **kwargs):
+            c, info = real.dpotrf(M, **kwargs)
+            outcomes.append("fail" if info > 0 else "ok")
+            return c, info
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", recording)
+        recorder = SimpleNamespace(dpotrf=recording, dpotrs=real.dpotrs, dpotri=real.dpotri)
+        monkeypatch.setattr(kronops, "lapack", lambda: recorder)
         post, ll, _ = update(pred, y, model)
         assert outcomes == ["fail", "ok"]
         mean_o, cov_o, ll_o = dense_update_oracle(
@@ -327,10 +333,10 @@ class TestSmoother:
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         traj = run_filter([rng.standard_normal(N * L) for _ in range(T)], model, init)
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("the smoother factored a matrix")
+        def forbidden():
+            raise AssertionError("the smoother called LAPACK through kronops")
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+        monkeypatch.setattr(kronops, "lapack", forbidden)
         rts_smooth(traj)
         assert len(list(smoothed_covariances(traj))) == T
 

@@ -1,15 +1,19 @@
 """Block traces, factor inverses and PSD flooring, plus the Kronecker, NKP and
 Woodbury test oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from mtunmix import kronops
 from mtunmix.errors import FactorizationError
 from mtunmix.kronops import (
     cho_factor,
     cho_factor_jittered,
     cho_inverse,
+    cho_solve,
     psd_floor,
     symmetrize,
 )
@@ -263,13 +267,14 @@ class TestChoFactor:
 
     def count_attempts(self, monkeypatch):
         attempts = []
-        real = scipy.linalg.cho_factor
+        real = kronops.lapack()
 
         def counting(M, **kwargs):
             attempts.append(M.copy())
-            return real(M, **kwargs)
+            return real.dpotrf(M, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "cho_factor", counting)
+        patched = SimpleNamespace(dpotrf=counting, dpotrs=real.dpotrs, dpotri=real.dpotri)
+        monkeypatch.setattr(kronops, "lapack", lambda: patched)
         return attempts
 
     def test_plain_factor_makes_one_attempt(self, monkeypatch):
@@ -289,6 +294,31 @@ class TestChoFactor:
         assert c[2, 2] == pytest.approx(1e-5)
         with pytest.raises(FactorizationError, match="after jitter retry"):
             cho_factor_jittered(np.diag([1.0, -1.0]))
+
+    def test_factor_and_solve_bit_identical_to_scipy_linalg(self):
+        rng = np.random.default_rng(21)
+        for n in (1, 6, 40):
+            S = random_spd(rng, n)
+            c, lower = cho_factor(S)
+            c_ref, lower_ref = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
+            assert lower is lower_ref is True
+            assert np.array_equal(c, c_ref)
+            for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
+                assert np.array_equal(cho_solve((c, lower), B), ref)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    def test_non_square_input_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            cho_factor(np.ones(shape))
+        with pytest.raises(ValueError, match="square"):
+            cho_inverse((np.ones(shape), True))
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 3, 1)])
+    def test_mismatched_right_hand_side_rejected(self, shape):
+        factor = cho_factor(np.diag([4.0, 9.0, 1.0]))
+        with pytest.raises(ValueError, match="right-hand side"):
+            cho_solve(factor, np.ones(shape))
 
 
 class TestPsdHelpers:
