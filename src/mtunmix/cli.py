@@ -94,8 +94,6 @@ def _synth_config_from_args(args, seed: int) -> SynthConfig:
     missing = [k for k in ("L", "N", "T", "P") if settings[k] is None]
     if missing:
         raise ValueError(f"missing required dimensions: {', '.join(missing)}")
-    if settings["dirichlet_alpha"] is not None:
-        settings["dirichlet_alpha"] = tuple(settings["dirichlet_alpha"])
     return SynthConfig(**settings)
 
 
@@ -183,7 +181,6 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
         K_max=args.iters,
         lam=args.lam,
         clamp_psi_nonneg=args.clamp_psi,
-        rng_seed=seed,
     )
     result = run_kalman_em(seq, model, config)
     write_result_dir(
@@ -194,10 +191,7 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
         P=model.P,
         abundances=result.abundances.maps,
         endmembers=result.endmembers,
-        psis=[
-            psi.reshape((seq.L, model.P), order="F")
-            for psi in result.psi_trajectory.smoothed_means
-        ],
+        psis=result.psis,
         seed=seed,
     )
     write_matrix(out / "m0.f64", M0)

@@ -80,7 +80,6 @@ class SufficientStats:
     T: int
     L: int
     N: int
-    P: int
     increment_second_moment: np.ndarray
     obs_energy: float
     gram_block_trace: np.ndarray
@@ -88,10 +87,10 @@ class SufficientStats:
 
 
 def accumulate_stats(
-    traj: Trajectory, ys: list[np.ndarray], m0: np.ndarray, L: int
+    traj: Trajectory, ys: list[np.ndarray], model: ModelMatrices
 ) -> tuple[SufficientStats, Belief]:
-    """Reduce a smoothed trajectory to the M-step statistics and the smoothed
-    t = 0 belief (mean and covariance S_0).
+    """Reduce a trajectory smoothed under ``model`` to the M-step statistics
+    and the smoothed t = 0 belief (mean and covariance S_0).
 
     The smoothed covariances come from :func:`smoothed_covariances` and are
     reduced as each backward step yields them: added into D, and their
@@ -101,15 +100,10 @@ def accumulate_stats(
     """
     if traj.smoothed_means is None or traj.init_smoothed_mean is None:
         raise ValueError("trajectory must be smoothed first")
-    T = traj.T
-    m0 = np.asarray(m0, dtype=float).reshape(-1)
-    PL = m0.size
-    P = PL // L
-    N = ys[0].size // L
-    m0_mat = m0.reshape((L, P), order="F")
+    T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
     means = [traj.init_smoothed_mean] + traj.smoothed_means
 
-    D = np.zeros((PL, PL))
+    D = np.zeros((P * L, P * L))
     band = np.zeros((L, P, P))
     t = T
     for S_t, S_prev, X in smoothed_covariances(traj):
@@ -137,7 +131,6 @@ def accumulate_stats(
         T=T,
         L=L,
         N=N,
-        P=P,
         increment_second_moment=D,
         obs_energy=obs_energy,
         gram_block_trace=gram_bt,
@@ -241,7 +234,7 @@ def em_iterate(
     """
     model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
     traj = rts_smooth(run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00)))
-    stats, smoothed0 = accumulate_stats(traj, ys, m0, model.L)
+    stats, smoothed0 = accumulate_stats(traj, ys, model)
 
     P00_new = m_step_p00(smoothed0, theta.psi00)
     psi00_new = m_step_psi00(smoothed0)

@@ -2,7 +2,7 @@
 
 An HSEQ directory stores a hyperspectral image sequence as::
 
-    manifest.json          metadata (dimensions, dtype, byte order, layout)
+    manifest.json          metadata (dimensions, frame files, format tags)
     frame_0000.f64         one raw binary file per frame, zero-based index
     frame_0001.f64         zero-padded to 4 digits
     ...
@@ -30,9 +30,8 @@ import numpy as np
 
 from .errors import SequenceFormatError
 
-DTYPE_TAG = "float64"
-BYTE_ORDER_TAG = "little"
-LAYOUT_TAG = "column-major"
+#: The format of every binary file, as each manifest records it; no other is read.
+FORMAT_TAGS = {"dtype": "float64", "byte_order": "little", "layout": "column-major"}
 MANIFEST_NAME = "manifest.json"
 
 _DTYPE = np.dtype("<f8")
@@ -143,40 +142,21 @@ class AbundanceSequence:
 
 @dataclass(frozen=True)
 class Manifest:
-    """Sidecar metadata for an HSEQ directory."""
+    """Sidecar metadata for an HSEQ directory, as :func:`read_manifest` checks it."""
 
     L: int
     N: int
     T: int
     P: int | None = None
-    dtype: str = DTYPE_TAG
-    byte_order: str = BYTE_ORDER_TAG
-    layout: str = LAYOUT_TAG
     frame_files: tuple[str, ...] = ()
     seed: int | None = None
-
-    def validate(self) -> None:
-        if self.dtype != DTYPE_TAG:
-            raise SequenceFormatError(f"unsupported dtype {self.dtype!r}, expected {DTYPE_TAG!r}")
-        if self.byte_order != BYTE_ORDER_TAG:
-            raise SequenceFormatError(
-                f"unsupported byte order {self.byte_order!r}, expected {BYTE_ORDER_TAG!r}"
-            )
-        if self.layout != LAYOUT_TAG:
-            raise SequenceFormatError(f"unsupported layout {self.layout!r}, expected {LAYOUT_TAG!r}")
-        if self.frame_files and self.T != len(self.frame_files):
-            raise SequenceFormatError(
-                f"manifest declares T={self.T} but lists {len(self.frame_files)} frame files"
-            )
 
     def to_dict(self) -> dict:
         d = {
             "L": self.L,
             "N": self.N,
             "T": self.T,
-            "dtype": self.dtype,
-            "byte_order": self.byte_order,
-            "layout": self.layout,
+            **FORMAT_TAGS,
             "frames": list(self.frame_files),
         }
         if self.P is not None:
@@ -184,23 +164,6 @@ class Manifest:
         if self.seed is not None:
             d["seed"] = self.seed
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Manifest":
-        try:
-            return cls(
-                L=int(d["L"]),
-                N=int(d["N"]),
-                T=int(d["T"]),
-                P=int(d["P"]) if "P" in d and d["P"] is not None else None,
-                dtype=str(d.get("dtype", "")),
-                byte_order=str(d.get("byte_order", "")),
-                layout=str(d.get("layout", "")),
-                frame_files=tuple(str(f) for f in d.get("frames", [])),
-                seed=int(d["seed"]) if d.get("seed") is not None else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SequenceFormatError(f"malformed manifest: {exc}") from exc
 
 
 def frame_file_name(t: int) -> str:
@@ -250,15 +213,36 @@ def write_hseq(
 
 
 def read_manifest(path: Path | str) -> Manifest:
+    """Parse a directory's manifest and check it: the format tags, dimensions
+    L, N, T of at least 1, and as many frame files as frames."""
     root = Path(path)
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
         raise SequenceFormatError(f"no {MANIFEST_NAME} in {root}")
     try:
-        manifest = Manifest.from_dict(json.loads(mpath.read_text()))
+        d = json.loads(mpath.read_text())
+        manifest = Manifest(
+            L=int(d["L"]),
+            N=int(d["N"]),
+            T=int(d["T"]),
+            P=int(d["P"]) if d.get("P") is not None else None,
+            frame_files=tuple(str(f) for f in d.get("frames", [])),
+            seed=int(d["seed"]) if d.get("seed") is not None else None,
+        )
     except json.JSONDecodeError as exc:
         raise SequenceFormatError(f"unparseable manifest {mpath}: {exc}") from exc
-    manifest.validate()
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SequenceFormatError(f"malformed manifest {mpath}: {exc}") from exc
+    for key, tag in FORMAT_TAGS.items():
+        if d.get(key) != tag:
+            raise SequenceFormatError(f"{mpath}: unsupported {key} {d.get(key)!r}, not {tag!r}")
+    for name in ("L", "N", "T"):
+        if getattr(manifest, name) < 1:
+            raise SequenceFormatError(f"{mpath} declares {name}={getattr(manifest, name)}, below 1")
+    if manifest.frame_files and manifest.T != len(manifest.frame_files):
+        raise SequenceFormatError(
+            f"manifest declares T={manifest.T} but lists {len(manifest.frame_files)} frame files"
+        )
     return manifest
 
 

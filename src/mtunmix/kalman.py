@@ -103,8 +103,8 @@ class ModelMatrices:
         return self.L * self.N
 
     @cached_property
-    def _m0_mat(self) -> np.ndarray:
-        # L x P view of m0 under column stacking
+    def m0_mat(self) -> np.ndarray:
+        """m0 as the L x P matrix M0 it column-stacks."""
         return self.m0.reshape((self.L, self.P), order="F")
 
     @cached_property
@@ -115,13 +115,13 @@ class ModelMatrices:
 
     def apply_B(self, psi: np.ndarray) -> np.ndarray:
         """B @ psi as vec((M0 * Psi) @ A) without forming B."""
-        scaled = self._m0_mat * psi.reshape((self.L, self.P), order="F")
+        scaled = self.m0_mat * psi.reshape((self.L, self.P), order="F")
         return (scaled @ self.A).reshape(-1, order="F")
 
     def apply_Bt(self, v: np.ndarray) -> np.ndarray:
         """B.T @ v = diag(m0) vec(V @ A.T) without forming B."""
         V = v.reshape((self.L, self.N), order="F")
-        return (self._m0_mat * (V @ self.A.T)).reshape(-1, order="F")
+        return (self.m0_mat * (V @ self.A.T)).reshape(-1, order="F")
 
 
 @dataclass(frozen=True)

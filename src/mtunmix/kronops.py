@@ -1,5 +1,6 @@
-"""Cholesky factors (plain, or with one jitter retry) and solves, inverses
-from the factor, and PSD flooring with a positive-definite fast test.
+"""Cholesky factors (plain, or with one jitter retry), solves and inverses
+from a factor, and PSD flooring with a positive-definite fast test. A factor
+is the lower-triangular array ``dpotrf`` returns, read below the diagonal only.
 
 These primitives back the state-space machinery: the observation matrix has
 the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
@@ -92,7 +93,7 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def cho_factor(M: np.ndarray):
+def cho_factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of M, no jitter; :class:`FactorizationError` if
     M is not numerically positive definite."""
     M = np.asarray(M)
@@ -102,10 +103,10 @@ def cho_factor(M: np.ndarray):
         raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite")
     if info < 0:
         raise ValueError(f"potrf rejected argument {-info}")
-    return c, True
+    return c
 
 
-def cho_factor_jittered(M: np.ndarray):
+def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
     """Cholesky of a symmetric positive-definite matrix with one jitter retry.
 
     The retry adds ``1e-10 * mean(diag(M))`` to the diagonal. Raises
@@ -124,39 +125,35 @@ def cho_factor_jittered(M: np.ndarray):
         ) from exc
 
 
-def cho_solve(factor, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B from the Cholesky factor of M (LAPACK ``potrs``)."""
-    c, lower = factor
+def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solve M X = B from the lower Cholesky factor of M (LAPACK ``potrs``)."""
     B = np.asarray(B)
     _check_square(c, "factor")
     if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
         raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
-    X, info = lapack().dpotrs(c, B, lower=lower)
+    X, info = lapack().dpotrs(c, B, lower=1)
     if info != 0:
         raise ValueError(f"potrs rejected argument {-info}")
     return X
 
 
-def cho_logdet(factor) -> float:
+def cho_logdet(c: np.ndarray) -> float:
     """log-determinant from a Cholesky factor."""
-    c, _ = factor
     return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
-def cho_inverse(factor) -> np.ndarray:
+def cho_inverse(c: np.ndarray) -> np.ndarray:
     """Inverse of the factored matrix by LAPACK ``potri``, exactly symmetric.
 
     ``potri`` costs n^3 / 3 multiply-adds against n^3 for ``cho_solve(c, I)``.
-    It fills one triangle, which is mirrored into the other; the factor is
-    left as it is.
+    It fills the lower triangle, which is mirrored into the upper; the factor
+    is left as it is.
     """
-    c, lower = factor
     _check_square(c, "factor")
-    inv, info = lapack().dpotri(c, lower=lower, overwrite_c=False)
+    inv, info = lapack().dpotri(c, lower=1, overwrite_c=False)
     if info != 0:
         raise FactorizationError(f"potri failed on a factor of size {c.shape[0]} (info={info})")
-    lower_tri = np.tri(c.shape[0], dtype=bool)
-    return np.where(lower_tri, inv, inv.T) if lower else np.where(lower_tri, inv.T, inv)
+    return np.where(np.tri(c.shape[0], dtype=bool), inv, inv.T)
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:

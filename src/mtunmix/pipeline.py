@@ -2,9 +2,10 @@
 
 The driver alternates filter/smoother passes with closed-form parameter
 updates for a fixed number of iterations, reconstructs per-frame endmembers
-from the smoothed scaling factors as ``M_t = M0 * Psi_t``, and finally
-re-solves each frame's abundances under simplex constraints with a pull
-toward the learned average abundances.
+from the smoothed scaling factors (L x P, kept in the result) as
+``M_t = M0 * Psi_t``, and finally re-solves each frame's abundances under
+simplex constraints with a pull toward the learned average abundances. It
+draws no random numbers, so it takes no seed.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ class PipelineConfig:
     K_max: int = DEFAULT_EM_ITERS
     lam: float = DEFAULT_LAMBDA
     clamp_psi_nonneg: bool = False
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.K_max < 1:
@@ -46,11 +46,12 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class UnmixResult:
-    """Per-frame abundances and endmembers plus the fitted model state."""
+    """Per-frame abundances and endmembers, the smoothed scaling factors
+    (L x P per frame, before any clamping) and the fitted parameters."""
 
     abundances: AbundanceSequence
     endmembers: tuple[np.ndarray, ...]
-    psi_trajectory: Trajectory
+    psis: tuple[np.ndarray, ...]
     theta_final: EmParams
     diagnostics: dict = field(repr=False, default_factory=dict)
 
@@ -100,7 +101,7 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
     """Full unmixing run over one sequence.
 
     Executes ``K_max`` EM iterations, then one last filter + smoother pass
-    under the final parameters to obtain the scaling-factor trajectory and
+    under the final parameters to obtain the smoothed scaling factors and
     the reconstructed endmembers; per-frame abundances come from the
     regularized constrained refinement. Deterministic for fixed inputs.
     """
@@ -127,13 +128,14 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
     logliks.append(float(sum(traj.loglik_terms)))
     _check_finite(theta, traj, config.K_max + 1)
 
+    psis = tuple(devectorize_frame(psi, model.L, model.P) for psi in traj.smoothed_means)
     clamped = 0
     endmembers = []
-    for psi in traj.smoothed_means:
+    for psi in psis:
         if config.clamp_psi_nonneg:
             clamped += int(np.sum(psi < 0))
             psi = np.maximum(psi, 0.0)
-        endmembers.append(model.M0 * devectorize_frame(psi, model.L, model.P))
+        endmembers.append(model.M0 * psi)
 
     maps = tuple(
         fcls_refine_frame(seq.frames[t], endmembers[t], theta.A, config.lam)
@@ -147,12 +149,11 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
         "clamped_entries": clamped,
         "K_max": config.K_max,
         "lambda": config.lam,
-        "rng_seed": config.rng_seed,
     }
     return UnmixResult(
         abundances=AbundanceSequence(maps=maps),
         endmembers=tuple(endmembers),
-        psi_trajectory=traj,
+        psis=psis,
         theta_final=theta,
         diagnostics=diagnostics,
     )

@@ -10,6 +10,7 @@ over the whole sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,12 @@ class SynthConfig:
 
     def __post_init__(self):
         for name in ("L", "N", "T", "P"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        for name in ("snr_db", "F_scale", "q_var", "abundance_jitter_std"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if math.isnan(self.snr_db):
             raise ValueError("snr_db must not be NaN")
         if self.q_var < 0:
@@ -48,10 +53,10 @@ class SynthConfig:
         if self.abundance_jitter_std < 0:
             raise ValueError("abundance_jitter_std must be nonnegative")
         if self.dirichlet_alpha is not None:
-            alpha = tuple(float(a) for a in self.dirichlet_alpha)
-            if len(alpha) != self.P or any(a <= 0 for a in alpha):
-                raise ValueError("dirichlet_alpha must be length P and positive")
-            object.__setattr__(self, "dirichlet_alpha", alpha)
+            alpha = np.asarray(self.dirichlet_alpha)
+            if alpha.shape != (self.P,) or alpha.dtype.kind not in "iuf" or not np.all(alpha > 0):
+                raise ValueError(f"dirichlet_alpha must be P={self.P} positive reals")
+            object.__setattr__(self, "dirichlet_alpha", tuple(float(a) for a in alpha))
 
     @property
     def alpha(self) -> np.ndarray:

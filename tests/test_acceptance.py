@@ -155,7 +155,7 @@ def test_criterion_4_abundance_m_step_optimality():
         init = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L, 1.0 / (P * L)))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         A_hat = m_step_abundance(stats)
 
         Tb = stats.gram_block_trace

@@ -98,6 +98,26 @@ class TestGenerate:
         assert json_out(stdout)["L"] == 10
         assert abs(json_out(stdout)["empirical_snr_db"] - 25.0) <= 1.0
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("L", "10"),
+            ("L", 10.5),
+            ("L", True),
+            ("snr_db", "x"),
+            ("dirichlet_alpha", 5),
+            ("dirichlet_alpha", [{}, 1]),
+        ],
+    )
+    def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 10, "N": 6, "T": 3, "P": 2, key: value}))
+        code, _, err = run_cli(
+            capsys, "generate", "--config", str(cfg), "--out", str(tmp_path / "x")
+        )
+        assert code == 2
+        assert key in err
+
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"L": 10, "N": 6, "T": 3, "P": 2, "bogus": 1}))
@@ -206,6 +226,26 @@ class TestUnmix:
         )
         assert code == 2
         assert str(sidecar) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["unmix", "fcls"])
+    @pytest.mark.parametrize("key", ["L", "N"])
+    def test_manifest_dimension_below_one_exit_3(
+        self, small_dataset, tmp_path, capsys, key, command
+    ):
+        data, _ = small_dataset
+        for frame in data.glob("frame_*.f64"):
+            frame.write_bytes(b"")  # the size of a frame with no bands or no pixels
+        mpath = data / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest[key] = 0
+        mpath.write_text(json.dumps(manifest))
+        code, _, err = run_cli(
+            capsys,
+            command, "--input", str(data), "--m0", str(data / "truth" / "m0.f64"),
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 3
+        assert f"{mpath} declares {key}=0" in err
 
     def test_factorization_failure_exit_4(self, small_dataset, tmp_path, capsys, monkeypatch):
         data, _ = small_dataset

@@ -107,7 +107,6 @@ def make_stats_from_scaled_moments(S1_tilde, S3_tilde, T, L, N, P, obs_energy=0.
         T=T,
         L=L,
         N=N,
-        P=P,
         increment_second_moment=np.zeros((P * L, P * L)),
         obs_energy=obs_energy,
         gram_block_trace=block_trace_gram(S1_tilde, L, P),
@@ -118,18 +117,13 @@ def make_stats_from_scaled_moments(S1_tilde, S3_tilde, T, L, N, P, obs_energy=0.
 class TestAccumulateStats:
     def test_single_frame_trivial(self):
         PL = 4
+        model = ModelMatrices(A=np.zeros((2, 2)), m0=np.ones(PL), Q=np.eye(PL), sigma_r2=1.0)
         traj_like = rts_smooth(
-            run_filter(
-                [np.zeros(4)],
-                ModelMatrices(
-                    A=np.zeros((2, 2)), m0=np.ones(PL), Q=np.eye(PL), sigma_r2=1.0
-                ),
-                Belief(mean=np.zeros(PL), cov=np.zeros((PL, PL))),
-            )
+            run_filter([np.zeros(4)], model, Belief(mean=np.zeros(PL), cov=np.zeros((PL, PL))))
         )
         # zero observation matrix + zero init: smoothed state is 0 with cov Q,
         # the initial state stays exactly known, so D = Q and S1 = Q
-        stats, smoothed0 = accumulate_stats(traj_like, [np.zeros(4)], np.ones(PL), L=2)
+        stats, smoothed0 = accumulate_stats(traj_like, [np.zeros(4)], model)
         np.testing.assert_allclose(stats.increment_second_moment, np.eye(PL), rtol=1e-12)
         np.testing.assert_allclose(stats.gram_block_trace, 2.0 * np.eye(2), rtol=1e-12)
         np.testing.assert_array_equal(smoothed0.cov, np.zeros((PL, PL)))
@@ -141,7 +135,7 @@ class TestAccumulateStats:
         L, N, P, T = 3, 2, 2, 5
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model)
             oracle = literal_stats_oracle(traj, ys, model.m0, L)
             D = oracle["D"]
             np.testing.assert_allclose(
@@ -164,7 +158,7 @@ class TestAccumulateStats:
         model, init, _ = random_instance(rng, L, N, P, T)
         ys = [np.zeros(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, init))
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         assert stats.obs_energy == 0.0
         np.testing.assert_array_equal(stats.cross_block_trace, np.zeros((N, P)))
 
@@ -207,7 +201,7 @@ def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, 
     init = Belief(mean=rng.standard_normal(d), cov=scale * (X0 @ X0.T))
     ys = [rng.standard_normal(N * L) for _ in range(T)]
     traj = rts_smooth(run_filter(ys, model, init))
-    stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+    stats, smoothed0 = accumulate_stats(traj, ys, model)
 
     mean, cov = joint_posterior(ys, model, init)
 
@@ -246,7 +240,7 @@ class TestStreamedStatsDegenerate:
     """The streamed statistics against the dense reference at edge shapes."""
 
     def assert_matches_dense(self, model, ys, traj, L):
-        stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+        stats, smoothed0 = accumulate_stats(traj, ys, model)
         ref = literal_stats_oracle(traj, ys, model.m0, L)
 
         def close(actual, expected):
@@ -324,7 +318,6 @@ class TestQFunction:
             T=T,
             L=L,
             N=N,
-            P=P,
             increment_second_moment=np.zeros((PL, PL)),
             obs_energy=0.0,
             gram_block_trace=np.zeros((P, P)),
@@ -341,7 +334,7 @@ class TestQFunction:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -359,7 +352,7 @@ class TestQFunction:
         L, N, P, T = 4, 3, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -384,7 +377,7 @@ class TestQFunction:
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
             theta_new, traj, q_new = em_iterate(ys, model.m0, theta)
-            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model)
             np.testing.assert_allclose(
                 q_new, q_function_trace_form(theta_new, stats, smoothed0), rtol=1e-12
             )
@@ -398,7 +391,7 @@ class TestQFunction:
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
             traj = rts_smooth(run_filter(ys, model, init))
-            stats, smoothed0 = accumulate_stats(traj, ys, model.m0, L)
+            stats, smoothed0 = accumulate_stats(traj, ys, model)
             q_old = q_function(theta, stats, smoothed0)
             theta_new, _, q_new = em_iterate(ys, model.m0, theta)
             assert q_new >= q_old - 1e-9
@@ -445,14 +438,14 @@ class TestMStepClosedForms:
         )
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = rts_smooth(run_filter(ys, model, Belief(mean=psi, cov=np.zeros((PL, PL)))))
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         np.testing.assert_allclose(m_step_q(stats), np.zeros((PL, PL)), atol=1e-12)
 
     def test_q_single_transition_reduces_to_one_term(self):
         rng = np.random.default_rng(20)
         L, N, P = 3, 2, 2
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T=1)
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         (pr, sm), (G,) = full_rts_smooth(traj)
         cross = sm.cov @ G.T + np.outer(sm.mean, pr.mean)
         expected = (
@@ -467,7 +460,7 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(5):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model.m0, L)
+            stats, _ = accumulate_stats(traj, ys, model)
             mean, cov = joint_posterior(ys, model, init)
             d = model.m0.size
             expected = np.zeros((d, d))
@@ -502,7 +495,7 @@ class TestMStepClosedForms:
             smoothed_means=psis[1:],
             init_smoothed_mean=psis[0],
         )
-        stats, _ = accumulate_stats(traj, ys, m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         assert m_step_sigma(stats, A) <= 1e-10
 
     def test_sigma_zero_everything(self):
@@ -511,7 +504,6 @@ class TestMStepClosedForms:
             T=T,
             L=L,
             N=N,
-            P=P,
             increment_second_moment=np.zeros((PL, PL)),
             obs_energy=0.0,
             gram_block_trace=np.zeros((P, P)),
@@ -524,7 +516,7 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model.m0, L)
+            stats, _ = accumulate_stats(traj, ys, model)
             A = rng.standard_normal((P, N))
             B = np.kron(A.T, np.eye(L)) @ np.diag(model.m0)
             S1 = literal_stats_oracle(traj, ys, model.m0, L)["S1"]
@@ -551,7 +543,7 @@ class TestAbundanceMStep:
         L, N, P, T = 3, 3, 2, 5
         for _ in range(5):
             model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model.m0, L)
+            stats, _ = accumulate_stats(traj, ys, model)
             A_hat = m_step_abundance(stats)
             A_gd = gradient_descent_abundance_oracle(stats, np.zeros((P, N)))
             np.testing.assert_allclose(A_hat, A_gd, rtol=1e-6, atol=1e-9)
@@ -560,7 +552,7 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(12)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         A_hat = m_step_abundance(stats)
         scale = np.linalg.norm(stats.gram_block_trace + stats.gram_block_trace.T, 2)
         h = 1e-6
@@ -577,7 +569,7 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(13)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats, _ = accumulate_stats(traj, ys, model.m0, L)
+        stats, _ = accumulate_stats(traj, ys, model)
         D0 = np.diag(model.m0)
         S1t = D0 @ literal_stats_oracle(traj, ys, model.m0, L)["S1"] @ D0
         S3t = obs_state_outer(traj, ys) @ D0
@@ -655,7 +647,7 @@ class TestEmIterate:
             traj = rts_smooth(
                 run_filter(ys, mm, Belief(mean=np.ones(P * L), cov=1e-6 * np.eye(P * L)))
             )
-            stats, _ = accumulate_stats(traj, ys, m0, L)
+            stats, _ = accumulate_stats(traj, ys, mm)
             A = m_step_abundance(stats)
         nrmse_a = np.linalg.norm(A - A_true) / np.linalg.norm(A_true)
         assert nrmse_a <= 0.02

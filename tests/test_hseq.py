@@ -1,6 +1,7 @@
 """Array types, vectorization convention, and HSEQ round-trips."""
 
 import json
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -144,15 +145,28 @@ class TestSequenceIO:
         write_matrix(tmp_path / "m.f64", X)
         np.testing.assert_array_equal(read_matrix(tmp_path / "m.f64", 6), X)
 
-    def test_unsupported_dtype_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "key, value", [("dtype", "float32"), ("byte_order", "big"), ("layout", "row-major")]
+    )
+    def test_unsupported_format_tag_rejected(self, tmp_path, key, value):
         rng = np.random.default_rng(10)
         write_hseq(HsiSequence(frames=(rng.random((2, 2)),)), tmp_path / "seq")
         mpath = tmp_path / "seq" / "manifest.json"
         manifest = json.loads(mpath.read_text())
-        manifest["dtype"] = "float32"
+        manifest[key] = value
         mpath.write_text(json.dumps(manifest))
-        with pytest.raises(SequenceFormatError, match="dtype"):
+        with pytest.raises(SequenceFormatError, match=f"{key} '{value}'"):
             read_hseq(tmp_path / "seq")
+
+    @pytest.mark.parametrize("value", [0, -2, float("inf")])
+    def test_band_count_below_one_or_infinite_rejected(self, tmp_path, value):
+        write_hseq(HsiSequence(frames=(np.ones((2, 2)),)), tmp_path / "seq")
+        mpath = tmp_path / "seq" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["L"] = value
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SequenceFormatError, match=re.escape(str(mpath))):
+            read_manifest(tmp_path / "seq")
 
 
     def test_failed_result_write_leaves_no_manifest(self, tmp_path, monkeypatch):

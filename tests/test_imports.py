@@ -158,11 +158,12 @@ print(json.dumps({"loads": len(loads), "calls": len(got),
 
 
 def test_every_cli_name_the_tracer_binds_resolves():
-    # traced runs of the mtunmix command replace these attributes; a name
-    # missing from mtunmix.cli would only fail there
+    # traced runs replace these attributes; a name missing from the library or
+    # from mtunmix.cli would only fail there
     if ROOT not in sys.path:
         sys.path.insert(0, ROOT)
-    from perfbench.tracing import CLI_TARGETS
+    from perfbench.tracing import CLI_TARGETS, LIBRARY_TARGETS
 
-    for module_name, attr, _, _ in CLI_TARGETS + [("mtunmix.fcls", "warnings", None, None)]:
+    extra = [("mtunmix.fcls", "warnings", None, None)]
+    for module_name, attr, _, _ in LIBRARY_TARGETS + CLI_TARGETS + extra:
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)

@@ -220,7 +220,7 @@ class TestChoInverse:
         rng = np.random.default_rng(n)
         for _ in range(5):
             S = random_spd(rng, n)
-            X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+            X = cho_inverse(cho_factor(S))
             ref = np.linalg.inv(S)
             assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -232,7 +232,7 @@ class TestChoInverse:
         d = np.logspace(0, 4, n)
         S = random_spd(rng, n) * d[:, None] * d[None, :]
         assert 1e7 < np.linalg.cond(S) < 1e9
-        X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+        X = cho_inverse(cho_factor(S))
         ref = np.linalg.inv(S)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -243,22 +243,20 @@ class TestChoInverse:
         n = 40
         V, _ = np.linalg.qr(rng.standard_normal((n, n)))
         S = symmetrize((V * np.logspace(0, 8, n)) @ V.T)
-        X = cho_inverse(scipy.linalg.cho_factor(S, lower=True))
+        X = cho_inverse(cho_factor(S))
         eps = np.finfo(float).eps
         assert np.linalg.norm(X @ S - np.eye(n)) <= 10 * n * eps * np.linalg.cond(S)
 
-    @pytest.mark.parametrize("lower", [True, False])
-    def test_exactly_symmetric(self, lower):
+    def test_exactly_symmetric(self):
         rng = np.random.default_rng(17)
-        X = cho_inverse(scipy.linalg.cho_factor(random_spd(rng, 25), lower=lower))
+        X = cho_inverse(cho_factor(random_spd(rng, 25)))
         assert np.array_equal(X, X.T)
 
-    @pytest.mark.parametrize("lower", [True, False])
-    def test_factor_left_unchanged(self, lower):
+    def test_factor_left_unchanged(self):
         rng = np.random.default_rng(18)
-        c, flag = scipy.linalg.cho_factor(random_spd(rng, 25), lower=lower)
+        c = cho_factor(random_spd(rng, 25))
         before = c.copy()
-        cho_inverse((c, flag))
+        cho_inverse(c)
         assert np.array_equal(c, before)
 
 
@@ -282,13 +280,12 @@ class TestChoFactor:
         with pytest.raises(FactorizationError):
             cho_factor(self.SINGULAR)
         assert len(attempts) == 1
-        c, lower = cho_factor(np.diag([4.0, 9.0]))
-        assert lower
+        c = cho_factor(np.diag([4.0, 9.0]))
         np.testing.assert_array_equal(np.diag(c), [2.0, 3.0])
 
     def test_jittered_factor_retries_with_jitter(self, monkeypatch):
         attempts = self.count_attempts(monkeypatch)
-        c, _ = cho_factor_jittered(self.SINGULAR)
+        c = cho_factor_jittered(self.SINGULAR)
         assert len(attempts) == 2
         assert attempts[1][2, 2] == pytest.approx(1e-10)
         assert c[2, 2] == pytest.approx(1e-5)
@@ -299,20 +296,19 @@ class TestChoFactor:
         rng = np.random.default_rng(21)
         for n in (1, 6, 40):
             S = random_spd(rng, n)
-            c, lower = cho_factor(S)
-            c_ref, lower_ref = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-            assert lower is lower_ref is True
+            c = cho_factor(S)
+            c_ref, _ = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
             assert np.array_equal(c, c_ref)
             for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
-                assert np.array_equal(cho_solve((c, lower), B), ref)
+                assert np.array_equal(cho_solve(c, B), ref)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
     def test_non_square_input_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
             cho_factor(np.ones(shape))
         with pytest.raises(ValueError, match="square"):
-            cho_inverse((np.ones(shape), True))
+            cho_inverse(np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 3, 1)])
     def test_mismatched_right_hand_side_rejected(self, shape):

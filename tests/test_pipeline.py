@@ -7,6 +7,7 @@ from mtunmix.em import EmParams
 from mtunmix import pipeline
 from mtunmix.errors import FactorizationError, NumericalAbortError
 from mtunmix.hseq import GlmmModel, devectorize_frame
+from mtunmix.kalman import Belief, Trajectory
 from mtunmix.metrics import nrmse
 from mtunmix.pipeline import PipelineConfig, _check_finite, default_init, run_kalman_em
 from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
@@ -48,10 +49,8 @@ class TestRunKalmanEm:
         assert result.abundances.T == 1
         assert len(result.endmembers) == 1
         # reconstruction uses the smoothed state verbatim
-        psi = result.psi_trajectory.smoothed_means[0]
-        np.testing.assert_array_equal(
-            result.endmembers[0], model.M0 * devectorize_frame(psi, seq.L, model.P)
-        )
+        assert result.psis[0].shape == (seq.L, model.P)
+        np.testing.assert_array_equal(result.endmembers[0], model.M0 * result.psis[0])
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_identity_variability_recovery(self, seed):
@@ -157,8 +156,9 @@ class TestFiniteGuard:
             sigma_r2=theta.sigma_r2,
             psi00=theta.psi00,
         )
+        empty = Trajectory(Belief(theta.psi00, theta.P00), [], [], theta.Q, [])
         with pytest.raises(NumericalAbortError, match="iteration 3") as err:
-            _check_finite(bad, result.psi_trajectory, 3)
+            _check_finite(bad, empty, 3)
         assert err.value.iteration == 3
 
     def test_factorization_failure_names_em_iteration(self, monkeypatch):

@@ -73,6 +73,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match="NaN"):
             SynthConfig(L=4, N=3, T=2, P=2, snr_db=float("nan"))
 
+    def test_numpy_scalars_accepted(self):
+        cfg = SynthConfig(
+            L=np.int64(4), N=np.int32(3), T=2, P=2, snr_db=np.float64(20.0),
+            dirichlet_alpha=np.array([1.0, 2.0]),
+        )
+        assert cfg.dirichlet_alpha == (1.0, 2.0)
+
 
 class TestMetrics:
     def test_nrmse_identities(self):
