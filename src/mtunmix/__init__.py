@@ -7,10 +7,10 @@ Library layout:
                           PSD flooring with a positive-definite test;
                           loads SciPy's LAPACK extension on first use
 - :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
-                          predictions), means-only RTS smoother and the
-                          smoothed-covariance recursion, one backward step at a time
+                          predictions) into a frozen trajectory, RTS smoothed means,
+                          and the smoothed-covariance recursion, one step at a time
 - :mod:`mtunmix.em`       sufficient statistics streamed from that recursion,
-                          closed-form M-steps
+                          closed-form M-steps, one finiteness check per iteration
 - :mod:`mtunmix.fcls`     column-wise simplex projection and one frame-wide
                           simplex-constrained least-squares solver
 - :mod:`mtunmix.vca`      endmember extraction

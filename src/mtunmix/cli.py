@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -86,6 +87,8 @@ def _synth_config_from_args(args, seed: int) -> SynthConfig:
     }
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(loaded) - set(settings)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -113,7 +116,7 @@ def _generate_one(args, seed: int, out: Path) -> dict:
         P=config.P,
         abundances=truth.abundances,
         endmembers=truth.endmembers,
-        psis=[p.reshape((config.L, config.P), order="F") for p in truth.psis],
+        psis=truth.psis,
         frames=truth.clean_frames,
         seed=seed,
     )
@@ -213,8 +216,8 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
 def cmd_unmix(args) -> int:
     if args.iters < 1:
         raise ValueError("--iters must be >= 1")
-    if args.lam < 0:
-        raise ValueError("--lambda must be nonnegative")
+    if not 0 <= args.lam < math.inf:
+        raise ValueError("--lambda must be finite and nonnegative")
     if args.m0 is None and not args.vca:
         raise ValueError("either --m0 or --vca is required")
     input_dir = Path(args.input)

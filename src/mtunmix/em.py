@@ -6,7 +6,8 @@ every step is reduced to the sufficient statistics as it comes (Shumway &
 Stoffer 1982): the increment moment D in one PL x PL array and the same-band
 entries the block traces read. It then applies closed-form maximizers for
 the initial belief, the process noise, the observation noise variance, and
-the average abundance matrix.
+the average abundance matrix. Before the new parameters are built, one
+finiteness check covers them, the log-likelihood and the smoothed means.
 
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalAbortError
 from .kalman import (
     Belief,
     ModelMatrices,
@@ -87,10 +89,11 @@ class SufficientStats:
 
 
 def accumulate_stats(
-    traj: Trajectory, ys: list[np.ndarray], model: ModelMatrices
+    traj: Trajectory, means: list[np.ndarray], ys: list[np.ndarray], model: ModelMatrices
 ) -> tuple[SufficientStats, Belief]:
-    """Reduce a trajectory smoothed under ``model`` to the M-step statistics
-    and the smoothed t = 0 belief (mean and covariance S_0).
+    """Reduce a trajectory filtered under ``model`` and its smoothed means
+    (t = 0..T, from :func:`rts_smooth`) to the M-step statistics and the
+    smoothed t = 0 belief (mean and covariance S_0).
 
     The smoothed covariances come from :func:`smoothed_covariances` and are
     reduced as each backward step yields them: added into D, and their
@@ -98,15 +101,12 @@ def accumulate_stats(
     diag(m0) S1 diag(m0) read) into an L x P x P array. No smoothed
     covariance outlives its step, and S1 itself is never formed.
     """
-    if traj.smoothed_means is None or traj.init_smoothed_mean is None:
-        raise ValueError("trajectory must be smoothed first")
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
-    means = [traj.init_smoothed_mean] + traj.smoothed_means
 
     D = np.zeros((P * L, P * L))
     band = np.zeros((L, P, P))
     t = T
-    for S_t, S_prev, X in smoothed_covariances(traj):
+    for S_t, S_prev, X in smoothed_covariances(traj, model.Q):
         delta = means[t] - means[t - 1]
         D += S_t
         D += S_prev
@@ -136,7 +136,7 @@ def accumulate_stats(
         gram_block_trace=gram_bt,
         cross_block_trace=cross_bt,
     )
-    return stats, Belief(mean=traj.init_smoothed_mean, cov=S_0)
+    return stats, Belief(mean=means[0], cov=S_0)
 
 
 def _obs_residual_trace(stats: SufficientStats, A: np.ndarray) -> float:
@@ -220,21 +220,30 @@ def m_step_abundance(stats: SufficientStats) -> np.ndarray:
     return spd_solve(Tb + Tb.T, rhs)
 
 
+def check_finite(*arrays) -> None:
+    """Raise :class:`NumericalAbortError` if any entry of ``arrays`` is NaN or
+    infinite; the caller names the EM iteration."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise NumericalAbortError("non-finite state encountered")
+
+
 def em_iterate(
     ys: list[np.ndarray], m0: np.ndarray, theta: EmParams
-) -> tuple[EmParams, Trajectory, float]:
-    """One full EM iteration; returns the updated parameters, the trajectory
-    (filter output and smoothed means) under the *input* parameters, and the
-    surrogate value at the updated parameters.
+) -> tuple[EmParams, float, list[np.ndarray], float]:
+    """One full EM iteration; returns the updated parameters, the marginal
+    log-likelihood and the smoothed means (t = 0..T) under the *input*
+    parameters, and the surrogate value at the updated parameters.
 
     Order of the closed-form updates: initial covariance (which uses the old
     initial mean), initial mean, process noise, abundances, then observation
     variance with the *new* abundances so the (A, sigma_r2) block is maximized
-    jointly.
+    jointly. A non-finite log-likelihood, smoothed mean or updated parameter
+    raises :class:`NumericalAbortError` before the new parameters are built.
     """
     model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
-    traj = rts_smooth(run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00)))
-    stats, smoothed0 = accumulate_stats(traj, ys, model)
+    traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))
+    means = rts_smooth(traj)
+    stats, smoothed0 = accumulate_stats(traj, means, ys, model)
 
     P00_new = m_step_p00(smoothed0, theta.psi00)
     psi00_new = m_step_psi00(smoothed0)
@@ -242,6 +251,7 @@ def em_iterate(
     A_new = m_step_abundance(stats)
     sigma_new = m_step_sigma(stats, A_new)
 
+    check_finite(traj.loglik, *means, A_new, P00_new, Q_new, sigma_new, psi00_new)
     theta_new = EmParams(A=A_new, P00=P00_new, Q=Q_new, sigma_r2=sigma_new, psi00=psi00_new)
     q_value = q_function(theta_new, stats, smoothed0)
-    return theta_new, traj, q_value
+    return theta_new, traj.loglik, means, q_value

@@ -33,8 +33,8 @@ class RankDeficiencyError(UnmixError):
 
 
 class NumericalAbortError(UnmixError):
-    """A numerical failure (NaN/Inf state) occurred during iterative estimation."""
+    """A NaN/Inf state in iterative estimation, in EM iteration ``iteration`` when known."""
 
-    def __init__(self, message: str, iteration: int):
+    def __init__(self, message: str, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration

@@ -211,8 +211,8 @@ def fcls_refine_frame(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"design must be a matrix, got shape {M.shape}")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+    if not 0 <= lam < math.inf:
+        raise ValueError("lambda must be finite and nonnegative")
     if Y.shape[0] != M.shape[0]:
         raise ValueError(f"band mismatch: frame has {Y.shape[0]}, design has {M.shape[0]}")
     P, N = M.shape[1], Y.shape[1]

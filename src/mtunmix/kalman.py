@@ -21,12 +21,12 @@ The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains
 ``G_t = P_{t|t} P_{t+1|t}^-1`` need no factorization of their own.
 
-A :class:`Trajectory` holds the filter's output only: per frame the filtered
-belief and that inverse, about 2T + 1 PL x PL matrices. The smoother is split
-in two. :func:`rts_smooth` runs the mean recursion, two matrix-vector
-products per step. :func:`smoothed_covariances` yields each smoothed
-covariance and lag-one cross covariance as the backward pass reaches it, for
-the EM statistics to reduce at once; none of them is stored.
+A :class:`Trajectory` is the filter's output, never changed after it: per
+frame the filtered belief and that inverse, about 2T + 1 PL x PL matrices,
+and the log-likelihood. :func:`rts_smooth` returns the smoothed means, two
+matrix-vector products per step. :func:`smoothed_covariances` yields each
+smoothed covariance and lag-one cross covariance as the backward pass
+reaches it, for the EM statistics to reduce at once; none is stored.
 """
 
 from __future__ import annotations
@@ -138,33 +138,26 @@ class Belief:
             raise ValueError(f"cov shape {self.cov.shape} vs mean length {self.mean.size}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trajectory:
-    """Filter output over a window t = 1..T plus the initial belief, and the
-    smoothed means once :func:`rts_smooth` has run.
+    """Filter output over a window t = 1..T plus the initial belief.
 
-    ``filtered[i]``, ``pred_precisions[i]`` and ``smoothed_means[i]`` refer to
-    frame t = i+1; the t = 0 belief lives in ``init_filtered`` /
-    ``init_smoothed_mean``. ``pred_precisions[i]`` is the inverse of the
+    ``beliefs[t]`` is the filtered belief of frame t, with the symmetrized
+    initial belief at t = 0. ``pred_precisions[i]`` is the inverse of the
     predicted covariance P_{i+1|i} that the update formed (a pseudo-inverse if
     that covariance is singular or nearly so); the predicted belief itself is
-    the prediction of the belief before it under the process noise ``Q``.
-    ``loglik_terms[i]`` is the innovation log-density of frame i+1; their sum
-    is the marginal log-likelihood. The smoothed covariances are not stored:
-    :func:`smoothed_covariances` yields them one backward step at a time.
+    the prediction of the belief before it under the process noise Q.
+    ``loglik`` is the marginal log-likelihood, the sum of the frames'
+    innovation log-densities in frame order.
     """
 
-    init_filtered: Belief
-    filtered: list[Belief]
-    pred_precisions: list[np.ndarray]
-    Q: np.ndarray
-    loglik_terms: list[float]
-    smoothed_means: list[np.ndarray] | None = None
-    init_smoothed_mean: np.ndarray | None = None
+    beliefs: tuple[Belief, ...]
+    pred_precisions: tuple[np.ndarray, ...]
+    loglik: float
 
     @property
     def T(self) -> int:
-        return len(self.filtered)
+        return len(self.pred_precisions)
 
 
 def predict(prior: Belief, Q: np.ndarray) -> Belief:
@@ -240,28 +233,21 @@ def update(
 
 
 def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Trajectory:
-    """Forward pass over the window; beliefs indexed t = 1..T, init at t = 0."""
-    filtered, precisions, terms = [], [], []
-    init = Belief(mean=init.mean, cov=symmetrize(init.cov))
-    prior = init
+    """Forward pass over the window; beliefs indexed t = 0..T, init at t = 0."""
+    beliefs = [Belief(mean=init.mean, cov=symmetrize(init.cov))]
+    precisions, terms = [], []
     for y in ys:
-        post, ll, precision = update(predict(prior, model.Q), y, model)
-        filtered.append(post)
+        post, ll, precision = update(predict(beliefs[-1], model.Q), y, model)
+        beliefs.append(post)
         precisions.append(precision)
         terms.append(ll)
-        prior = post
     return Trajectory(
-        init_filtered=init,
-        filtered=filtered,
-        pred_precisions=precisions,
-        Q=model.Q,
-        loglik_terms=terms,
+        beliefs=tuple(beliefs), pred_precisions=tuple(precisions), loglik=float(sum(terms))
     )
 
 
-def rts_smooth(traj: Trajectory) -> Trajectory:
-    """Backward pass for the smoothed means; fills ``smoothed_means`` and
-    ``init_smoothed_mean``.
+def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
+    """Backward pass for the smoothed means psi_t^s, t = 0..T.
 
         psi_t^s = psi_{t|t} + P_{t|t} (P_{t+1|t}^-1 (psi_{t+1}^s - psi_{t|t}))
 
@@ -270,21 +256,18 @@ def rts_smooth(traj: Trajectory) -> Trajectory:
     products and nothing is factored. The last smoothed mean is the last
     filtered mean, the same array.
     """
-    beliefs = [traj.init_filtered] + traj.filtered
-    means = [b.mean for b in beliefs]
+    means = [b.mean for b in traj.beliefs]
     for t in range(traj.T - 1, -1, -1):
-        filt = beliefs[t]
+        filt = traj.beliefs[t]
         means[t] = filt.mean + filt.cov @ (traj.pred_precisions[t] @ (means[t + 1] - filt.mean))
-    traj.init_smoothed_mean = means[0]
-    traj.smoothed_means = means[1:]
-    return traj
+    return means
 
 
 def smoothed_covariances(
-    traj: Trajectory,
+    traj: Trajectory, Q: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Backward covariance recursion: yields (S_{t+1}, S_t, X_{t+1}) for
-    t = T-1, ..., 0, one step at a time.
+    """Backward covariance recursion under process noise ``Q`` (the filter's):
+    yields (S_{t+1}, S_t, X_{t+1}) for t = T-1, ..., 0, one step at a time.
 
     S_t is the smoothed covariance of psi_t and X_{t+1} = Cov(psi_{t+1}, psi_t)
     under the smoothed posterior:
@@ -300,12 +283,11 @@ def smoothed_covariances(
     of them holds no per-frame covariance. The first S_{t+1} yielded is the
     trajectory's own P_{T|T}: read what is yielded, do not write into it.
     """
-    beliefs = [traj.init_filtered] + traj.filtered
-    S_next = beliefs[-1].cov
+    S_next = traj.beliefs[-1].cov
     for t in range(traj.T - 1, -1, -1):
-        filt = beliefs[t]
+        filt = traj.beliefs[t]
         G = filt.cov @ traj.pred_precisions[t]
-        S = G @ (S_next - predict(filt, traj.Q).cov) @ G.T
+        S = G @ (S_next - predict(filt, Q).cov) @ G.T
         S += filt.cov
         S = symmetrize(S)
         X = S_next @ G.T

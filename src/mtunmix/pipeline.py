@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .em import EmParams, em_iterate
+from .em import EmParams, check_finite, em_iterate
 from .errors import FactorizationError, NumericalAbortError
 from .fcls import fcls_refine_frame
 from .hseq import AbundanceSequence, GlmmModel, HsiSequence, devectorize_frame, vectorize_frame
-from .kalman import Belief, ModelMatrices, Trajectory, rts_smooth, run_filter
+from .kalman import Belief, ModelMatrices, rts_smooth, run_filter
 from .vca import vca_extract
 
 __all__ = ["PipelineConfig", "UnmixResult", "default_init", "run_kalman_em", "vca_extract"]
@@ -40,8 +40,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.K_max < 1:
             raise ValueError("K_max must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -75,26 +75,14 @@ def default_init(L: int, N: int, P: int, A0: np.ndarray) -> EmParams:
     )
 
 
-def _check_finite(theta: EmParams, traj: Trajectory, iteration: int) -> None:
-    arrays = [theta.A, theta.Q, theta.P00, theta.psi00, np.asarray(theta.sigma_r2)]
-    arrays += [b.mean for b in traj.filtered]
-    if traj.smoothed_means is not None:
-        arrays += traj.smoothed_means
-    for arr in arrays:
-        if not np.all(np.isfinite(arr)):
-            raise NumericalAbortError(
-                f"non-finite state encountered at EM iteration {iteration}",
-                iteration=iteration,
-            )
-
-
 @contextmanager
 def _em_iteration(iteration: int):
-    """Name the EM iteration in a factorization failure raised inside."""
+    """Name the EM iteration in a factorization or non-finite-state failure
+    raised inside."""
     try:
         yield
-    except FactorizationError as exc:
-        raise FactorizationError(f"{exc} at EM iteration {iteration}", iteration=iteration) from exc
+    except (FactorizationError, NumericalAbortError) as exc:
+        raise type(exc)(f"{exc} at EM iteration {iteration}", iteration=iteration) from exc
 
 
 def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) -> UnmixResult:
@@ -115,20 +103,19 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
     logliks, q_values, sigmas = [], [], []
     for k in range(1, config.K_max + 1):
         with _em_iteration(k):
-            theta, traj, q_value = em_iterate(ys, model.m0, theta)
-        logliks.append(float(sum(traj.loglik_terms)))
+            theta, loglik, _, q_value = em_iterate(ys, model.m0, theta)
+        logliks.append(loglik)
         q_values.append(float(q_value))
         sigmas.append(float(theta.sigma_r2))
-        _check_finite(theta, traj, k)
-        del traj  # so the next iteration's filter does not run beside it
 
     mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
     with _em_iteration(config.K_max + 1):
-        traj = rts_smooth(run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00)))
-    logliks.append(float(sum(traj.loglik_terms)))
-    _check_finite(theta, traj, config.K_max + 1)
+        traj = run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00))
+        means = rts_smooth(traj)
+        check_finite(traj.loglik, *means)
+    logliks.append(traj.loglik)
 
-    psis = tuple(devectorize_frame(psi, model.L, model.P) for psi in traj.smoothed_means)
+    psis = tuple(devectorize_frame(psi, model.L, model.P) for psi in means[1:])
     clamped = 0
     endmembers = []
     for psi in psis:

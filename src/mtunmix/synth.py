@@ -44,8 +44,8 @@ class SynthConfig:
         for name in ("snr_db", "F_scale", "q_var", "abundance_jitter_std"):
             if not isinstance(getattr(self, name), numbers.Real):
                 raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
+            raise ValueError("snr_db must not be NaN or -inf")
         if self.q_var < 0:
             raise ValueError("q_var must be nonnegative")
         if not 0 < self.F_scale <= 1:
@@ -102,14 +102,15 @@ def generate(config: SynthConfig, M0: np.ndarray) -> tuple[HsiSequence, GroundTr
         psi = config.F_scale * psi + q_std * rng.standard_normal(L * P)
         jitter = config.abundance_jitter_std * rng.standard_normal((P, N))
         A_t = project_simplex(base + jitter)
-        M_t = M0 * devectorize_frame(psi, L, P)
+        Psi_t = devectorize_frame(psi, L, P)
+        M_t = M0 * Psi_t
         abundances.append(A_t)
         endmembers.append(M_t)
-        psis.append(psi.copy())
+        psis.append(Psi_t)
         clean.append(M_t @ A_t)
 
     sig_power = sum(float(np.sum(c**2)) for c in clean)
-    if math.isinf(config.snr_db):
+    if config.snr_db == math.inf:
         noise_std = 0.0
     else:
         noise_std = math.sqrt(sig_power / (10.0 ** (config.snr_db / 10.0)) / (T * L * N))

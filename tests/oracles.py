@@ -1,8 +1,8 @@
 """Reference implementations that the tests compare the library against.
 
 None of this runs in the unmixing pipeline: the dense observation matrix, the
-dense observation/state cross moment, the marginal log-likelihood as a sum of
-filter terms, the RTS smoother that stores every smoothed covariance and gain,
+dense observation/state cross moment, the marginal log-likelihood of one
+filter pass, the RTS smoother that stores every smoothed covariance and gain,
 the EM statistics summed densely from it, the joint Gaussian posterior of all
 states by dense conditioning, the textbook Woodbury gain factor, the block
 traces of a state or cross moment, the nearest-Kronecker-product (Van Loan)
@@ -27,12 +27,12 @@ def dense_B(model: ModelMatrices) -> np.ndarray:
     return np.kron(model.A.T, np.eye(model.L)) * model.m0[None, :]
 
 
-def obs_state_outer(traj: Trajectory, ys: list[np.ndarray]) -> np.ndarray:
-    """Dense NL x PL cross moment sum_t y_t psi_t^s.T of a smoothed trajectory."""
-    return sum(np.outer(y, psi) for y, psi in zip(ys, traj.smoothed_means))
+def obs_state_outer(means: list[np.ndarray], ys: list[np.ndarray]) -> np.ndarray:
+    """Dense NL x PL cross moment sum_t y_t psi_t^s.T from the smoothed means t = 0..T."""
+    return sum(np.outer(y, psi) for y, psi in zip(ys, means[1:]))
 
 
-def full_rts_smooth(traj: Trajectory) -> tuple[list[Belief], list[np.ndarray]]:
+def full_rts_smooth(traj: Trajectory, Q: np.ndarray) -> tuple[list[Belief], list[np.ndarray]]:
     """RTS smoother that keeps every smoothed belief and gain.
 
     Returns the smoothed beliefs for t = 0..T and the gains G_0..G_{T-1}:
@@ -41,16 +41,16 @@ def full_rts_smooth(traj: Trajectory) -> tuple[list[Belief], list[np.ndarray]]:
         psi_t^s = psi_{t|t} + G_t (psi_{t+1}^s - psi_{t+1|t}),
         P_t^s = P_{t|t} + G_t (P_{t+1}^s - P_{t+1|t}) G_t^T,
 
-    with P_{t+1|t}^-1 the inverse the filter stored.
+    with P_{t+1|t}^-1 the inverse the filter stored and Q its process noise.
     """
     T = traj.T
-    beliefs = [traj.init_filtered] + traj.filtered
+    beliefs = traj.beliefs
     smoothed: list[Belief] = [None] * (T + 1)  # type: ignore[list-item]
     gains: list[np.ndarray] = [None] * T  # type: ignore[list-item]
     smoothed[T] = beliefs[T]
     for t in range(T - 1, -1, -1):
         filt, nxt = beliefs[t], smoothed[t + 1]
-        pred_next = predict(filt, traj.Q)
+        pred_next = predict(filt, Q)
         G = filt.cov @ traj.pred_precisions[t]
         mean = filt.mean + G @ (nxt.mean - pred_next.mean)
         cov = symmetrize(filt.cov + G @ (nxt.cov - pred_next.cov) @ G.T)
@@ -58,19 +58,18 @@ def full_rts_smooth(traj: Trajectory) -> tuple[list[Belief], list[np.ndarray]]:
     return smoothed, gains
 
 
-def literal_stats_oracle(traj: Trajectory, ys: list[np.ndarray], m0: np.ndarray, L: int) -> dict:
+def literal_stats_oracle(traj: Trajectory, ys: list[np.ndarray], model: ModelMatrices) -> dict:
     """The EM statistic sums transcribed densely from :func:`full_rts_smooth`.
 
     ``S1``/``S2`` are the state second moments at t and t-1, ``S4`` the lag-one
     cross moment, ``D`` = S1 - S4 - S4.T + S2, ``S3`` the dense observation/state
     cross moment, ``s5`` the observation energy, ``Tb``/``U`` their block traces
-    and ``smoothed0`` the smoothed t = 0 belief.
+    and ``smoothed0`` the smoothed t = 0 belief, for a trajectory filtered
+    under ``model``.
     """
-    beliefs, gains = full_rts_smooth(traj)
-    m0 = np.asarray(m0, dtype=float).reshape(-1)
+    beliefs, gains = full_rts_smooth(traj, model.Q)
+    m0, L, N, P = model.m0, model.L, model.N, model.P
     PL = m0.size
-    N = ys[0].size // L
-    P = PL // L
     S1 = np.zeros((PL, PL))
     S2 = np.zeros((PL, PL))
     S4 = np.zeros((PL, PL))
@@ -124,7 +123,7 @@ def joint_posterior(
 
 def marginal_loglik(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> float:
     """Marginal log-likelihood of the window via the prediction-error decomposition."""
-    return float(sum(run_filter(ys, model, init).loglik_terms))
+    return run_filter(ys, model, init).loglik
 
 
 def kron_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Command-line interface: flows, exit codes, stdout/stderr discipline."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mtunmix import cli
+from mtunmix import cli, em
 from mtunmix.cli import main
 from mtunmix.errors import FactorizationError
 from mtunmix.fcls import fcls_solve, project_simplex
@@ -16,7 +17,8 @@ from mtunmix.hseq import (
     write_hseq,
     write_matrix,
 )
-from mtunmix.synth import synthetic_endmembers
+from mtunmix.kalman import Belief
+from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
 
 
 def run_cli(capsys, *argv):
@@ -32,6 +34,17 @@ def json_out(out):
 def tree_bytes(root):
     """{relative path: contents} of every file under root."""
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def scaled_scene(tmp_path, scale):
+    """The L=20, N=6, T=3, P=2 scene of seed 1 with its frames times ``scale``,
+    and the file of the endmembers it was mixed from."""
+    M0 = synthetic_endmembers(20, 2, seed=3)
+    seq, _ = generate(SynthConfig(L=20, N=6, T=3, P=2, rng_seed=1), M0)
+    data = tmp_path / "data"
+    write_hseq(HsiSequence(frames=tuple(scale * f for f in seq.frames)), data, seed=1, P=2)
+    write_matrix(tmp_path / "m0.f64", M0)
+    return data, tmp_path / "m0.f64"
 
 
 @pytest.fixture()
@@ -117,6 +130,27 @@ class TestGenerate:
         )
         assert code == 2
         assert key in err
+
+    @pytest.mark.parametrize("content", ["5", "null", "[{}]", '"L"'])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, content):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(content)
+        code, _, err = run_cli(
+            capsys, "generate", "--config", str(cfg), "--out", str(tmp_path / "x")
+        )
+        assert code == 2
+        assert f"config file {cfg} must hold a JSON object" in err
+        assert "Traceback" not in err
+
+    def test_minus_infinite_snr_exit_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            capsys,
+            "generate", "--L", "8", "--N", "4", "--T", "2", "--P", "2", "--snr-db=-inf",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "snr_db" in err
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_config_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -261,6 +295,58 @@ class TestUnmix:
         assert code == 4
         assert "EM iteration 3" in err and "Traceback" not in err
         assert stdout == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_exit_2(self, small_dataset, tmp_path, capsys, value):
+        data, _ = small_dataset
+        code, stdout, err = run_cli(
+            capsys,
+            "unmix", "--input", str(data), "--vca", "--lambda", value,
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 2
+        assert "--lambda must be finite" in err and stdout == ""
+
+    @pytest.mark.parametrize("scale", [1e80, 1e100])
+    def test_overflowing_frames_exit_4(self, tmp_path, capsys, scale):
+        # the log-likelihood overflows, or sigma_r2 turns NaN, in iteration 2
+        data, m0 = scaled_scene(tmp_path, scale)
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(
+                capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
+            )
+        assert code == 4
+        assert "non-finite state encountered at EM iteration 2" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_filtered_mean_exit_4(self, tmp_path, capsys, monkeypatch, value):
+        # one entry of one filtered mean, in the second iteration's filter pass
+        data, m0 = scaled_scene(tmp_path, 1.0)
+        real, calls = em.run_filter, []
+
+        def poisoned(ys, model, init):
+            traj = real(ys, model, init)
+            calls.append(None)
+            if len(calls) < 2:
+                return traj
+            mean = traj.beliefs[2].mean.copy()
+            mean[0] = value
+            bad = Belief(mean=mean, cov=traj.beliefs[2].cov)
+            return dataclasses.replace(traj, beliefs=traj.beliefs[:2] + (bad,) + traj.beliefs[3:])
+
+        monkeypatch.setattr(em, "run_filter", poisoned)
+        out = tmp_path / "x"
+        with np.errstate(all="ignore"):
+            code, stdout, err = run_cli(
+                capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
+            )
+        assert code == 4
+        assert "non-finite state encountered at EM iteration 2" in err
+        assert "Traceback" not in err and stdout == ""
+        assert not (out / "manifest.json").exists()
 
     def test_requires_m0_or_vca(self, small_dataset, tmp_path, capsys):
         data, _ = small_dataset

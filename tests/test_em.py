@@ -57,9 +57,9 @@ def random_instance(rng, L, N, P, T):
     return model, init, ys
 
 
-def smoothed_instance(rng, L, N, P, T):
+def filtered_instance(rng, L, N, P, T):
     model, init, ys = random_instance(rng, L, N, P, T)
-    traj = rts_smooth(run_filter(ys, model, init))
+    traj = run_filter(ys, model, init)
     return model, init, ys, traj
 
 
@@ -118,12 +118,13 @@ class TestAccumulateStats:
     def test_single_frame_trivial(self):
         PL = 4
         model = ModelMatrices(A=np.zeros((2, 2)), m0=np.ones(PL), Q=np.eye(PL), sigma_r2=1.0)
-        traj_like = rts_smooth(
-            run_filter([np.zeros(4)], model, Belief(mean=np.zeros(PL), cov=np.zeros((PL, PL))))
+        traj_like = run_filter(
+            [np.zeros(4)], model, Belief(mean=np.zeros(PL), cov=np.zeros((PL, PL)))
         )
         # zero observation matrix + zero init: smoothed state is 0 with cov Q,
         # the initial state stays exactly known, so D = Q and S1 = Q
-        stats, smoothed0 = accumulate_stats(traj_like, [np.zeros(4)], model)
+        means = rts_smooth(traj_like)
+        stats, smoothed0 = accumulate_stats(traj_like, means, [np.zeros(4)], model)
         np.testing.assert_allclose(stats.increment_second_moment, np.eye(PL), rtol=1e-12)
         np.testing.assert_allclose(stats.gram_block_trace, 2.0 * np.eye(2), rtol=1e-12)
         np.testing.assert_array_equal(smoothed0.cov, np.zeros((PL, PL)))
@@ -134,9 +135,9 @@ class TestAccumulateStats:
         rng = np.random.default_rng(0)
         L, N, P, T = 3, 2, 2, 5
         for _ in range(10):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model)
-            oracle = literal_stats_oracle(traj, ys, model.m0, L)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
+            oracle = literal_stats_oracle(traj, ys, model)
             D = oracle["D"]
             np.testing.assert_allclose(
                 stats.increment_second_moment, D, rtol=0, atol=1e-12 * np.abs(D).max()
@@ -157,8 +158,8 @@ class TestAccumulateStats:
         L, N, P, T = 3, 2, 2, 4
         model, init, _ = random_instance(rng, L, N, P, T)
         ys = [np.zeros(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, init))
-        stats, _ = accumulate_stats(traj, ys, model)
+        traj = run_filter(ys, model, init)
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         assert stats.obs_energy == 0.0
         np.testing.assert_array_equal(stats.cross_block_trace, np.zeros((N, P)))
 
@@ -200,8 +201,8 @@ def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, 
     )
     init = Belief(mean=rng.standard_normal(d), cov=scale * (X0 @ X0.T))
     ys = [rng.standard_normal(N * L) for _ in range(T)]
-    traj = rts_smooth(run_filter(ys, model, init))
-    stats, smoothed0 = accumulate_stats(traj, ys, model)
+    traj = run_filter(ys, model, init)
+    stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
 
     mean, cov = joint_posterior(ys, model, init)
 
@@ -210,7 +211,7 @@ def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, 
 
     tol = JOINT_POSTERIOR_TOL * max(np.abs(cov).max(), 1e-300)
     D = np.zeros((d, d))
-    for t, (S_t, S_prev, X) in zip(range(T, 0, -1), smoothed_covariances(traj)):
+    for t, (S_t, S_prev, X) in zip(range(T, 0, -1), smoothed_covariances(traj, model.Q)):
         np.testing.assert_allclose(S_t, block(t, t), rtol=0, atol=tol)
         np.testing.assert_allclose(S_prev, block(t - 1, t - 1), rtol=0, atol=tol)
         np.testing.assert_allclose(X, block(t, t - 1), rtol=0, atol=tol)
@@ -233,15 +234,15 @@ def degenerate_instance(rng, L, N, P, T, known=False):
         zero = np.zeros((P * L, P * L))
         model = ModelMatrices(A=model.A, m0=model.m0, Q=zero, sigma_r2=model.sigma_r2)
         init = Belief(mean=init.mean, cov=zero)
-    return model, ys, rts_smooth(run_filter(ys, model, init))
+    return model, ys, run_filter(ys, model, init)
 
 
 class TestStreamedStatsDegenerate:
     """The streamed statistics against the dense reference at edge shapes."""
 
-    def assert_matches_dense(self, model, ys, traj, L):
-        stats, smoothed0 = accumulate_stats(traj, ys, model)
-        ref = literal_stats_oracle(traj, ys, model.m0, L)
+    def assert_matches_dense(self, model, ys, traj):
+        stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
+        ref = literal_stats_oracle(traj, ys, model)
 
         def close(actual, expected):
             atol = 1e-12 * max(np.abs(expected).max(), 1e-300)
@@ -260,20 +261,20 @@ class TestStreamedStatsDegenerate:
         rng = np.random.default_rng(30)
         for _ in range(5):
             model, ys, traj = degenerate_instance(rng, L=3, N=2, P=2, T=1)
-            assert len(list(smoothed_covariances(traj))) == 1
-            self.assert_matches_dense(model, ys, traj, 3)
+            assert len(list(smoothed_covariances(traj, model.Q))) == 1
+            self.assert_matches_dense(model, ys, traj)
 
     def test_one_material(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
             model, ys, traj = degenerate_instance(rng, L=4, N=3, P=1, T=4)
-            self.assert_matches_dense(model, ys, traj, 4)
+            self.assert_matches_dense(model, ys, traj)
 
     def test_one_pixel(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
             model, ys, traj = degenerate_instance(rng, L=4, N=1, P=3, T=4)
-            self.assert_matches_dense(model, ys, traj, 4)
+            self.assert_matches_dense(model, ys, traj)
 
     def test_exactly_known_state(self):
         # P00 = Q = 0: every update takes the square-root path, the smoothed
@@ -281,7 +282,7 @@ class TestStreamedStatsDegenerate:
         rng = np.random.default_rng(33)
         L, N, P, T = 3, 2, 2, 4
         model, ys, traj = degenerate_instance(rng, L, N, P, T, known=True)
-        stats, smoothed0 = self.assert_matches_dense(model, ys, traj, L)
+        stats, smoothed0 = self.assert_matches_dense(model, ys, traj)
         np.testing.assert_array_equal(stats.increment_second_moment, np.zeros((P * L, P * L)))
         np.testing.assert_array_equal(smoothed0.cov, np.zeros((P * L, P * L)))
 
@@ -333,8 +334,8 @@ class TestQFunction:
         rng = np.random.default_rng(2)
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -342,7 +343,7 @@ class TestQFunction:
                 sigma_r2=float(rng.uniform(0.2, 2)),
                 psi00=rng.standard_normal(P * L),
             )
-            dense = literal_stats_oracle(traj, ys, model.m0, L)
+            dense = literal_stats_oracle(traj, ys, model)
             B = np.kron(theta.A.T, np.eye(L)) @ np.diag(model.m0)
             expected = q_transcription_oracle(theta, dense, dense["smoothed0"], B, T, N * L)
             np.testing.assert_allclose(q_function(theta, stats, smoothed0), expected, rtol=1e-10)
@@ -351,8 +352,8 @@ class TestQFunction:
         rng = np.random.default_rng(21)
         L, N, P, T = 4, 3, 2, 4
         for _ in range(10):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, ys, model)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
                 P00=random_spd(rng, P * L),
@@ -376,8 +377,8 @@ class TestQFunction:
             theta = EmParams(
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
-            theta_new, traj, q_new = em_iterate(ys, model.m0, theta)
-            stats, smoothed0 = accumulate_stats(traj, ys, model)
+            theta_new, _, means, q_new = em_iterate(ys, model.m0, theta)
+            stats, smoothed0 = accumulate_stats(run_filter(ys, model, init), means, ys, model)
             np.testing.assert_allclose(
                 q_new, q_function_trace_form(theta_new, stats, smoothed0), rtol=1e-12
             )
@@ -390,10 +391,10 @@ class TestQFunction:
             theta = EmParams(
                 A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
             )
-            traj = rts_smooth(run_filter(ys, model, init))
-            stats, smoothed0 = accumulate_stats(traj, ys, model)
+            traj = run_filter(ys, model, init)
+            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             q_old = q_function(theta, stats, smoothed0)
-            theta_new, _, q_new = em_iterate(ys, model.m0, theta)
+            theta_new, _, _, q_new = em_iterate(ys, model.m0, theta)
             assert q_new >= q_old - 1e-9
 
 
@@ -437,16 +438,16 @@ class TestMStepClosedForms:
             A=rng.standard_normal((P, N)), m0=np.ones(PL), Q=np.zeros((PL, PL)), sigma_r2=0.5
         )
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, Belief(mean=psi, cov=np.zeros((PL, PL)))))
-        stats, _ = accumulate_stats(traj, ys, model)
+        traj = run_filter(ys, model, Belief(mean=psi, cov=np.zeros((PL, PL))))
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         np.testing.assert_allclose(m_step_q(stats), np.zeros((PL, PL)), atol=1e-12)
 
     def test_q_single_transition_reduces_to_one_term(self):
         rng = np.random.default_rng(20)
         L, N, P = 3, 2, 2
-        model, init, ys, traj = smoothed_instance(rng, L, N, P, T=1)
-        stats, _ = accumulate_stats(traj, ys, model)
-        (pr, sm), (G,) = full_rts_smooth(traj)
+        model, init, ys, traj = filtered_instance(rng, L, N, P, T=1)
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
+        (pr, sm), (G,) = full_rts_smooth(traj, model.Q)
         cross = sm.cov @ G.T + np.outer(sm.mean, pr.mean)
         expected = (
             sm.cov + np.outer(sm.mean, sm.mean)
@@ -459,8 +460,8 @@ class TestMStepClosedForms:
         rng = np.random.default_rng(7)
         L, N, P, T = 3, 2, 2, 4
         for _ in range(5):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
             mean, cov = joint_posterior(ys, model, init)
             d = model.m0.size
             expected = np.zeros((d, d))
@@ -487,15 +488,11 @@ class TestMStepClosedForms:
         ys = [dense_B(model) @ psi for psi in psis[1:]]
         zero = np.zeros((P * L, P * L))
         traj = Trajectory(
-            init_filtered=Belief(mean=psis[0], cov=zero),
-            filtered=[Belief(mean=p, cov=zero) for p in psis[1:]],
-            pred_precisions=[zero] * T,
-            Q=zero,
-            loglik_terms=[0.0] * T,
-            smoothed_means=psis[1:],
-            init_smoothed_mean=psis[0],
+            beliefs=tuple(Belief(mean=p, cov=zero) for p in psis),
+            pred_precisions=(zero,) * T,
+            loglik=0.0,
         )
-        stats, _ = accumulate_stats(traj, ys, model)
+        stats, _ = accumulate_stats(traj, psis, ys, model)
         assert m_step_sigma(stats, A) <= 1e-10
 
     def test_sigma_zero_everything(self):
@@ -515,12 +512,12 @@ class TestMStepClosedForms:
         rng = np.random.default_rng(9)
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
             A = rng.standard_normal((P, N))
             B = np.kron(A.T, np.eye(L)) @ np.diag(model.m0)
-            S1 = literal_stats_oracle(traj, ys, model.m0, L)["S1"]
-            S3 = obs_state_outer(traj, ys)
+            S1 = literal_stats_oracle(traj, ys, model)["S1"]
+            S3 = obs_state_outer(rts_smooth(traj), ys)
             dense = (
                 stats.obs_energy - 2 * np.trace(B @ S3.T) + np.trace(B @ S1 @ B.T)
             ) / (T * L * N)
@@ -542,8 +539,8 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(11)
         L, N, P, T = 3, 3, 2, 5
         for _ in range(5):
-            model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, ys, model)
+            model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
             A_hat = m_step_abundance(stats)
             A_gd = gradient_descent_abundance_oracle(stats, np.zeros((P, N)))
             np.testing.assert_allclose(A_hat, A_gd, rtol=1e-6, atol=1e-9)
@@ -551,8 +548,8 @@ class TestAbundanceMStep:
     def test_finite_difference_stationarity(self):
         rng = np.random.default_rng(12)
         L, N, P, T = 3, 2, 2, 4
-        model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats, _ = accumulate_stats(traj, ys, model)
+        model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         A_hat = m_step_abundance(stats)
         scale = np.linalg.norm(stats.gram_block_trace + stats.gram_block_trace.T, 2)
         h = 1e-6
@@ -568,11 +565,11 @@ class TestAbundanceMStep:
     def test_blocktrace_route_equals_full_nkp_route(self):
         rng = np.random.default_rng(13)
         L, N, P, T = 3, 2, 2, 4
-        model, init, ys, traj = smoothed_instance(rng, L, N, P, T)
-        stats, _ = accumulate_stats(traj, ys, model)
+        model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         D0 = np.diag(model.m0)
-        S1t = D0 @ literal_stats_oracle(traj, ys, model.m0, L)["S1"] @ D0
-        S3t = obs_state_outer(traj, ys) @ D0
+        S1t = D0 @ literal_stats_oracle(traj, ys, model)["S1"] @ D0
+        S3t = obs_state_outer(rts_smooth(traj), ys) @ D0
         terms1 = nkp_decompose(S1t, L, L, K=min(P * P, L * L))
         terms3 = nkp_decompose(S3t, L, L, K=min(N * P, L * L))
         lhs = sum(np.trace(D) * (C + C.T) for C, D in zip(terms1.left_factors, terms1.right_factors))
@@ -594,8 +591,8 @@ class TestEmIterate:
             )
             lls = []
             for _k in range(4):
-                theta, traj, _ = em_iterate(ys, model.m0, theta)
-                lls.append(float(sum(traj.loglik_terms)))
+                theta, loglik, _, _ = em_iterate(ys, model.m0, theta)
+                lls.append(loglik)
             mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
             lls.append(marginal_loglik(ys, mm, Belief(mean=theta.psi00, cov=theta.P00)))
             for prev, cur in zip(lls, lls[1:]):
@@ -618,7 +615,7 @@ class TestEmIterate:
         theta = EmParams(
             A=A_true, P00=0.01 * np.eye(P * L), Q=Q_true, sigma_r2=s2_true, psi00=np.ones(P * L)
         )
-        theta_new, _, _ = em_iterate(ys, m0, theta)
+        theta_new, _, _, _ = em_iterate(ys, m0, theta)
         assert np.linalg.norm(theta_new.Q - Q_true) <= 0.35 * np.linalg.norm(Q_true)
         assert abs(theta_new.sigma_r2 - s2_true) <= 0.25 * s2_true
         assert np.linalg.norm(theta_new.A - A_true) <= 0.1 * np.linalg.norm(A_true)
@@ -644,10 +641,8 @@ class TestEmIterate:
         A = A_true + 0.10 * np.linalg.norm(A_true) / np.linalg.norm(D) * D
         for _ in range(5):
             mm = ModelMatrices(A=A, m0=m0, Q=Q_true, sigma_r2=1e-4)
-            traj = rts_smooth(
-                run_filter(ys, mm, Belief(mean=np.ones(P * L), cov=1e-6 * np.eye(P * L)))
-            )
-            stats, _ = accumulate_stats(traj, ys, mm)
+            traj = run_filter(ys, mm, Belief(mean=np.ones(P * L), cov=1e-6 * np.eye(P * L)))
+            stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, mm)
             A = m_step_abundance(stats)
         nrmse_a = np.linalg.norm(A - A_true) / np.linalg.norm(A_true)
         assert nrmse_a <= 0.02
@@ -659,7 +654,7 @@ class TestEmIterate:
         theta = EmParams(
             A=model.A, P00=init.cov, Q=model.Q, sigma_r2=model.sigma_r2, psi00=init.mean
         )
-        theta_new, _, _ = em_iterate(ys, model.m0, theta)
+        theta_new, _, _, _ = em_iterate(ys, model.m0, theta)
         assert theta_new.sigma_r2 > 0
         for M in (theta_new.P00, theta_new.Q):
             np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)

@@ -245,6 +245,14 @@ class TestFrameSolve:
         with pytest.raises(ValueError, match="nonnegative"):
             fcls_solve(M, Y[:, 0], -5.0, A_ref[:, 0])
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, lam):
+        rng = np.random.default_rng(22)
+        Y, M = rng.standard_normal((4, 3)), rng.standard_normal((4, 2))
+        A_ref = project_simplex(rng.standard_normal((2, 3)))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fcls_refine_frame(Y, M, A_ref, lam)
+
     def test_positive_lambda_needs_a_reference(self):
         rng = np.random.default_rng(21)
         M, y = rng.standard_normal((4, 2)), rng.standard_normal(4)

@@ -141,8 +141,9 @@ class TestPredict:
         init = Belief(mean=np.ones(d), cov=cov0 + skew)
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = run_filter(ys, lopsided, init)
-        assert np.array_equal(traj.init_filtered.cov, symmetrize(cov0 + skew))
-        covs = [b.cov for b in traj.filtered] + [S for _, S, _ in smoothed_covariances(traj)]
+        assert np.array_equal(traj.beliefs[0].cov, symmetrize(cov0 + skew))
+        smoothed = [S for _, S, _ in smoothed_covariances(traj, lopsided.Q)]
+        covs = [b.cov for b in traj.beliefs[1:]] + smoothed
         for cov in covs:
             assert np.array_equal(cov, cov.T)
 
@@ -278,10 +279,10 @@ class TestSmoother:
         L, N, P = 3, 2, 2
         model = random_model(rng, L, N, P)
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
-        traj = rts_smooth(run_filter([rng.standard_normal(N * L)], model, init))
-        assert traj.smoothed_means[0] is traj.filtered[0].mean
-        ((S_1, _, _),) = smoothed_covariances(traj)
-        assert S_1 is traj.filtered[0].cov
+        traj = run_filter([rng.standard_normal(N * L)], model, init)
+        assert rts_smooth(traj)[1] is traj.beliefs[1].mean
+        ((S_1, _, _),) = smoothed_covariances(traj, model.Q)
+        assert S_1 is traj.beliefs[1].cov
 
     def test_last_smoothed_is_last_filtered_exactly(self):
         rng = np.random.default_rng(8)
@@ -289,10 +290,10 @@ class TestSmoother:
         model = random_model(rng, L, N, P)
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, init))
-        np.testing.assert_array_equal(traj.smoothed_means[-1], traj.filtered[-1].mean)
-        S_T, _, _ = next(smoothed_covariances(traj))
-        np.testing.assert_array_equal(S_T, traj.filtered[-1].cov)
+        traj = run_filter(ys, model, init)
+        np.testing.assert_array_equal(rts_smooth(traj)[-1], traj.beliefs[-1].mean)
+        S_T, _, _ = next(smoothed_covariances(traj, model.Q))
+        np.testing.assert_array_equal(S_T, traj.beliefs[-1].cov)
 
     def test_huge_process_noise_decouples_frames(self):
         # well-conditioned observation so the filtered covariance stays O(1)
@@ -304,8 +305,8 @@ class TestSmoother:
         model = ModelMatrices(A=A, m0=m0, Q=1e6 * np.eye(P * L), sigma_r2=0.5)
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, init))
-        for psi, filt in zip(traj.smoothed_means, traj.filtered):
+        traj = run_filter(ys, model, init)
+        for psi, filt in zip(rts_smooth(traj)[1:], traj.beliefs[1:]):
             np.testing.assert_allclose(psi, filt.mean, rtol=1e-4, atol=1e-4)
 
     def test_exactly_known_state_stays_put(self):
@@ -318,10 +319,10 @@ class TestSmoother:
         model = ModelMatrices(A=model.A, m0=model.m0, Q=np.zeros((d, d)), sigma_r2=0.3)
         init = Belief(mean=rng.standard_normal(d), cov=np.zeros((d, d)))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, init))
-        for psi in traj.smoothed_means + [traj.init_smoothed_mean]:
+        traj = run_filter(ys, model, init)
+        for psi in rts_smooth(traj):
             np.testing.assert_allclose(psi, init.mean, rtol=0, atol=1e-12)
-        for step in smoothed_covariances(traj):
+        for step in smoothed_covariances(traj, model.Q):
             for M in step:
                 np.testing.assert_allclose(M, np.zeros((d, d)), rtol=0, atol=1e-12)
 
@@ -338,7 +339,7 @@ class TestSmoother:
 
         monkeypatch.setattr(kronops, "lapack", forbidden)
         rts_smooth(traj)
-        assert len(list(smoothed_covariances(traj))) == T
+        assert len(list(smoothed_covariances(traj, model.Q))) == T
 
     def test_smoothed_means_equal_batch_map(self):
         rng = np.random.default_rng(10)
@@ -347,15 +348,10 @@ class TestSmoother:
             model = random_model(rng, L, N, P)
             init = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L))
             ys = [rng.standard_normal(N * L) for _ in range(T)]
-            traj = rts_smooth(run_filter(ys, model, init))
+            means = rts_smooth(run_filter(ys, model, init))
             states = batch_map_oracle(ys, model, init)
-            np.testing.assert_allclose(
-                traj.init_smoothed_mean, states[0], rtol=1e-6, atol=1e-9
-            )
-            for t in range(T):
-                np.testing.assert_allclose(
-                    traj.smoothed_means[t], states[t + 1], rtol=1e-6, atol=1e-9
-                )
+            for t in range(T + 1):
+                np.testing.assert_allclose(means[t], states[t], rtol=1e-6, atol=1e-9)
 
     def test_smoothed_covs_valid(self):
         rng = np.random.default_rng(11)
@@ -364,7 +360,7 @@ class TestSmoother:
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = run_filter(ys, model, init)
-        for _, S, _ in smoothed_covariances(traj):
+        for _, S, _ in smoothed_covariances(traj, model.Q):
             np.testing.assert_allclose(S, S.T, rtol=0, atol=1e-12)
             assert min_eig_ratio(S) >= -1e-9
 
@@ -375,12 +371,13 @@ class TestSmoother:
         model = random_model(rng, L, N, P)
         init = Belief(mean=rng.standard_normal(P * L), cov=random_spd(rng, P * L))
         ys = [rng.standard_normal(N * L) for _ in range(T)]
-        traj = rts_smooth(run_filter(ys, model, init))
-        beliefs, gains = full_rts_smooth(traj)
-        means = [traj.init_smoothed_mean] + traj.smoothed_means
+        traj = run_filter(ys, model, init)
+        beliefs, gains = full_rts_smooth(traj, model.Q)
+        means = rts_smooth(traj)
         for t, b in enumerate(beliefs):
             np.testing.assert_allclose(means[t], b.mean, rtol=0, atol=1e-13 * np.abs(b.mean).max())
-        for t, (S_next, S, X) in zip(range(T - 1, -1, -1), smoothed_covariances(traj)):
+        steps = smoothed_covariances(traj, model.Q)
+        for t, (S_next, S, X) in zip(range(T - 1, -1, -1), steps):
             np.testing.assert_array_equal(S_next, beliefs[t + 1].cov)
             np.testing.assert_array_equal(S, beliefs[t].cov)
             np.testing.assert_array_equal(X, beliefs[t + 1].cov @ gains[t].T)

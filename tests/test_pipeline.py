@@ -1,15 +1,16 @@
 """End-to-end driver: recovery on controlled scenes, diagnostics, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mtunmix.em import EmParams
+from mtunmix.em import EmParams, check_finite
 from mtunmix import pipeline
 from mtunmix.errors import FactorizationError, NumericalAbortError
 from mtunmix.hseq import GlmmModel, devectorize_frame
-from mtunmix.kalman import Belief, Trajectory
 from mtunmix.metrics import nrmse
-from mtunmix.pipeline import PipelineConfig, _check_finite, default_init, run_kalman_em
+from mtunmix.pipeline import PipelineConfig, _em_iteration, default_init, run_kalman_em
 from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
 
 
@@ -135,6 +136,11 @@ class TestRunKalmanEm:
         with pytest.raises(ValueError, match="K_max"):
             PipelineConfig(init=default_init(4, 3, 2, np.full((2, 3), 0.5)), K_max=0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan, np.inf])
+    def test_lambda_must_be_finite_and_nonnegative(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and nonnegative"):
+            PipelineConfig(init=default_init(4, 3, 2, np.full((2, 3), 0.5)), lam=lam)
+
     def test_band_count_mismatch_rejected(self):
         seq, truth, model = identity_scene(L=10)
         other = GlmmModel(M0=synthetic_endmembers(11, 3, seed=9))
@@ -156,9 +162,23 @@ class TestFiniteGuard:
             sigma_r2=theta.sigma_r2,
             psi00=theta.psi00,
         )
-        empty = Trajectory(Belief(theta.psi00, theta.P00), [], [], theta.Q, [])
         with pytest.raises(NumericalAbortError, match="iteration 3") as err:
-            _check_finite(bad, empty, 3)
+            with _em_iteration(3):
+                check_finite(bad.A, bad.P00, bad.Q, bad.sigma_r2, bad.psi00)
+        assert err.value.iteration == 3
+
+    def test_non_finite_final_pass_names_its_iteration(self, monkeypatch):
+        # the pass after the K_max EM iterations is checked as iteration K_max + 1
+        seq, truth, model = identity_scene()
+        config = PipelineConfig(init=default_init(seq.L, seq.N, 3, truth.abundances[0]), K_max=2)
+        real = pipeline.run_filter
+
+        def overflowing(*args):
+            return dataclasses.replace(real(*args), loglik=np.inf)
+
+        monkeypatch.setattr(pipeline, "run_filter", overflowing)
+        with pytest.raises(NumericalAbortError, match="at EM iteration 3") as err:
+            run_kalman_em(seq, model, config)
         assert err.value.iteration == 3
 
     def test_factorization_failure_names_em_iteration(self, monkeypatch):

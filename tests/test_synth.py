@@ -73,6 +73,18 @@ class TestGenerate:
         with pytest.raises(ValueError, match="NaN"):
             SynthConfig(L=4, N=3, T=2, P=2, snr_db=float("nan"))
 
+    def test_minus_infinite_snr_rejected(self):
+        with pytest.raises(ValueError, match="-inf"):
+            SynthConfig(L=4, N=3, T=2, P=2, snr_db=-np.inf)
+
+    def test_psis_are_band_by_material(self):
+        cfg = SynthConfig(L=5, N=3, T=2, P=2, rng_seed=6)
+        M0 = synthetic_endmembers(5, 2, seed=6)
+        _, truth = generate(cfg, M0)
+        for psi, M in zip(truth.psis, truth.endmembers):
+            assert psi.shape == (5, 2)
+            np.testing.assert_array_equal(M, M0 * psi)
+
     def test_numpy_scalars_accepted(self):
         cfg = SynthConfig(
             L=np.int64(4), N=np.int32(3), T=2, P=2, snr_db=np.float64(20.0),
