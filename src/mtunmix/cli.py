@@ -162,6 +162,8 @@ def _load_m0(args, L: int, P_hint: int | None):
         if file_L != L:
             raise ValueError(f"endmember sidecar {sidecar} declares L={file_L}, expected L={L}")
     M0 = read_matrix(path, L)
+    if not np.all(np.isfinite(M0)):
+        raise ValueError(f"endmember file {path} holds non-finite entries")
     if P_hint is not None and M0.shape[1] != P_hint:
         raise ValueError(f"endmember file has P={M0.shape[1]}, expected P={P_hint}")
     return M0

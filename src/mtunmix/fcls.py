@@ -6,42 +6,33 @@ Solves, for every column y of a frame,
     s.t.   a >= 0,  1.T a = 1
 
 With G = M.T M + lambda I and b = M.T y + lambda a_ref this is the QP
-min a.T G a - 2 b.T a over the simplex. The solver works on a whole frame at
-once. For P <= ENUMERATION_MAX_P it is exact: the minimizer is the best
-nonnegative solution of the equality-constrained problem on some support, so
-each of the 2^P - 1 supports gets one KKT inverse, applied to every column,
-and each column keeps its feasible candidate with the lowest objective (the
-active-set view of FCLS, Heinz & Chang 2001). Single-vertex supports always
-solve, so every column has a candidate. For larger P, where enumeration grows
-too costly, an accelerated projected-gradient method runs on all columns at
-once, through the column-wise projection :func:`project_simplex`, and stops
-each column on its own.
+min a.T G a - 2 b.T a over the simplex, solved exactly (to rounding) for every
+P by the primal active-set method: the FCLS of Heinz & Chang (2001) in the
+form of Lawson-Hanson NNLS (1974), with the sum-to-one row in the KKT system.
+Each column starts at its best vertex and keeps a support S and a feasible
+point a. A step solves [[G_S, 1], [1.T, 0]] [z_S; mu] = [b_S; 1]. If some
+z_i <= 0, a moves toward z until the first entry reaches zero, and that index
+leaves S. Otherwise a = z, and the index with the most negative dual
+w_i = (G a - b)_i + mu joins S; with none negative, a is the minimizer. All
+unfinished columns of a frame step together through one stacked solve, whose
+rows and columns outside each column's support are the identity.
 
 :func:`fcls_refine_frame` is the one solver; :func:`fcls_solve` calls it on a
-one-column frame. Every product that involves the columns is summed term by
-term in a fixed order, never by a BLAS call whose blocking depends on the
-column count, so a column's result is bit-identical whether it is solved alone
-or in a frame.
+one-column frame. Each column's products and KKT solve involve that column
+only, so its result is bit-identical whether it is solved alone or in a frame.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
 import numpy as np
 
-#: largest P solved by support enumeration; above it, projected gradient.
-#: Measured on random 60-band designs with one BLAS thread: enumeration is
-#: the faster of the two up to P = 12 at both 50 and 400 columns per frame;
-#: from P = 13 (400 columns) or P = 15 (50 columns) it is the slower.
-ENUMERATION_MAX_P = 12
-MAX_ITERS = 2000
-KKT_STOP = 1e-8  # margin under the 1e-7 projected-gradient norm guaranteed
-#: the enumeration takes the columns in blocks whose candidate stacks
-#: (supports x support size x columns) hold at most about this many entries
-BLOCK_ENTRIES = 1 << 20
+#: each column may take at most this many active-set steps per material
+ITERATIONS_PER_MATERIAL = 10
+#: a dual joins the support below -DUAL_TOL * (max |G_ij| + max |b_i|)
+DUAL_TOL = 1e-13
 
 
 def project_simplex(V: np.ndarray) -> np.ndarray:
@@ -58,135 +49,88 @@ def project_simplex(V: np.ndarray) -> np.ndarray:
 
 
 def _apply(W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """W @ X over the last two axes (broadcast over leading ones), summed
-    term by term so that each column's value does not depend on the others."""
-    out = W[..., :, 0, None] * X[..., None, 0, :]
-    for j in range(1, W.shape[-1]):
-        out = out + W[..., :, j, None] * X[..., None, j, :]
-    return out
+    """W @ X over the last two axes (broadcast over leading ones). The terms
+    are summed elementwise in a fixed tree, the upper half folded onto the
+    lower until one is left, so a column's value depends on that column only."""
+    T = W[..., :, :, None] * X[..., None, :, :]
+    k = T.shape[-2]
+    while k > 1:
+        h = k // 2
+        T[..., :h, :] += T[..., k - h : k, :]
+        k -= h
+    return T[..., 0, :]
 
 
-def _sum_rows(X: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 in a fixed order (numpy's own sum turns pairwise when
-    the summed axis is contiguous, as it is for a single column)."""
-    out = X[..., 0, :]
-    for i in range(1, X.shape[-2]):
-        out = out + X[..., i, :]
-    return out
+def _solve_supports(K: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the stack of KKT systems, each on its own (one LAPACK gesv per
+    matrix); a singular matrix gives a NaN row instead of an exception."""
+    try:
+        return np.linalg.solve(K, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # some support is singular: find which
+        if len(K) == 1:
+            return np.full(rhs.shape, np.nan)
+        return np.vstack([_solve_supports(K[i : i + 1], rhs[i : i + 1]) for i in range(len(K))])
 
 
-def _objectives(G: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """x.T G x - 2 b.T x of every column, over the last two axes."""
-    return _sum_rows(X * (_apply(G, X) - 2.0 * B))
-
-
-def _kkt_residual(G: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Unit-step projected-gradient norm of every column."""
-    D = X - project_simplex(X - (_apply(G, X) - B))
-    return np.sqrt(_sum_rows(D * D))
-
-
-def _support_systems(G: np.ndarray) -> list:
-    """For each support size r = 2..P: the supports (count x r), their blocks
-    G_S and the inverses of their (r+1) x (r+1) KKT matrices
-    [[G_S, 1], [1.T, 0]]. Supports with a singular KKT matrix are left out."""
-    P = G.shape[0]
-    systems = []
-    for r in range(2, P + 1):
-        supports = np.array(list(itertools.combinations(range(P), r)), dtype=np.intp)
-        G_S = G[supports[:, :, None], supports[:, None, :]]
-        K = np.zeros((len(supports), r + 1, r + 1))
-        K[:, :r, :r] = G_S
-        K[:, :r, r] = 1.0
-        K[:, r, :r] = 1.0
-        try:
-            inv = np.linalg.inv(K)
-        except np.linalg.LinAlgError:  # some support is singular: find which
-            inv = np.full_like(K, np.nan)
-            for s in range(len(K)):
-                try:
-                    inv[s] = np.linalg.inv(K[s])
-                except np.linalg.LinAlgError:
-                    pass
-        ok = np.all(np.isfinite(inv), axis=(1, 2))
-        if ok.any():
-            systems.append((supports[ok], G_S[ok], inv[ok]))
-    return systems
-
-
-def _enumerate_supports(G: np.ndarray, B: np.ndarray, systems: list) -> np.ndarray:
-    """Exact simplex-constrained minimizer of every column of B."""
+def _active_set(G: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Exact simplex-constrained minimizer of a.T G a - 2 b.T a for every
+    column b of B. The loop keeps one row per column: X[n] is column n's
+    point and S[n] its support, with the always-present sum row last."""
     P, N = B.shape
-    cols = np.arange(N)
-    # single vertices: a = e_i, objective G_ii - 2 b_i
-    vertex_obj = np.diag(G)[:, None] - 2.0 * B
-    pick = np.argmin(vertex_obj, axis=0)
-    best_obj = vertex_obj[pick, cols]
-    best = np.zeros((P, N))
-    best[pick, cols] = 1.0
-    for supports, G_S, inv in systems:
-        r = supports.shape[1]
-        B_S = B[supports]
-        X = _apply(inv[:, :r, :r], B_S) + inv[:, :r, r, None]
-        # put sum(x) back on 1 to rounding, so that a poorly conditioned
-        # support cannot bring a point off the simplex into the comparison
-        X = X + (1.0 - _sum_rows(X))[:, None, :] / r
-        obj = _objectives(G_S, B_S, X)
-        obj[~np.all(X >= 0.0, axis=1)] = np.inf
-        s = np.argmin(obj, axis=0)
-        take = obj[s, cols] < best_obj
-        s, c = s[take], cols[take]
-        best_obj[c] = obj[s, c]
-        best[:, c] = 0.0
-        best[supports[s], c[:, None]] = X[s, :, c]
-    return best
-
-
-def _accelerated_gradient(G: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Accelerated projected gradient (FISTA) on every column at once.
-
-    Step 1 / lambda_max(G). A column stops once its unit-step projected-
-    gradient norm is within KKT_STOP, or once a plain gradient step (no
-    momentum) leaves it where it was or returns it to the previous iterate:
-    then floating point cannot move it. Any other stall is a momentum cycle
-    and restarts momentum. Momentum also restarts whenever a step would
-    increase the objective, so each column's objective is non-increasing.
-    """
-    P, N = B.shape
-    step = 1.0 / float(np.linalg.eigvalsh(G)[-1])
-    X = np.full((P, N), 1.0 / P)
-    F = _objectives(G, B, X)
-    X_prev, Z, t = X.copy(), X.copy(), np.ones(N)
-    act = np.arange(N)
-    for _ in range(MAX_ITERS):
-        x, z, b, f = X[:, act], Z[:, act], B[:, act], F[act]
-        plain = np.all(z == x, axis=0)
-        x_new = project_simplex(z - step * (_apply(G, z) - b))
-        f_new = _objectives(G, b, x_new)
-        up = f_new > f
-        if up.any():
-            x_new[:, up] = project_simplex(x[:, up] - step * (_apply(G, x[:, up]) - b[:, up]))
-            f_new[up] = _objectives(G, b[:, up], x_new[:, up])
-            plain |= up
-        stalled = np.all(x_new == x, axis=0) | np.all(x_new == X_prev[:, act], axis=0)
-        kkt = _kkt_residual(G, b, x_new)
-        done = (kkt <= KKT_STOP) | (stalled & plain)
-        t_act = np.where(up | stalled, 1.0, t[act])
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_act * t_act))
-        z_new = x_new + ((t_act - 1.0) / t_next) * (x_new - x)
-        X_prev[:, act], X[:, act], Z[:, act] = x, x_new, z_new
-        F[act], t[act] = f_new, t_next
-        act = act[~done]
+    rows = np.arange(N)
+    vertex = np.argmin(np.diag(G)[:, None] - 2.0 * B, axis=0)
+    X = np.zeros((N, P))
+    X[rows, vertex] = 1.0
+    S = np.zeros((N, P + 1), dtype=bool)
+    S[rows, vertex] = S[:, P] = True
+    rhs = np.hstack([B.T, np.ones((N, 1))])
+    kkt = np.ones((P + 1, P + 1))
+    kkt[:P, :P], kkt[P, P] = G, 0.0
+    eye = np.eye(P + 1)
+    tol = DUAL_TOL * (np.max(np.abs(G)) + np.max(np.abs(B), axis=0))
+    # a vertex is its own support solution, with mu = b_k - G_kk
+    act, s, z, mu = rows, S, X.copy(), B[vertex, rows] - G[vertex, vertex]
+    blocked, free = np.zeros(N, dtype=bool), np.ones(N, dtype=bool)
+    for _ in range(ITERATIONS_PER_MATERIAL * P):
+        if blocked.any():
+            # the support solution leaves the simplex: step toward it until
+            # the first entry reaches zero, and drop that index
+            c, x, z_b = act[blocked], X[act[blocked]], z[blocked]
+            neg = s[blocked, :P] & (z_b <= 0.0)
+            ratio = np.where(neg, x, np.inf)
+            np.divide(ratio, x - z_b, out=ratio, where=neg & (x > z_b))
+            leave = ratio.argmin(axis=1)
+            step = ratio[np.arange(c.size), leave, None]
+            X[c] = np.maximum(x + step * (z_b - x), 0.0)
+            X[c, leave] = S[c, leave] = 0
+        # the support solution is feasible: the most negative dual joins
+        c, z_f = act[free], z[free]
+        w = _apply(G, z_f.T).T - B.T[c] + mu[free, None]
+        w[s[free, :P]] = np.inf
+        join = w.argmin(axis=1)
+        adds = w[np.arange(c.size), join] < -tol[c]
+        X[c] = z_f
+        S[c[adds], join[adds]] = True
+        act = np.concatenate([act[blocked], c[adds]])
         if not act.size:
-            return X
-    kkt = _kkt_residual(G, B, X)
-    warnings.warn(
-        f"fcls hit the {MAX_ITERS}-iteration cap on {act.size} of {N} columns "
-        f"(largest projected-gradient norm {float(np.max(kkt[act])):.3e})",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return X
+            break
+        s = S[act]
+        K = np.where(s[:, :, None] & s[:, None, :], kkt, eye)
+        sol = _solve_supports(K, np.where(s, rhs[act], 0.0))
+        z, mu = sol[:, :P], sol[:, P]
+        # a support turns singular only through rounding, when the joining
+        # index's dual is zero in exact arithmetic: that column stops there
+        ok = ~np.isnan(mu)
+        blocked = (s[:, :P] & (z <= 0.0)).any(axis=1) & ok
+        free = ok & ~blocked
+    else:
+        warnings.warn(
+            f"fcls hit the iteration cap ({ITERATIONS_PER_MATERIAL} x {P} active-set "
+            f"steps) on {act.size} of {N} columns",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    return X.T.copy()
 
 
 def fcls_solve(
@@ -211,27 +155,25 @@ def fcls_refine_frame(
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"design must be a matrix, got shape {M.shape}")
+    if Y.ndim != 2:
+        raise ValueError(f"frame must be a matrix, got shape {Y.shape}")
     if not 0 <= lam < math.inf:
         raise ValueError("lambda must be finite and nonnegative")
     if Y.shape[0] != M.shape[0]:
         raise ValueError(f"band mismatch: frame has {Y.shape[0]}, design has {M.shape[0]}")
     P, N = M.shape[1], Y.shape[1]
-    G = M.T @ M
-    B = _apply(M.T, Y)
     if lam > 0:
         if A_ref is None:
             raise ValueError("lam > 0 requires reference abundances")
         A_ref = np.asarray(A_ref, dtype=float)
         if A_ref.shape != (P, N):
             raise ValueError(f"reference shape {A_ref.shape}, expected {(P, N)}")
-        G = G + lam * np.eye(P)
-        B = B + lam * A_ref
+    # the solver's stopping tests are comparisons, which NaN would defeat
+    for name, X in (("design", M), ("frame", Y), ("reference", A_ref if lam > 0 else 0.0)):
+        if not np.all(np.isfinite(X)):
+            raise ValueError(f"{name} must be finite")
+    G = M.T @ M + lam * np.eye(P)
+    B = _apply(M.T, Y) + (lam * A_ref if lam > 0 else 0.0)
     if not np.any(G):
         raise ValueError("design matrix must be nonzero")
-    if P > ENUMERATION_MAX_P:
-        return _accelerated_gradient(G, B)
-    systems = _support_systems(G)
-    width = max(1, BLOCK_ENTRIES // max(math.comb(P, r) * r for r in range(1, P + 1)))
-    return np.hstack(
-        [_enumerate_supports(G, B[:, lo : lo + width], systems) for lo in range(0, N, width)]
-    )
+    return _active_set(G, B)

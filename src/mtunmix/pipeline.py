@@ -101,18 +101,21 @@ def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) ->
         raise ValueError(f"initial A shape {theta.A.shape}, expected {(model.P, seq.N)}")
 
     logliks, q_values, sigmas = [], [], []
-    for k in range(1, config.K_max + 1):
-        with _em_iteration(k):
-            theta, loglik, _, q_value = em_iterate(ys, model.m0, theta)
-        logliks.append(loglik)
-        q_values.append(float(q_value))
-        sigmas.append(float(theta.sigma_r2))
+    # an overflow or NaN here is reported once, by check_finite (exit 4),
+    # not as numpy warnings on the way there
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(1, config.K_max + 1):
+            with _em_iteration(k):
+                theta, loglik, _, q_value = em_iterate(ys, model.m0, theta)
+            logliks.append(loglik)
+            q_values.append(float(q_value))
+            sigmas.append(float(theta.sigma_r2))
 
-    mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
-    with _em_iteration(config.K_max + 1):
-        traj = run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00))
-        means = rts_smooth(traj)
-        check_finite(traj.loglik, *means)
+        mm = ModelMatrices(A=theta.A, m0=model.m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
+        with _em_iteration(config.K_max + 1):
+            traj = run_filter(ys, mm, Belief(mean=theta.psi00, cov=theta.P00))
+            means = rts_smooth(traj)
+            check_finite(traj.loglik, *means)
     logliks.append(traj.loglik)
 
     psis = tuple(devectorize_frame(psi, model.L, model.P) for psi in means[1:])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -281,6 +282,27 @@ class TestUnmix:
         assert code == 3
         assert f"{mpath} declares {key}=0" in err
 
+    @pytest.mark.parametrize("command", ["generate", "unmix", "fcls"])
+    def test_non_finite_m0_exit_2(self, small_dataset, tmp_path, capsys, command):
+        data, _ = small_dataset
+        M0 = synthetic_endmembers(20, 3, seed=9)
+        M0[4, 1] = np.nan
+        m0_path = tmp_path / "bad.f64"
+        m0_path.write_bytes(M0.astype("<f8").tobytes(order="F"))  # write_matrix refuses NaN
+        out = tmp_path / "x"
+        if command == "generate":
+            args = ["--L", "20", "--N", "4", "--T", "2", "--P", "3"]
+        else:
+            args = ["--input", str(data)]
+        code, stdout, err = run_cli(
+            capsys, command, *args, "--m0", str(m0_path), "--out", str(out)
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"invalid arguments: endmember file {m0_path} holds non-finite entries"
+        ]
+        assert stdout == "" and not (out.exists() and any(out.rglob("*")))
+
     def test_factorization_failure_exit_4(self, small_dataset, tmp_path, capsys, monkeypatch):
         data, _ = small_dataset
 
@@ -312,13 +334,16 @@ class TestUnmix:
         # the log-likelihood overflows, or sigma_r2 turns NaN, in iteration 2
         data, m0 = scaled_scene(tmp_path, scale)
         out = tmp_path / "x"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, stdout, err = run_cli(
                 capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
             )
         assert code == 4
-        assert "non-finite state encountered at EM iteration 2" in err
-        assert "Traceback" not in err and stdout == ""
+        assert err.splitlines() == [
+            "numerical abort: non-finite state encountered at EM iteration 2"
+        ]
+        assert caught == [] and stdout == ""
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -339,13 +364,16 @@ class TestUnmix:
 
         monkeypatch.setattr(em, "run_filter", poisoned)
         out = tmp_path / "x"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code, stdout, err = run_cli(
                 capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
             )
         assert code == 4
-        assert "non-finite state encountered at EM iteration 2" in err
-        assert "Traceback" not in err and stdout == ""
+        assert err.splitlines() == [
+            "numerical abort: non-finite state encountered at EM iteration 2"
+        ]
+        assert caught == [] and stdout == ""
         assert not (out / "manifest.json").exists()
 
     def test_requires_m0_or_vca(self, small_dataset, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Simplex projection and constrained least squares against exhaustive oracles."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtunmix import fcls
-from mtunmix.fcls import ENUMERATION_MAX_P, fcls_refine_frame, fcls_solve, project_simplex
+from mtunmix.fcls import fcls_refine_frame, fcls_solve, project_simplex
 from oracles import project_simplex_vector, projected_gradient_norm
 
 
@@ -263,6 +264,19 @@ class TestFrameSolve:
         with pytest.raises(ValueError, match="matrix"):
             fcls_refine_frame(np.ones((3, 2)), np.ones(3), None, 0.0)
 
+    @pytest.mark.parametrize("K", [1, 2, 7, 173])
+    def test_apply_is_matmul_per_column(self, K):
+        # a fixed summation tree: rounding-level agreement with BLAS, and each
+        # column bit-identical to the product with that column alone
+        rng = np.random.default_rng(K)
+        W, X = rng.standard_normal((3, K)), rng.standard_normal((K, 9))
+        out = fcls._apply(W, X)
+        bound = 4 * K * np.finfo(float).eps * (np.abs(W) @ np.abs(X))
+        assert np.all(np.abs(out - W @ X) <= bound)
+        for n in range(9):
+            np.testing.assert_array_equal(out[:, n], fcls._apply(W, X[:, n : n + 1])[:, 0])
+        np.testing.assert_array_equal(out, fcls._apply(np.asfortranarray(W), np.asfortranarray(X)))
+
     def test_single_column_frame(self):
         rng = np.random.default_rng(12)
         M = well_posed_design(rng, 6, 3)
@@ -327,22 +341,87 @@ class TestDegenerateInputs:
         with pytest.raises(ValueError, match="nonzero"):
             fcls_refine_frame(np.ones((3, 4)), np.zeros((3, 2)), None, 0.0)
 
+    def test_one_dimensional_frame_rejected(self):
+        with pytest.raises(ValueError, match="frame must be a matrix"):
+            fcls_refine_frame(np.ones(3), np.ones((3, 2)), None, 0.0)
 
-class TestGradientPath:
-    """P above ENUMERATION_MAX_P runs accelerated projected gradient."""
+    @pytest.mark.parametrize("where", ["design", "frame", "reference"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, where, value):
+        rng = np.random.default_rng(23)
+        inputs = {
+            "frame": rng.standard_normal((4, 3)),
+            "design": rng.standard_normal((4, 2)),
+            "reference": project_simplex(rng.standard_normal((2, 3))),
+        }
+        inputs[where][1, 1] = value
+        with pytest.raises(ValueError, match=f"{where} must be finite"):
+            fcls_refine_frame(inputs["frame"], inputs["design"], inputs["reference"], 0.5)
 
-    P = ENUMERATION_MAX_P + 1
+    def test_iteration_cap_warns(self, monkeypatch):
+        # with no steps allowed the column stays at its best vertex
+        monkeypatch.setattr(fcls, "ITERATIONS_PER_MATERIAL", 0)
+        with pytest.warns(RuntimeWarning, match="iteration cap"):
+            out = fcls_solve(STALL_M, STALL_Y)
+        np.testing.assert_array_equal(out, [0.0, 1.0, 0.0])
 
-    def problem(self, seed, N):
+    def test_singular_support_solves_to_nan(self):
+        singular = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        out = fcls._solve_supports(np.array([np.eye(3), singular]), np.ones((2, 3)))
+        np.testing.assert_array_equal(out[0], 1.0)
+        assert np.isnan(out[1]).all()
+
+    def test_singular_support_leaves_its_column_in_place(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        M = well_posed_design(rng, 6, 4)
+        Y = rng.standard_normal((6, 5))
+        expected = fcls_refine_frame(Y, M, None, 0.0)
+        real, calls = fcls._solve_supports, []
+
+        def first_system_singular(K, rhs):
+            out = real(K, rhs)
+            if not calls:
+                calls.append(None)
+                out[0] = np.nan
+            return out
+
+        monkeypatch.setattr(fcls, "_solve_supports", first_system_singular)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = fcls_refine_frame(Y, M, None, 0.0)
+        assert calls
+        # the first column to take a step is the first whose vertex is not optimal
+        first = np.flatnonzero(np.sum(expected == 1.0, axis=0) == 0)[0]
+        vertex = np.argmin(np.diag(M.T @ M) - 2.0 * (M.T @ Y[:, first]))
+        np.testing.assert_array_equal(frame[:, first], np.eye(4)[vertex])
+        others = np.arange(5) != first
+        np.testing.assert_array_equal(frame[:, others], expected[:, others])
+
+
+class TestLargeP:
+    """P where enumerating supports (2^P of them) is out of reach."""
+
+    def problem(self, seed, P, N):
         rng = np.random.default_rng(seed)
-        M = well_posed_design(rng, 2 * self.P, self.P)
-        A_ref = rng.dirichlet(np.ones(self.P), size=N).T
-        A = rng.dirichlet(np.full(self.P, 0.3), size=N).T
-        Y = M @ A + 0.3 * rng.standard_normal((2 * self.P, N))
+        M = well_posed_design(rng, 2 * P, P)
+        A_ref = rng.dirichlet(np.ones(P), size=N).T
+        A = rng.dirichlet(np.full(P, 0.3), size=N).T
+        Y = M @ A + 0.3 * rng.standard_normal((2 * P, N))
         return M, Y, A_ref
 
+    @pytest.mark.parametrize("P", [13, 16, 24])
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_kkt_and_feasibility(self, P, lam):
+        M, Y, A_ref = self.problem(P, P, 20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            frame = fcls_refine_frame(Y, M, A_ref, lam)
+        for n in range(20):
+            assert projected_gradient_norm(M, Y[:, n], frame[:, n], lam, A_ref[:, n]) <= 1e-9
+        assert np.max(np.abs(frame.sum(axis=0) - 1.0)) <= 1e-12 and frame.min() >= 0.0
+
     def test_regularized_matches_active_set_oracle(self):
-        M, Y, A_ref = self.problem(16, 3)
+        M, Y, A_ref = self.problem(16, 13, 3)
         frame = fcls_refine_frame(Y, M, A_ref, 0.5)
         for n in range(3):
             oracle = active_set_oracle(M, Y[:, n], lam=0.5, a_ref=A_ref[:, n])
@@ -350,40 +429,17 @@ class TestGradientPath:
             assert abs(frame[:, n].sum() - 1.0) <= 1e-9 and frame[:, n].min() >= 0.0
 
     def test_columns_bit_identical_to_single_solves(self):
-        M, Y, A_ref = self.problem(17, 5)
+        M, Y, A_ref = self.problem(17, 13, 5)
         frame = fcls_refine_frame(Y, M, A_ref, 0.2)
         for n in range(5):
             col = fcls_solve(M, Y[:, n], 0.2, A_ref[:, n])
             np.testing.assert_array_equal(frame[:, n], col)
 
-    def test_momentum_stall_problem_reaches_the_minimizer(self, monkeypatch):
-        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
-        out = fcls_solve(STALL_M, STALL_Y)
-        np.testing.assert_allclose(out, active_set_oracle(STALL_M, STALL_Y), atol=1e-6)
-
-    def test_small_problems_meet_the_kkt_bound(self, monkeypatch):
-        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
-        rng = np.random.default_rng(18)
-        for _ in range(40):
-            P = int(rng.integers(2, 5))
-            M = well_posed_design(rng, int(rng.integers(P + 1, 9)), P)
-            Y = rng.standard_normal((M.shape[0], 3))
-            frame = fcls_refine_frame(Y, M, None, 0.0)
-            for n in range(3):
-                assert projected_gradient_norm(M, Y[:, n], frame[:, n]) <= 1e-7
-                np.testing.assert_allclose(frame[:, n], active_set_oracle(M, Y[:, n]), atol=1e-6)
-
-    def test_iteration_cap_warns(self, monkeypatch):
-        monkeypatch.setattr(fcls, "ENUMERATION_MAX_P", 0)
-        monkeypatch.setattr(fcls, "MAX_ITERS", 1)
-        with pytest.warns(RuntimeWarning, match="iteration cap"):
-            fcls_solve(STALL_M, STALL_Y)
-
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    P=st.integers(1, 6),
+    P=st.integers(1, 8),
     extra_bands=st.integers(0, 5),
     N=st.integers(1, 8),
     lam=st.one_of(st.just(0.0), st.floats(1e-3, 10.0)),
