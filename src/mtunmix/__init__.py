@@ -3,14 +3,17 @@
 Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
-- :mod:`mtunmix.kronops`  Cholesky solves (plain or jittered) and factor inverses,
-                          PSD flooring with a positive-definite test;
-                          loads SciPy's LAPACK extension on first use
+- :mod:`mtunmix.kronops`  the covariance layer: Cholesky solves (plain or jittered),
+                          factor inverses, log-determinants and PSD flooring for a
+                          dense matrix (LAPACK, loaded from SciPy's extension on
+                          first use) or an (L, P, P) band stack (NumPy) alike
 - :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
                           predictions) into a frozen trajectory, RTS smoothed means,
-                          and the smoothed-covariance recursion, one step at a time
+                          and the smoothed-covariance recursion, one step at a time,
+                          on dense covariances or band stacks through the same lines
 - :mod:`mtunmix.em`       sufficient statistics streamed from that recursion,
-                          closed-form M-steps, one finiteness check per iteration
+                          closed-form M-steps, one finiteness check per iteration;
+                          a pass from band-diagonal P00 and Q runs on band stacks
 - :mod:`mtunmix.fcls`     column-wise simplex projection and one frame-wide
                           simplex-constrained least-squares solver
 - :mod:`mtunmix.vca`      endmember extraction

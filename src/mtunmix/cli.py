@@ -60,10 +60,19 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform has
+    one, else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_replicas(fn, jobs: list[tuple]) -> list:
     """``fn(*job)`` for every job on a thread pool of at most one thread per
-    core; the results in job order, the first exception re-raised."""
-    workers = max(1, min(len(jobs), os.cpu_count() or 1))
+    CPU the process may use; the results in job order, the first exception
+    re-raised."""
+    workers = max(1, min(len(jobs), _usable_cpus()))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
@@ -170,12 +179,13 @@ def _load_m0(args, L: int, P_hint: int | None):
 
 
 def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
-    seq = read_hseq(input_dir)
+    manifest = read_manifest(input_dir)
+    seq = read_hseq(input_dir, manifest)
     if args.m0 is not None:
         # an explicit endmember file defines P; --p is only a cross-check
         M0 = _load_m0(args, seq.L, args.p)
     else:
-        P = args.p if args.p is not None else read_manifest(input_dir).P
+        P = args.p if args.p is not None else manifest.P
         if P is None:
             raise ValueError("--vca needs --p (or a P entry in the input manifest)")
         M0 = np.maximum(vca_extract(seq.frames[0], P, seed=seed), 0.0)

@@ -9,6 +9,12 @@ the initial belief, the process noise, the observation noise variance, and
 the average abundance matrix. Before the new parameters are built, one
 finiteness check covers them, the log-likelihood and the smoothed means.
 
+An iteration whose P00 and Q are both exactly zero between bands, as
+``default_init``'s are, filters and smooths on (L, P, P) band stacks (see
+:mod:`mtunmix.kalman`). Only the rank-T outer products of the smoothed mean
+increments in D are not zero between bands, so D, S_0 and the M-steps stay
+dense.
+
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
 enter the normal equations, so the solve is P x P instead of PL x PL. The
@@ -32,9 +38,13 @@ from .kalman import (
     smoothed_covariances,
 )
 from .kronops import (
+    band_blocks,
+    band_diagonal,
+    band_index,
     cho_factor_jittered,
     cho_inverse,
     cho_logdet,
+    dense_form,
     psd_floor,
     spd_solve,
     symmetrize,
@@ -99,20 +109,22 @@ def accumulate_stats(
     reduced as each backward step yields them: added into D, and their
     same-band entries S_t[(p, l), (q, l)] (the only ones the block traces of
     diag(m0) S1 diag(m0) read) into an L x P x P array. No smoothed
-    covariance outlives its step, and S1 itself is never formed.
+    covariance outlives its step, and S1 itself is never formed. D and S_0
+    are dense in both layouts.
     """
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
 
     D = np.zeros((P * L, P * L))
+    at = band_index(L, P) if model.Q.ndim == 3 else ...  # where a step's covariances go in D
     band = np.zeros((L, P, P))
     t = T
     for S_t, S_prev, X in smoothed_covariances(traj, model.Q):
         delta = means[t] - means[t - 1]
-        D += S_t
-        D += S_prev
-        D -= X + X.T  # exactly symmetric, as every other term, so D is too
+        D[at] += S_t
+        D[at] += S_prev
+        D[at] -= X + X.mT  # exactly symmetric, as every other term, so D is too
         D += np.outer(delta, delta)
-        band += np.einsum("iljl->lij", S_t.reshape(P, L, P, L))
+        band += band_blocks(S_t, L)
         S_0 = S_prev
         del S_t, X  # not alive beside the next step's matrices
         t -= 1
@@ -136,7 +148,7 @@ def accumulate_stats(
         gram_block_trace=gram_bt,
         cross_block_trace=cross_bt,
     )
-    return stats, Belief(mean=means[0], cov=S_0)
+    return stats, Belief(mean=means[0], cov=dense_form(S_0))
 
 
 def _obs_residual_trace(stats: SufficientStats, A: np.ndarray) -> float:
@@ -239,9 +251,14 @@ def em_iterate(
     variance with the *new* abundances so the (A, sigma_r2) block is maximized
     jointly. A non-finite log-likelihood, smoothed mean or updated parameter
     raises :class:`NumericalAbortError` before the new parameters are built.
+    The pass runs on band stacks when P00 and Q are both zero between bands.
     """
-    model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
-    traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))
+    L = theta.psi00.size // theta.A.shape[0]
+    P00, Q = theta.P00, theta.Q
+    if band_diagonal(P00, L) and band_diagonal(Q, L):
+        P00, Q = band_blocks(P00, L), band_blocks(Q, L)
+    model = ModelMatrices(A=theta.A, m0=m0, Q=Q, sigma_r2=theta.sigma_r2)
+    traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=P00))
     means = rts_smooth(traj)
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
 

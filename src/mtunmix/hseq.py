@@ -246,10 +246,12 @@ def read_manifest(path: Path | str) -> Manifest:
     return manifest
 
 
-def read_hseq(path: Path | str) -> HsiSequence:
-    """Read an HSEQ directory, failing loudly on any size mismatch."""
+def read_hseq(path: Path | str, manifest: Manifest | None = None) -> HsiSequence:
+    """Read an HSEQ directory, failing loudly on any size mismatch. A
+    ``manifest`` already read from the directory is not parsed again."""
     root = Path(path)
-    manifest = read_manifest(root)
+    if manifest is None:
+        manifest = read_manifest(root)
     if not manifest.frame_files:
         raise SequenceFormatError(f"manifest in {root} lists no frame files")
     frames = []

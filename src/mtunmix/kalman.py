@@ -10,7 +10,8 @@ and likelihood terms go through the Woodbury identity
     B.T S_t^-1 = s2i B.T - s2i^2 B.T B (P^-1 + s2i B.T B)^-1 B.T,   s2i = 1/sigma_r2
 
 using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m0)``
-is assembled analytically. The posterior covariance ``P - P B.T S^-1 B P``
+is assembled analytically from its L blocks of size P x P: it couples only
+the P entries of one band. The posterior covariance ``P - P B.T S^-1 B P``
 is formed as ``C^-1`` with ``C = P^-1 + s2i B.T B``, and both inverses come
 from their Cholesky factors (LAPACK ``potri``), exactly symmetric. A singular
 or nearly singular P takes the same formulas through its PSD square root H,
@@ -27,6 +28,12 @@ and the log-likelihood. :func:`rts_smooth` returns the smoothed means, two
 matrix-vector products per step. :func:`smoothed_covariances` yields each
 smoothed covariance and lag-one cross covariance as the backward pass
 reaches it, for the EM statistics to reduce at once; none is stored.
+
+Covariances take the model's Q's layout (:mod:`mtunmix.kronops`): dense, or
+an (L, P, P) band stack when Q and the initial covariance are zero between
+bands. B.T B is too, so the filter and smoother then run as L independent
+P x P problems through the same lines, at O(T L P^3) in place of O(T (PL)^3).
+Means are PL vectors in both layouts.
 """
 
 from __future__ import annotations
@@ -40,11 +47,12 @@ import numpy as np
 
 from .errors import FactorizationError
 from .kronops import (
-    cho_factor,
     cho_factor_jittered,
-    cho_inverse,
     cho_logdet,
     cho_solve,
+    dense_form,
+    factor,
+    factor_inverse,
     symmetrize,
 )
 
@@ -63,8 +71,9 @@ class ModelMatrices:
 
     ``B`` is defined by construction from the average abundances ``A`` (P x N)
     and the vectorized reference endmembers ``m0`` (length LP); the dense
-    NL x PL matrix is never formed. ``Q`` is stored symmetrized, so the
-    predictions built from it stay exactly symmetric.
+    NL x PL matrix is never formed. ``Q``, dense or a band stack, sets the
+    layout of the covariances; it is stored symmetrized, so the predictions
+    built from it stay exactly symmetric.
     """
 
     A: np.ndarray
@@ -80,7 +89,7 @@ class ModelMatrices:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "m0", m0)
         Q = np.asarray(self.Q, dtype=float)
-        if Q.shape != (m0.size, m0.size):
+        if Q.shape not in ((m0.size, m0.size), (m0.size // A.shape[0], A.shape[0], A.shape[0])):
             raise ValueError(f"Q shape {Q.shape} vs state dim {m0.size}")
         object.__setattr__(self, "Q", symmetrize(Q))
         if not self.sigma_r2 > 0:
@@ -109,9 +118,14 @@ class ModelMatrices:
 
     @cached_property
     def btb(self) -> np.ndarray:
-        """B.T @ B = diag(m0) (A A.T (x) I_L) diag(m0), assembled directly."""
-        G = np.kron(self.A @ self.A.T, np.eye(self.L))
-        return symmetrize(G * self.m0[:, None] * self.m0[None, :])
+        """B.T @ B = diag(m0) (A A.T (x) I_L) diag(m0) in Q's layout.
+
+        Band l's block is diag(M0[l]) A A.T diag(M0[l]); the dense form holds
+        these blocks and zeros between bands.
+        """
+        M0 = self.m0_mat
+        blocks = symmetrize((self.A @ self.A.T) * M0[:, :, None] * M0[:, None, :])
+        return blocks if self.Q.ndim == 3 else dense_form(blocks)
 
     def apply_B(self, psi: np.ndarray) -> np.ndarray:
         """B @ psi as vec((M0 * Psi) @ A) without forming B."""
@@ -126,7 +140,7 @@ class ModelMatrices:
 
 @dataclass(frozen=True)
 class Belief:
-    """Gaussian state belief (mean psi, covariance P)."""
+    """Gaussian state belief (mean psi, covariance P, dense or a band stack)."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -134,8 +148,27 @@ class Belief:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.ascontiguousarray(self.mean, dtype=float).reshape(-1))
         object.__setattr__(self, "cov", np.ascontiguousarray(self.cov, dtype=float))
-        if self.cov.shape != (self.mean.size, self.mean.size):
-            raise ValueError(f"cov shape {self.cov.shape} vs mean length {self.mean.size}")
+        n, shape = self.mean.size, self.cov.shape
+        stack = len(shape) == 3 and shape[1] == shape[2] and shape[0] * shape[1] == n
+        if shape != (n, n) and not stack:
+            raise ValueError(f"cov shape {shape} vs mean length {n}")
+
+
+def _columns(x: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """A state vector as the operand of covariance C: itself for a dense C,
+    the (L, P, 1) columns of its bands for a stack."""
+    return x if C.ndim == 2 else x.reshape(C.shape[-1], -1).T[..., None]
+
+
+def _vector(X: np.ndarray) -> np.ndarray:
+    """The state vector of :func:`_columns`' result."""
+    return X if X.ndim == 1 else X[..., 0].T.reshape(-1)
+
+
+def _norm1(X: np.ndarray) -> float:
+    """1-norm of a matrix, or of the block-diagonal matrix of a stack (its
+    largest block's)."""
+    return np.abs(X).sum(axis=-2).max()
 
 
 @dataclass(frozen=True)
@@ -194,6 +227,10 @@ def update(
 
     The returned P^-1 is the inverse the Woodbury form needs anyway, or, on the
     fallback path, the pseudo-inverse of P from the same eigendecomposition.
+
+    On a band stack both decisions are those of the dense matrix: the
+    condition number is the product of the largest blocks' 1-norms, and the
+    pseudo-inverse cuts eigenvalues against the largest of all blocks.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != model.obs_dim:
@@ -201,31 +238,32 @@ def update(
     s2 = model.sigma_r2
     s2i = 1.0 / s2
     BtB = model.btb
-    d = pred.mean.size
     v = y - model.apply_B(pred.mean)
     bv = model.apply_Bt(v)
+    b = _columns(bv, pred.cov)
 
     try:
-        cP = cho_factor(pred.cov)
-        pred_precision = cho_inverse(cP)
-        cond = np.linalg.norm(pred.cov, 1) * np.linalg.norm(pred_precision, 1)
+        cP = factor(pred.cov)
+        pred_precision = factor_inverse(cP)
+        cond = _norm1(pred.cov) * _norm1(pred_precision)
         if not cond <= MAX_PRED_COND:
             raise FactorizationError(f"predicted covariance has condition number {cond:.1e}")
         # exactly symmetric: both terms are
         c_inner = cho_factor_jittered(pred_precision + s2i * BtB)
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
-        mid_bv = cho_solve(c_inner, bv)
-        cov = cho_inverse(c_inner)
+        mid = cho_solve(c_inner, b)
+        cov = factor_inverse(c_inner)
     except FactorizationError:
         w, V = np.linalg.eigh(symmetrize(pred.cov))
-        H = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        c_chat = cho_factor_jittered(symmetrize(np.eye(d) + s2i * (H @ BtB @ H)))
+        H = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.mT
+        c_chat = cho_factor_jittered(symmetrize(np.eye(w.shape[-1]) + s2i * (H @ BtB @ H)))
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(c_chat)
-        mid_bv = H @ cho_solve(c_chat, H @ bv)
-        cov = symmetrize(H @ cho_inverse(c_chat) @ H)
-        keep = w > w[-1] / MAX_PRED_COND
-        pred_precision = (V[:, keep] / w[keep]) @ V[:, keep].T
+        mid = H @ cho_solve(c_chat, H @ b)
+        cov = symmetrize(H @ factor_inverse(c_chat) @ H)
+        keep = (w > w.max() / MAX_PRED_COND)[..., None, :]
+        pred_precision = np.divide(V, w[..., None, :], out=np.zeros_like(V), where=keep) @ V.mT
 
+    mid_bv = _vector(mid)
     mean = pred.mean + s2i * mid_bv
     maha = s2i * float(v @ v) - s2i**2 * float(bv @ mid_bv)
     loglik = -0.5 * (model.obs_dim * _LOG_2PI + logdet_S + maha)
@@ -233,7 +271,10 @@ def update(
 
 
 def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Trajectory:
-    """Forward pass over the window; beliefs indexed t = 0..T, init at t = 0."""
+    """Forward pass over the window; beliefs indexed t = 0..T, init at t = 0,
+    whose covariance is in the layout of the model's Q."""
+    if init.cov.shape != model.Q.shape:
+        raise ValueError(f"initial covariance shape {init.cov.shape} vs Q shape {model.Q.shape}")
     beliefs = [Belief(mean=init.mean, cov=symmetrize(init.cov))]
     precisions, terms = [], []
     for y in ys:
@@ -259,7 +300,8 @@ def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
     means = [b.mean for b in traj.beliefs]
     for t in range(traj.T - 1, -1, -1):
         filt = traj.beliefs[t]
-        means[t] = filt.mean + filt.cov @ (traj.pred_precisions[t] @ (means[t + 1] - filt.mean))
+        step = traj.pred_precisions[t] @ _columns(means[t + 1] - filt.mean, filt.cov)
+        means[t] = filt.mean + _vector(filt.cov @ step)
     return means
 
 
@@ -287,10 +329,10 @@ def smoothed_covariances(
     for t in range(traj.T - 1, -1, -1):
         filt = traj.beliefs[t]
         G = filt.cov @ traj.pred_precisions[t]
-        S = G @ (S_next - predict(filt, Q).cov) @ G.T
+        S = G @ (S_next - predict(filt, Q).cov) @ G.mT
         S += filt.cov
         S = symmetrize(S)
-        X = S_next @ G.T
+        X = S_next @ G.mT
         del G
         yield S_next, S, X
         S_next = S

@@ -7,7 +7,14 @@ the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
 reduces to block traces or PL x PL factorizations instead of operations on
 NL x NL matrices. Where an explicit inverse is needed (the filter's predicted
 precision and posterior covariance, P00^-1 and Q^-1 in the EM surrogate) it
-comes from the Cholesky factor at hand through :func:`cho_inverse`.
+comes from the Cholesky factor at hand.
+
+A covariance is dense, one PL x PL array whose entry p * L + l is material p
+in band l, or a band stack, an (L, P, P) array whose block l holds entries
+(p * L + l, q * L + l) of a covariance zero between bands. The factors,
+solves, inverses, log-determinants and PSD floor take either over the last
+two axes, except :func:`cho_factor` and :func:`cho_inverse`, which take one
+matrix: a dense matrix goes to LAPACK, a stack to NumPy's batched ``linalg``.
 
 The three LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dpotri``)
 come from SciPy's extension module ``scipy.linalg._flapack``, loaded on
@@ -86,9 +93,40 @@ def _check_square(M: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
 
 
+def band_index(L: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the band blocks in a dense PL x PL matrix;
+    they broadcast to (L, P, P), block l taking the entries (p * L + l, q * L + l)."""
+    state = np.arange(P) * L + np.arange(L)[:, None]
+    return state[:, :, None], state[:, None, :]
+
+
+def band_blocks(S: np.ndarray, L: int) -> np.ndarray:
+    """The (L, P, P) band blocks of a dense PL x PL matrix; a stack as it is."""
+    if S.ndim == 3:
+        return S
+    return S[band_index(L, S.shape[-1] // L)]
+
+
+def dense_form(S: np.ndarray) -> np.ndarray:
+    """The dense PL x PL matrix of a band stack, zero between bands; a dense
+    matrix as it is."""
+    if S.ndim == 2:
+        return S
+    L, P, _ = S.shape
+    out = np.zeros((L * P, L * P))
+    out[band_index(L, P)] = S
+    return out
+
+
+def band_diagonal(S: np.ndarray, L: int) -> bool:
+    """Whether every entry of a dense PL x PL matrix between bands is exactly 0.0."""
+    return np.count_nonzero(S) == np.count_nonzero(band_blocks(S, L))
+
+
 def symmetrize(X: np.ndarray) -> np.ndarray:
-    """(X + X.T) / 2, suppressing asymmetry drift after updates/inversions."""
-    out = X + X.T
+    """(X + X^T) / 2 over the last two axes, suppressing asymmetry drift after
+    updates/inversions."""
+    out = X + X.mT
     out /= 2.0
     return out
 
@@ -106,28 +144,50 @@ def cho_factor(M: np.ndarray) -> np.ndarray:
     return c
 
 
-def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
-    """Cholesky of a symmetric positive-definite matrix with one jitter retry.
+def factor(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a dense matrix (:func:`cho_factor`) or of every
+    block of a stack, no jitter; :class:`FactorizationError` if any is not
+    numerically positive definite."""
+    if M.ndim == 2:
+        return cho_factor(M)
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(
+            f"stack of {M.shape[0]} matrices of size {M.shape[-1]} not positive definite"
+        ) from exc
 
-    The retry adds ``1e-10 * mean(diag(M))`` to the diagonal. Raises
-    :class:`FactorizationError` if both attempts fail.
+
+def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
+    """Cholesky of a symmetric positive-definite matrix or stack with one
+    jitter retry.
+
+    The retry adds ``1e-10`` times the mean diagonal entry to the diagonal
+    (of every block of a stack). Raises :class:`FactorizationError` if both
+    attempts fail.
     """
     try:
-        return cho_factor(M)
+        return factor(M)
     except FactorizationError:
         pass
-    jitter = JITTER_SCALE * float(np.mean(np.diag(M)))
+    jitter = JITTER_SCALE * float(np.mean(np.diagonal(M, axis1=-2, axis2=-1)))
     try:
-        return cho_factor(M + jitter * np.eye(M.shape[0]))
+        return factor(M + jitter * np.eye(M.shape[-1]))
     except FactorizationError as exc:
         raise FactorizationError(
-            f"matrix of size {M.shape[0]} not positive definite after jitter retry"
+            f"matrix of size {M.shape[-1]} not positive definite after jitter retry"
         ) from exc
 
 
 def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B from the lower Cholesky factor of M (LAPACK ``potrs``)."""
+    """Solve M X = B from the lower Cholesky factor of M: LAPACK ``potrs`` for
+    one matrix, two triangular solves per block for a stack, whose right-hand
+    sides are (L, P, k)."""
     B = np.asarray(B)
+    if c.ndim == 3:
+        if B.shape[:2] != c.shape[:2] or B.ndim != 3:
+            raise ValueError(f"right-hand side of shape {B.shape} for factors of shape {c.shape}")
+        return np.linalg.solve(c.mT, np.linalg.solve(c, B))
     _check_square(c, "factor")
     if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
         raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
@@ -138,8 +198,13 @@ def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def cho_logdet(c: np.ndarray) -> float:
-    """log-determinant from a Cholesky factor."""
-    return 2.0 * float(np.sum(np.log(np.diag(c))))
+    """log-determinant from a Cholesky factor; for a stack, of the block-diagonal matrix."""
+    return 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1))))
+
+
+def _mirror_lower(X: np.ndarray) -> np.ndarray:
+    """X's lower triangle mirrored into its upper one, over the last two axes."""
+    return np.where(np.tri(X.shape[-1], dtype=bool), X, X.mT)
 
 
 def cho_inverse(c: np.ndarray) -> np.ndarray:
@@ -147,13 +212,26 @@ def cho_inverse(c: np.ndarray) -> np.ndarray:
 
     ``potri`` costs n^3 / 3 multiply-adds against n^3 for ``cho_solve(c, I)``.
     It fills the lower triangle, which is mirrored into the upper; the factor
-    is left as it is.
+    is left as it is. A 0 x 0 factor has a 0 x 0 inverse, which ``potri``
+    would reject.
     """
     _check_square(c, "factor")
+    if c.shape[0] == 0:
+        return np.zeros((0, 0))
     inv, info = lapack().dpotri(c, lower=1, overwrite_c=False)
     if info != 0:
         raise FactorizationError(f"potri failed on a factor of size {c.shape[0]} (info={info})")
-    return np.where(np.tri(c.shape[0], dtype=bool), inv, inv.T)
+    return _mirror_lower(inv)
+
+
+def factor_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of the factored matrix, exactly symmetric: :func:`cho_inverse`
+    for a dense factor, and for a stack R.T R per block, with R the inverse of
+    the block's factor."""
+    if c.ndim == 2:
+        return cho_inverse(c)
+    root = np.linalg.inv(c)
+    return _mirror_lower(root.mT @ root)
 
 
 def spd_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -162,7 +240,8 @@ def spd_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def psd_floor(X: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix by clipping negative eigenvalues of symmetrize(X) at 0.
+    """Nearest PSD matrix (or stack) by clipping negative eigenvalues of
+    symmetrize(X) at 0.
 
     A plain Cholesky (no jitter, which would pass slightly indefinite input)
     first tests for positive definiteness; only a matrix that fails it is
@@ -170,12 +249,12 @@ def psd_floor(X: np.ndarray) -> np.ndarray:
     """
     S = symmetrize(X)
     try:
-        cho_factor(S)
+        factor(S)
         return S
     except FactorizationError:
         pass
     w, V = np.linalg.eigh(S)
-    if w[0] >= 0.0:
+    if w.min() >= 0.0:
         return S
     w = np.clip(w, 0.0, None)
-    return symmetrize((V * w) @ V.T)
+    return symmetrize((V * w[..., None, :]) @ V.mT)

@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -415,6 +417,57 @@ class TestUnmix:
         est = read_result_dir(out)
         assert est["abundances"][0].shape == (2, 12)
 
+    def test_vca_without_p_parses_the_manifest_once(self, small_dataset, tmp_path, capsys,
+                                                    monkeypatch):
+        data, _ = small_dataset
+        real, reads = Path.read_text, []
+
+        def counting(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                reads.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        code, _, _ = run_cli(
+            capsys, "unmix", "--input", str(data), "--vca", "--iters", "1",
+            "--out", str(tmp_path / "x"),
+        )
+        assert code == 0
+        assert reads == [data / "manifest.json"]
+
+    def generated(self, tmp_path, capsys, N, P):
+        data = tmp_path / "data"
+        code, _, _ = run_cli(
+            capsys, "generate", "--L", "9", "--N", str(N), "--T", "3", "--P", str(P),
+            "--seed", "2", "--out", str(data),
+        )
+        assert code == 0
+        return data, data / "truth" / "m0.f64"
+
+    def test_one_pixel(self, tmp_path, capsys):
+        data, m0 = self.generated(tmp_path, capsys, N=1, P=3)
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(data), "--m0", str(m0), "--iters", "3",
+            "--out", str(out),
+        )
+        assert code == 0 and err == ""
+        assert np.isfinite(json_out(stdout)["loglik_final"])
+        est = read_result_dir(out)
+        for key in ("abundances", "endmembers"):
+            assert all(np.all(np.isfinite(a)) for a in est[key])
+        assert est["abundances"][0].shape == (3, 1)
+
+    def test_one_material_exit_2(self, tmp_path, capsys):
+        data, m0 = self.generated(tmp_path, capsys, N=8, P=1)
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
+        )
+        assert code == 2 and stdout == ""
+        assert err.splitlines() == ["invalid arguments: M0 must be L x P with P >= 2"]
+        assert not out.exists()
+
     def test_mc_replicas(self, tmp_path, capsys):
         gen = tmp_path / "gdata"
         code, _, _ = run_cli(
@@ -444,6 +497,36 @@ class TestUnmix:
             files = tree_bytes(out / rep)
             assert {"manifest.json", "diagnostics.json", "abund_0001.f64"} <= files.keys()
             assert files == tree_bytes(single)
+
+
+class TestReplicaPool:
+    def record_pool_size(self, monkeypatch):
+        sizes = []
+
+        class Recording(cli.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+        return sizes
+
+    def test_sized_by_the_affinity_mask(self, monkeypatch):
+        sizes = self.record_pool_size(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._run_replicas(pow, [(2, k) for k in range(5)]) == [1, 2, 4, 8, 16]
+        assert cli._run_replicas(pow, [(3, 2)]) == [9]
+        assert sizes == [2, 1]
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        sizes = self.record_pool_size(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        cli._run_replicas(pow, [(2, k) for k in range(5)])
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        cli._run_replicas(pow, [(2, k) for k in range(5)])
+        assert sizes == [3, 1]
 
 
 class TestFcls:

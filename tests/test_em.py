@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mtunmix import em
 from mtunmix.em import (
     EmParams,
     SufficientStats,
@@ -27,6 +28,8 @@ from mtunmix.kalman import (
     run_filter,
     smoothed_covariances,
 )
+from mtunmix.kronops import band_blocks, dense_form
+from mtunmix.pipeline import default_init
 from oracles import (
     block_trace_cross,
     block_trace_gram,
@@ -659,3 +662,129 @@ class TestEmIterate:
         for M in (theta_new.P00, theta_new.Q):
             np.testing.assert_allclose(M, M.T, rtol=0, atol=1e-12)
             assert np.linalg.eigvalsh(M)[0] >= -1e-9 * max(np.trace(M), 1e-300)
+
+
+#: Largest difference between a pass on band stacks and the dense pass on the
+#: same matrices, relative to the largest entry of the dense result.
+BAND_PASS_TOL = 1e-10
+
+
+def random_band_stack(rng, L, P, scale):
+    X = rng.standard_normal((L, P, P))
+    return scale * (X @ X.mT + P * np.eye(P))
+
+
+def e_step(ys, model, init):
+    """One E-step pass: log-likelihood, smoothed means, the band blocks of
+    every backward step's (S_{t+1}, S_t, X_{t+1}), the statistics and S_0."""
+    L = model.L
+    traj = run_filter(ys, model, init)
+    means = rts_smooth(traj)
+    steps = [
+        tuple(band_blocks(M, L) for M in step) for step in smoothed_covariances(traj, model.Q)
+    ]
+    stats, smoothed0 = accumulate_stats(traj, means, ys, model)
+    return traj.loglik, means, steps, stats, smoothed0
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 6),
+    N=st.integers(1, 4),
+    P=st.integers(1, 4),
+    T=st.integers(1, 5),
+    default=st.booleans(),
+)
+@example(seed=0, L=5, N=3, P=1, T=3, default=True)
+@example(seed=1, L=5, N=1, P=3, T=3, default=True)
+@example(seed=2, L=1, N=2, P=3, T=2, default=False)
+def test_band_stack_pass_matches_dense_pass(seed, L, N, P, T, default):
+    # P00 and Q zero between bands: default_init's I and 0.1 I, or random
+    # positive-definite blocks; the same pass on stacks and on dense arrays
+    rng = np.random.default_rng(seed)
+    d = P * L
+    if default:
+        theta = default_init(L, N, P, rng.dirichlet(np.ones(P), size=N).T)
+        P00, Q = band_blocks(theta.P00, L), band_blocks(theta.Q, L)
+        sigma_r2, psi00 = theta.sigma_r2, theta.psi00
+    else:
+        P00 = random_band_stack(rng, L, P, 1.0 / P)
+        Q = random_band_stack(rng, L, P, 0.1 / P)
+        sigma_r2, psi00 = float(rng.uniform(0.05, 1.0)), rng.standard_normal(d)
+    A = rng.standard_normal((P, N))
+    m0 = rng.uniform(0.2, 1.0, d)
+    ys = [rng.standard_normal(N * L) for _ in range(T)]
+
+    def run(P00, Q):
+        model = ModelMatrices(A=A, m0=m0, Q=Q, sigma_r2=sigma_r2)
+        return e_step(ys, model, Belief(mean=psi00, cov=P00))
+
+    ll_s, means_s, steps_s, stats_s, s0_s = run(P00, Q)
+    ll_d, means_d, steps_d, stats_d, s0_d = run(dense_form(P00), dense_form(Q))
+
+    def close(actual, expected):
+        atol = BAND_PASS_TOL * max(np.abs(expected).max(), 1e-300)
+        np.testing.assert_allclose(actual, expected, rtol=0, atol=atol)
+
+    assert stats_s.increment_second_moment.shape == s0_s.cov.shape == (d, d)
+    close(ll_s, ll_d)
+    for m_s, m_d in zip(means_s, means_d, strict=True):
+        close(m_s, m_d)
+    for step_s, step_d in zip(steps_s, steps_d, strict=True):
+        for M_s, M_d in zip(step_s, step_d):
+            close(M_s, M_d)
+    close(stats_s.increment_second_moment, stats_d.increment_second_moment)
+    close(s0_s.cov, s0_d.cov)
+    close(s0_s.mean, s0_d.mean)
+    close(stats_s.gram_block_trace, stats_d.gram_block_trace)
+    close(stats_s.cross_block_trace, stats_d.cross_block_trace)
+
+
+class TestBandPass:
+    """em_iterate's choice of layout and the iteration it returns."""
+
+    def record_layouts(self, monkeypatch):
+        real, shapes = em.run_filter, []
+
+        def recording(ys, model, init):
+            shapes.append(init.cov.shape)
+            return real(ys, model, init)
+
+        monkeypatch.setattr(em, "run_filter", recording)
+        return shapes
+
+    def instance(self, L=6, N=4, P=3, T=4, seed=50):
+        rng = np.random.default_rng(seed)
+        _, _, ys = random_instance(rng, L, N, P, T)
+        theta = default_init(L, N, P, rng.dirichlet(np.ones(P), size=N).T)
+        return ys, rng.uniform(0.2, 1.0, L * P), theta
+
+    def test_default_init_runs_on_stacks_then_dense(self, monkeypatch):
+        shapes = self.record_layouts(monkeypatch)
+        ys, m0, theta = self.instance()
+        for _ in range(3):
+            theta, _, _, _ = em_iterate(ys, m0, theta)
+        assert shapes == [(6, 3, 3), (18, 18), (18, 18)]
+        assert theta.Q.shape == theta.P00.shape == (18, 18)
+
+    def test_one_off_band_entry_runs_dense(self, monkeypatch):
+        shapes = self.record_layouts(monkeypatch)
+        ys, m0, theta = self.instance()
+        Q = theta.Q.copy()
+        Q[0, 1] = Q[1, 0] = 1e-300  # bands 0 and 1 of material 0
+        em_iterate(ys, m0, EmParams(A=theta.A, P00=theta.P00, Q=Q, sigma_r2=theta.sigma_r2,
+                                    psi00=theta.psi00))
+        assert shapes == [(18, 18)]
+
+    def test_stack_iteration_matches_dense_iteration(self, monkeypatch):
+        ys, m0, theta = self.instance()
+        on_stacks = em_iterate(ys, m0, theta)
+        monkeypatch.setattr(em, "band_diagonal", lambda S, L: False)
+        dense = em_iterate(ys, m0, theta)
+        for a, b in zip(on_stacks[0].__dict__.values(), dense[0].__dict__.values()):
+            np.testing.assert_allclose(a, b, rtol=0, atol=BAND_PASS_TOL * np.abs(b).max())
+        np.testing.assert_allclose(on_stacks[1], dense[1], rtol=BAND_PASS_TOL)
+        for a, b in zip(on_stacks[2], dense[2], strict=True):
+            np.testing.assert_allclose(a, b, rtol=0, atol=BAND_PASS_TOL * np.abs(b).max())
+        np.testing.assert_allclose(on_stacks[3], dense[3], rtol=BAND_PASS_TOL)

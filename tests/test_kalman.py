@@ -3,6 +3,7 @@
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from mtunmix.kalman import (
     smoothed_covariances,
     update,
 )
-from mtunmix.kronops import symmetrize
+from mtunmix.kronops import band_blocks, dense_form, symmetrize
 from oracles import dense_B, full_rts_smooth, marginal_loglik
 
 
@@ -443,3 +444,51 @@ class TestModelMatrices:
         v = rng.standard_normal(N * L)
         np.testing.assert_allclose(model.apply_B(psi), B @ psi, rtol=1e-12)
         np.testing.assert_allclose(model.apply_Bt(v), B.T @ v, rtol=1e-12)
+
+
+class TestBandLayout:
+    def test_gram_blocks_scatter_to_the_dense_gram(self):
+        rng = np.random.default_rng(20)
+        L, N, P = 5, 3, 3
+        model = random_model(rng, L, N, P)
+        banded = ModelMatrices(
+            A=model.A, m0=model.m0, Q=band_blocks(model.Q, L), sigma_r2=model.sigma_r2
+        )
+        assert banded.btb.shape == (L, P, P)
+        assert np.array_equal(dense_form(banded.btb), model.btb)
+        B = dense_B(model)
+        np.testing.assert_allclose(model.btb, B.T @ B, rtol=0, atol=1e-14 * np.abs(B).max() ** 2)
+
+    def test_stack_shapes_checked(self):
+        L, P = 4, 2
+        for shape in [(L, P, P + 1), (L + 1, P, P), (L * P, P, P)]:
+            with pytest.raises(ValueError, match="cov shape"):
+                Belief(mean=np.zeros(L * P), cov=np.zeros(shape))
+        with pytest.raises(ValueError, match="Q shape"):
+            ModelMatrices(A=np.ones((P, 3)), m0=np.ones(L * P), Q=np.zeros((P, L, L)), sigma_r2=1.0)
+        model = ModelMatrices(
+            A=np.ones((P, 3)), m0=np.ones(L * P), Q=np.zeros((L, P, P)), sigma_r2=1.0
+        )
+        init = Belief(mean=np.zeros(L * P), cov=np.eye(L * P))
+        with pytest.raises(ValueError, match="initial covariance shape"):
+            run_filter([np.zeros(3 * L)], model, init)
+
+    def test_square_root_path_on_a_stack_matches_dense(self):
+        # one singular block fails the stack's factor, so every block takes
+        # the square-root path, as the dense matrix does
+        rng = np.random.default_rng(21)
+        L, N, P = 4, 3, 2
+        model = random_model(rng, L, N, P)
+        X = rng.standard_normal((L, P, P))
+        cov = X @ X.mT
+        cov[1] = 0.0
+        y = rng.standard_normal(N * L)
+        mean = rng.standard_normal(P * L)
+        dense = update(Belief(mean=mean, cov=dense_form(cov)), y, model)
+        Q = band_blocks(model.Q, L)
+        banded = ModelMatrices(A=model.A, m0=model.m0, Q=Q, sigma_r2=model.sigma_r2)
+        stack = update(Belief(mean=mean, cov=cov), y, banded)
+        np.testing.assert_allclose(stack[0].mean, dense[0].mean, rtol=1e-12)
+        np.testing.assert_allclose(dense_form(stack[0].cov), dense[0].cov, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stack[1], dense[1], rtol=1e-12)
+        np.testing.assert_allclose(dense_form(stack[2]), dense[2], rtol=0, atol=1e-10)

@@ -1,5 +1,5 @@
-"""Block traces, factor inverses and PSD flooring, plus the Kronecker, NKP and
-Woodbury test oracles."""
+"""Block traces, factor inverses and PSD flooring in both covariance layouts,
+plus the Kronecker, NKP and Woodbury test oracles."""
 
 from types import SimpleNamespace
 
@@ -10,10 +10,16 @@ import scipy.linalg
 from mtunmix import kronops
 from mtunmix.errors import FactorizationError
 from mtunmix.kronops import (
+    band_blocks,
+    band_diagonal,
     cho_factor,
     cho_factor_jittered,
     cho_inverse,
+    cho_logdet,
     cho_solve,
+    dense_form,
+    factor,
+    factor_inverse,
     psd_floor,
     symmetrize,
 )
@@ -259,6 +265,14 @@ class TestChoInverse:
         cho_inverse(c)
         assert np.array_equal(c, before)
 
+    def test_empty_factor_has_empty_inverse_without_lapack(self, monkeypatch):
+        def forbidden():
+            raise AssertionError("cho_inverse called LAPACK on a 0 x 0 factor")
+
+        monkeypatch.setattr(kronops, "lapack", forbidden)
+        inv = cho_inverse(np.zeros((0, 0)))
+        assert inv.shape == (0, 0) and inv.dtype == float
+
 
 class TestChoFactor:
     SINGULAR = np.diag([1.0, 2.0, 0.0])
@@ -364,3 +378,77 @@ class TestPsdHelpers:
         assert len(calls) == 1
         assert real_eigh(X)[0][0] >= 0.0
         assert np.array_equal(out, symmetrize(X))
+
+
+def random_band_stack(rng, L, P, scale=1.0):
+    X = rng.standard_normal((L, P, P))
+    return scale * (X @ X.mT + P * np.eye(P))
+
+
+class TestBandLayout:
+    """A band stack through the covariance layer against its dense form
+    through LAPACK."""
+
+    L, P = 5, 3
+
+    def test_blocks_and_dense_form_invert_each_other(self):
+        rng = np.random.default_rng(40)
+        S = random_band_stack(rng, self.L, self.P)
+        dense = dense_form(S)
+        for l in range(self.L):
+            idx = np.arange(self.P) * self.L + l
+            np.testing.assert_array_equal(dense[np.ix_(idx, idx)], S[l])
+        assert np.count_nonzero(dense) == S.size
+        assert np.array_equal(band_blocks(dense, self.L), S)
+        assert band_blocks(S, self.L) is S and dense_form(dense) is dense
+
+    def test_band_diagonal_sees_one_off_band_entry(self):
+        rng = np.random.default_rng(41)
+        dense = dense_form(random_band_stack(rng, self.L, self.P))
+        assert band_diagonal(dense, self.L) and band_diagonal(np.eye(15), self.L)
+        dense[0, 1] = 1e-300  # bands 0 and 1 of material 0
+        assert not band_diagonal(dense, self.L)
+        assert band_diagonal(np.ones((3, 3)), 1)
+
+    def test_factor_inverse_solve_logdet_match_dense(self):
+        rng = np.random.default_rng(42)
+        S = random_band_stack(rng, self.L, self.P)
+        c = factor(S)
+        c_dense = cho_factor(dense_form(S))
+        np.testing.assert_allclose(dense_form(c), np.tril(c_dense), rtol=0, atol=1e-13)
+        inv = factor_inverse(c)
+        assert np.array_equal(inv, inv.mT)
+        ref = cho_inverse(c_dense)
+        np.testing.assert_allclose(dense_form(inv), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+        np.testing.assert_allclose(cho_logdet(c), cho_logdet(c_dense), rtol=1e-13)
+        b = rng.standard_normal((self.P * self.L))
+        x = cho_solve(c, b.reshape(self.P, self.L).T[..., None])[..., 0].T.reshape(-1)
+        np.testing.assert_allclose(x, cho_solve(c_dense, b), rtol=1e-12)
+
+    def test_one_indefinite_block_fails_the_stack(self):
+        S = np.tile(np.eye(self.P), (self.L, 1, 1))
+        S[3, 1, 1] = -1.0
+        with pytest.raises(FactorizationError):
+            factor(S)
+        with pytest.raises(FactorizationError, match="after jitter retry"):
+            cho_factor_jittered(S)
+
+    def test_jitter_retry_on_a_singular_block(self):
+        S = np.tile(np.eye(self.P), (self.L, 1, 1))
+        S[2, 0, 0] = 0.0
+        c = cho_factor_jittered(S)
+        jitter = 1e-10 * (self.L * self.P - 1) / (self.L * self.P)
+        assert c[2, 0, 0] == pytest.approx(np.sqrt(jitter))
+        np.testing.assert_allclose(c[0], np.sqrt(1.0 + jitter) * np.eye(self.P), rtol=1e-15)
+
+    def test_psd_floor_matches_dense(self):
+        rng = np.random.default_rng(43)
+        V, _ = np.linalg.qr(rng.standard_normal((self.L, self.P, self.P)))
+        S = (V * np.array([-1.0, 0.5, 2.0])) @ V.mT
+        floored = psd_floor(S)
+        np.testing.assert_allclose(
+            dense_form(floored), psd_floor(dense_form(S)), rtol=0, atol=1e-13
+        )
+        assert np.linalg.eigvalsh(floored).min() >= -1e-14
+        S_pd = random_band_stack(rng, self.L, self.P)
+        assert np.array_equal(psd_floor(S_pd), symmetrize(S_pd))
