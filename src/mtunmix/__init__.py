@@ -3,10 +3,11 @@
 Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
-- :mod:`mtunmix.kronops`  the covariance layer: Cholesky solves (plain or jittered),
-                          factor inverses, log-determinants and PSD flooring for a
-                          dense matrix (LAPACK, loaded from SciPy's extension on
-                          first use) or an (L, P, P) band stack (NumPy) alike
+- :mod:`mtunmix.kronops`  the covariance layer, one name per job for a dense matrix
+                          (LAPACK, loaded from SciPy's extension on first use) or an
+                          (L, P, P) band stack (NumPy) alike: Cholesky factors (plain
+                          or jittered), solves and products with a state vector,
+                          factor inverses, log-determinants and PSD flooring
 - :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
                           predictions) into a frozen trajectory, RTS smoothed means,
                           and the smoothed-covariance recursion, one step at a time,

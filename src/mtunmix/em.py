@@ -42,11 +42,11 @@ from .kronops import (
     band_diagonal,
     band_index,
     cho_factor_jittered,
-    cho_inverse,
     cho_logdet,
+    cho_solve,
     dense_form,
+    factor_inverse,
     psd_floor,
-    spd_solve,
     symmetrize,
 )
 
@@ -174,12 +174,12 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
     """
     d = smoothed0.mean - theta.psi00
     c_p00 = cho_factor_jittered(theta.P00)
-    p00_inv = cho_inverse(c_p00)
+    p00_inv = factor_inverse(c_p00)
     term0 = float(np.vdot(p00_inv, smoothed0.cov) + d @ p00_inv @ d) + cho_logdet(c_p00)
     del c_p00, p00_inv
 
     c_q = cho_factor_jittered(theta.Q)
-    term_q = float(np.vdot(cho_inverse(c_q), stats.increment_second_moment))
+    term_q = float(np.vdot(factor_inverse(c_q), stats.increment_second_moment))
     term_q += stats.T * cho_logdet(c_q)
 
     term_r = _obs_residual_trace(stats, theta.A) / theta.sigma_r2 + (
@@ -229,7 +229,7 @@ def m_step_abundance(stats: SufficientStats) -> np.ndarray:
     """
     Tb = stats.gram_block_trace
     rhs = 2.0 * stats.cross_block_trace.T
-    return spd_solve(Tb + Tb.T, rhs)
+    return cho_solve(cho_factor_jittered(Tb + Tb.T), rhs)
 
 
 def check_finite(*arrays) -> None:

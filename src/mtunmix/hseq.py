@@ -93,8 +93,8 @@ class GlmmModel:
 
     def __post_init__(self):
         M0 = np.ascontiguousarray(self.M0, dtype=float)
-        if M0.ndim != 2 or M0.shape[1] < 2:
-            raise ValueError("M0 must be L x P with P >= 2")
+        if M0.ndim != 2 or M0.shape[1] < 1:
+            raise ValueError("M0 must be L x P with P >= 1")
         if not np.all(np.isfinite(M0)):
             raise ValueError("M0 contains non-finite entries")
         if np.any(M0 < 0):
@@ -214,7 +214,7 @@ def write_hseq(
 
 def read_manifest(path: Path | str) -> Manifest:
     """Parse a directory's manifest and check it: the format tags, dimensions
-    L, N, T of at least 1, and as many frame files as frames."""
+    L, N, T and any declared P of at least 1, and as many frame files as frames."""
     root = Path(path)
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
@@ -236,9 +236,10 @@ def read_manifest(path: Path | str) -> Manifest:
     for key, tag in FORMAT_TAGS.items():
         if d.get(key) != tag:
             raise SequenceFormatError(f"{mpath}: unsupported {key} {d.get(key)!r}, not {tag!r}")
-    for name in ("L", "N", "T"):
-        if getattr(manifest, name) < 1:
-            raise SequenceFormatError(f"{mpath} declares {name}={getattr(manifest, name)}, below 1")
+    for name in ("L", "N", "T", "P"):
+        value = getattr(manifest, name)
+        if value is not None and value < 1:
+            raise SequenceFormatError(f"{mpath} declares {name}={value}, below 1")
     if manifest.frame_files and manifest.T != len(manifest.frame_files):
         raise SequenceFormatError(
             f"manifest declares T={manifest.T} but lists {len(manifest.frame_files)} frame files"

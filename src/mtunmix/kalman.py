@@ -53,6 +53,7 @@ from .kronops import (
     dense_form,
     factor,
     factor_inverse,
+    matvec,
     symmetrize,
 )
 
@@ -154,17 +155,6 @@ class Belief:
             raise ValueError(f"cov shape {shape} vs mean length {n}")
 
 
-def _columns(x: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """A state vector as the operand of covariance C: itself for a dense C,
-    the (L, P, 1) columns of its bands for a stack."""
-    return x if C.ndim == 2 else x.reshape(C.shape[-1], -1).T[..., None]
-
-
-def _vector(X: np.ndarray) -> np.ndarray:
-    """The state vector of :func:`_columns`' result."""
-    return X if X.ndim == 1 else X[..., 0].T.reshape(-1)
-
-
 def _norm1(X: np.ndarray) -> float:
     """1-norm of a matrix, or of the block-diagonal matrix of a stack (its
     largest block's)."""
@@ -240,7 +230,6 @@ def update(
     BtB = model.btb
     v = y - model.apply_B(pred.mean)
     bv = model.apply_Bt(v)
-    b = _columns(bv, pred.cov)
 
     try:
         cP = factor(pred.cov)
@@ -251,21 +240,20 @@ def update(
         # exactly symmetric: both terms are
         c_inner = cho_factor_jittered(pred_precision + s2i * BtB)
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
-        mid = cho_solve(c_inner, b)
+        mid = cho_solve(c_inner, bv)
         cov = factor_inverse(c_inner)
     except FactorizationError:
         w, V = np.linalg.eigh(symmetrize(pred.cov))
         H = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.mT
         c_chat = cho_factor_jittered(symmetrize(np.eye(w.shape[-1]) + s2i * (H @ BtB @ H)))
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(c_chat)
-        mid = H @ cho_solve(c_chat, H @ b)
+        mid = matvec(H, cho_solve(c_chat, matvec(H, bv)))
         cov = symmetrize(H @ factor_inverse(c_chat) @ H)
         keep = (w > w.max() / MAX_PRED_COND)[..., None, :]
         pred_precision = np.divide(V, w[..., None, :], out=np.zeros_like(V), where=keep) @ V.mT
 
-    mid_bv = _vector(mid)
-    mean = pred.mean + s2i * mid_bv
-    maha = s2i * float(v @ v) - s2i**2 * float(bv @ mid_bv)
+    mean = pred.mean + s2i * mid
+    maha = s2i * float(v @ v) - s2i**2 * float(bv @ mid)
     loglik = -0.5 * (model.obs_dim * _LOG_2PI + logdet_S + maha)
     return Belief(mean=mean, cov=cov), loglik, pred_precision
 
@@ -300,8 +288,8 @@ def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
     means = [b.mean for b in traj.beliefs]
     for t in range(traj.T - 1, -1, -1):
         filt = traj.beliefs[t]
-        step = traj.pred_precisions[t] @ _columns(means[t + 1] - filt.mean, filt.cov)
-        means[t] = filt.mean + _vector(filt.cov @ step)
+        step = matvec(traj.pred_precisions[t], means[t + 1] - filt.mean)
+        means[t] = filt.mean + matvec(filt.cov, step)
     return means
 
 

@@ -12,9 +12,10 @@ comes from the Cholesky factor at hand.
 A covariance is dense, one PL x PL array whose entry p * L + l is material p
 in band l, or a band stack, an (L, P, P) array whose block l holds entries
 (p * L + l, q * L + l) of a covariance zero between bands. The factors,
-solves, inverses, log-determinants and PSD floor take either over the last
-two axes, except :func:`cho_factor` and :func:`cho_inverse`, which take one
-matrix: a dense matrix goes to LAPACK, a stack to NumPy's batched ``linalg``.
+solves, products, inverses, log-determinants and PSD floor take either, one
+name per job: a dense matrix goes to LAPACK, a stack to NumPy's batched
+``linalg``. A PL state vector keeps its order in both layouts, and
+:func:`cho_solve` and :func:`matvec` take and return it as it is.
 
 The three LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dpotri``)
 come from SciPy's extension module ``scipy.linalg._flapack``, loaded on
@@ -89,8 +90,8 @@ def _load_lapack():
 
 
 def _check_square(M: np.ndarray, what: str) -> None:
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.shape[-2] != M.shape[-1]:
+        raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {M.shape}")
 
 
 def band_index(L: int, P: int) -> tuple[np.ndarray, np.ndarray]:
@@ -131,31 +132,25 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def cho_factor(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of M, no jitter; :class:`FactorizationError` if
-    M is not numerically positive definite."""
+def factor(M: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a dense matrix (LAPACK ``potrf``) or of every
+    block of a stack, no jitter; :class:`FactorizationError` if any is not
+    numerically positive definite."""
     M = np.asarray(M)
     _check_square(M, "factored matrix")
+    if M.ndim == 3:
+        try:
+            return np.linalg.cholesky(M)
+        except np.linalg.LinAlgError as exc:
+            raise FactorizationError(
+                f"stack of {M.shape[0]} matrices of size {M.shape[-1]} not positive definite"
+            ) from exc
     c, info = lapack().dpotrf(M, lower=1, clean=0)
     if info > 0:
         raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite")
     if info < 0:
         raise ValueError(f"potrf rejected argument {-info}")
     return c
-
-
-def factor(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a dense matrix (:func:`cho_factor`) or of every
-    block of a stack, no jitter; :class:`FactorizationError` if any is not
-    numerically positive definite."""
-    if M.ndim == 2:
-        return cho_factor(M)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(
-            f"stack of {M.shape[0]} matrices of size {M.shape[-1]} not positive definite"
-        ) from exc
 
 
 def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
@@ -179,12 +174,24 @@ def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
         ) from exc
 
 
+def _columns(x: np.ndarray, L: int) -> np.ndarray:
+    """A PL state vector as the (L, P, 1) columns of its bands."""
+    return x.reshape(-1, L).T[..., None]
+
+
+def _vector(X: np.ndarray) -> np.ndarray:
+    """The PL state vector of band columns (L, P, 1)."""
+    return X[..., 0].T.reshape(-1)
+
+
 def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve M X = B from the lower Cholesky factor of M: LAPACK ``potrs`` for
-    one matrix, two triangular solves per block for a stack, whose right-hand
-    sides are (L, P, k)."""
+    one matrix, two triangular solves per block for a stack. On a stack B is
+    a PL state vector, or (L, P, k) right-hand sides per block."""
     B = np.asarray(B)
     if c.ndim == 3:
+        if B.shape == (c.shape[0] * c.shape[1],):
+            return _vector(cho_solve(c, _columns(B, c.shape[0])))
         if B.shape[:2] != c.shape[:2] or B.ndim != 3:
             raise ValueError(f"right-hand side of shape {B.shape} for factors of shape {c.shape}")
         return np.linalg.solve(c.mT, np.linalg.solve(c, B))
@@ -197,6 +204,13 @@ def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
     return X
 
 
+def matvec(C: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """C @ x for a PL state vector x and a dense PL x PL matrix or a band stack."""
+    if C.ndim == 2:
+        return C @ x
+    return _vector(C @ _columns(x, C.shape[0]))
+
+
 def cho_logdet(c: np.ndarray) -> float:
     """log-determinant from a Cholesky factor; for a stack, of the block-diagonal matrix."""
     return 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1))))
@@ -207,36 +221,26 @@ def _mirror_lower(X: np.ndarray) -> np.ndarray:
     return np.where(np.tri(X.shape[-1], dtype=bool), X, X.mT)
 
 
-def cho_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of the factored matrix by LAPACK ``potri``, exactly symmetric.
+def factor_inverse(c: np.ndarray) -> np.ndarray:
+    """Inverse of the factored matrix, exactly symmetric; the factor is left
+    as it is.
 
-    ``potri`` costs n^3 / 3 multiply-adds against n^3 for ``cho_solve(c, I)``.
-    It fills the lower triangle, which is mirrored into the upper; the factor
-    is left as it is. A 0 x 0 factor has a 0 x 0 inverse, which ``potri``
-    would reject.
+    A dense factor goes to LAPACK ``potri``, which costs n^3 / 3 multiply-adds
+    against n^3 for ``cho_solve(c, I)`` and fills the lower triangle, mirrored
+    into the upper; a 0 x 0 factor, which ``potri`` would reject, has a 0 x 0
+    inverse. A stack's inverse is R.T R per block, with R the inverse of the
+    block's factor.
     """
     _check_square(c, "factor")
+    if c.ndim == 3:
+        root = np.linalg.inv(c)
+        return _mirror_lower(root.mT @ root)
     if c.shape[0] == 0:
         return np.zeros((0, 0))
     inv, info = lapack().dpotri(c, lower=1, overwrite_c=False)
     if info != 0:
         raise FactorizationError(f"potri failed on a factor of size {c.shape[0]} (info={info})")
     return _mirror_lower(inv)
-
-
-def factor_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of the factored matrix, exactly symmetric: :func:`cho_inverse`
-    for a dense factor, and for a stack R.T R per block, with R the inverse of
-    the block's factor."""
-    if c.ndim == 2:
-        return cho_inverse(c)
-    root = np.linalg.inv(c)
-    return _mirror_lower(root.mT @ root)
-
-
-def spd_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B for symmetric positive-definite M (jitter policy applies)."""
-    return cho_solve(cho_factor_jittered(M), B)
 
 
 def psd_floor(X: np.ndarray) -> np.ndarray:

@@ -16,10 +16,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from mtunmix.em import EmParams, SufficientStats, _obs_residual_trace
 from mtunmix.kalman import Belief, ModelMatrices, Trajectory, predict, run_filter
-from mtunmix.kronops import cho_factor_jittered, cho_logdet, cho_solve, spd_solve, symmetrize
+
+
+def symmetrize(X: np.ndarray) -> np.ndarray:
+    """(X + X.T) / 2."""
+    return (X + X.T) / 2.0
+
+
+def spd_solve(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """M^-1 B for symmetric positive-definite M, by SciPy's Cholesky solve."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(M, lower=True), B)
+
+
+def spd_logdet(M: np.ndarray) -> float:
+    """log|M| for symmetric positive-definite M, from SciPy's Cholesky factor."""
+    c, _ = scipy.linalg.cho_factor(M, lower=True)
+    return 2.0 * float(np.sum(np.log(np.diag(c))))
 
 
 def dense_B(model: ModelMatrices) -> np.ndarray:
@@ -232,14 +248,13 @@ def woodbury_gain_factor(B: np.ndarray, P_pred: np.ndarray, sigma_r2: float) -> 
 
 
 def q_function_trace_form(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> float:
-    """``em.q_function`` with tr(P00^-1 S0) and tr(Q^-1 D) as np.trace(cho_solve(c, S))."""
+    """``em.q_function`` with tr(P00^-1 S0) and tr(Q^-1 D) as traces of SciPy
+    Cholesky solves."""
     d = smoothed0.mean - theta.psi00
     S0 = smoothed0.cov + np.outer(d, d)
-    c_p00 = cho_factor_jittered(theta.P00)
-    term0 = float(np.trace(cho_solve(c_p00, S0))) + cho_logdet(c_p00)
-    c_q = cho_factor_jittered(theta.Q)
+    term0 = float(np.trace(spd_solve(theta.P00, S0))) + spd_logdet(theta.P00)
     D = stats.increment_second_moment
-    term_q = float(np.trace(cho_solve(c_q, D))) + stats.T * cho_logdet(c_q)
+    term_q = float(np.trace(spd_solve(theta.Q, D))) + stats.T * spd_logdet(theta.Q)
     term_r = _obs_residual_trace(stats, theta.A) / theta.sigma_r2 + (
         stats.T * stats.N * stats.L * np.log(theta.sigma_r2)
     )

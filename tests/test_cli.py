@@ -264,8 +264,8 @@ class TestUnmix:
         assert code == 2
         assert str(sidecar) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["unmix", "fcls"])
-    @pytest.mark.parametrize("key", ["L", "N"])
+    @pytest.mark.parametrize("command", ["unmix", "fcls", "vca", "eval"])
+    @pytest.mark.parametrize("key", ["L", "N", "P"])
     def test_manifest_dimension_below_one_exit_3(
         self, small_dataset, tmp_path, capsys, key, command
     ):
@@ -276,11 +276,14 @@ class TestUnmix:
         manifest = json.loads(mpath.read_text())
         manifest[key] = 0
         mpath.write_text(json.dumps(manifest))
-        code, _, err = run_cli(
-            capsys,
-            command, "--input", str(data), "--m0", str(data / "truth" / "m0.f64"),
-            "--out", str(tmp_path / "x"),
-        )
+        m0 = ["--m0", str(data / "truth" / "m0.f64")]
+        argv = {
+            "unmix": ["unmix", "--input", str(data), *m0],
+            "fcls": ["fcls", "--input", str(data), *m0],
+            "vca": ["unmix", "--input", str(data), "--vca"],
+            "eval": ["eval", "--est", str(data), "--truth", str(data / "truth")],
+        }[command]
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "x"))
         assert code == 3
         assert f"{mpath} declares {key}=0" in err
 
@@ -458,15 +461,29 @@ class TestUnmix:
             assert all(np.all(np.isfinite(a)) for a in est[key])
         assert est["abundances"][0].shape == (3, 1)
 
-    def test_one_material_exit_2(self, tmp_path, capsys):
+    def test_one_material_end_to_end(self, tmp_path, capsys):
         data, m0 = self.generated(tmp_path, capsys, N=8, P=1)
-        out = tmp_path / "x"
-        code, stdout, err = run_cli(
-            capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
-        )
-        assert code == 2 and stdout == ""
-        assert err.splitlines() == ["invalid arguments: M0 must be L x P with P >= 2"]
-        assert not out.exists()
+        runs = {
+            "m0": ["unmix", "--input", str(data), "--m0", str(m0), "--iters", "3"],
+            "vca": ["unmix", "--input", str(data), "--vca", "--p", "1", "--iters", "3"],
+            "fcls": ["fcls", "--input", str(data), "--m0", str(m0)],
+        }
+        for name, argv in runs.items():
+            out = tmp_path / name
+            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+            assert code == 0 and err == "", name
+            assert json_out(stdout)["P"] == 1
+            est = read_result_dir(out)
+            for key in ("abundances", "endmembers"):
+                assert all(np.all(np.isfinite(a)) for a in est[key]), (name, key)
+            for A in est["abundances"]:
+                np.testing.assert_allclose(A, np.ones((1, 8)), rtol=0, atol=1e-9)
+            code, stdout, _ = run_cli(
+                capsys, "eval", "--est", str(out), "--truth", str(data / "truth"),
+                "--out", str(tmp_path / f"{name}.json"),
+            )
+            assert code == 0
+            assert all(np.isfinite(v) for v in json_out(stdout).values())
 
     def test_mc_replicas(self, tmp_path, capsys):
         gen = tmp_path / "gdata"

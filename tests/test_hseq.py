@@ -270,9 +270,11 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="nonnegative"):
             GlmmModel(M0=M0)
 
-    def test_glmm_model_needs_two_materials(self):
-        with pytest.raises(ValueError):
-            GlmmModel(M0=np.ones((4, 1)))
+    def test_glmm_model_needs_one_material(self):
+        with pytest.raises(ValueError, match="P >= 1"):
+            GlmmModel(M0=np.ones((4, 0)))
+        model = GlmmModel(M0=np.ones((4, 1)))
+        assert model.P == 1 and np.array_equal(model.m0, np.ones(4))
 
     def test_sequence_shape_consistency(self):
         with pytest.raises(ValueError, match="frame 1"):

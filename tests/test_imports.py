@@ -105,7 +105,7 @@ import json, sys
 import numpy as np
 from mtunmix import kronops
 
-kronops.cho_factor(np.eye(2))
+kronops.factor(np.eye(2))
 direct = kronops.lapack()
 import scipy.linalg
 from scipy.linalg import _flapack

@@ -12,14 +12,13 @@ from mtunmix.errors import FactorizationError
 from mtunmix.kronops import (
     band_blocks,
     band_diagonal,
-    cho_factor,
     cho_factor_jittered,
-    cho_inverse,
     cho_logdet,
     cho_solve,
     dense_form,
     factor,
     factor_inverse,
+    matvec,
     psd_floor,
     symmetrize,
 )
@@ -221,12 +220,14 @@ def eigh_clip_oracle(X):
 
 
 class TestChoInverse:
+    """factor_inverse of a dense factor (LAPACK potri)."""
+
     @pytest.mark.parametrize("n", [1, 7, 60])
     def test_matches_dense_inverse(self, n):
         rng = np.random.default_rng(n)
         for _ in range(5):
             S = random_spd(rng, n)
-            X = cho_inverse(cho_factor(S))
+            X = factor_inverse(factor(S))
             ref = np.linalg.inv(S)
             assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -238,7 +239,7 @@ class TestChoInverse:
         d = np.logspace(0, 4, n)
         S = random_spd(rng, n) * d[:, None] * d[None, :]
         assert 1e7 < np.linalg.cond(S) < 1e9
-        X = cho_inverse(cho_factor(S))
+        X = factor_inverse(factor(S))
         ref = np.linalg.inv(S)
         assert np.linalg.norm(X - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -249,32 +250,34 @@ class TestChoInverse:
         n = 40
         V, _ = np.linalg.qr(rng.standard_normal((n, n)))
         S = symmetrize((V * np.logspace(0, 8, n)) @ V.T)
-        X = cho_inverse(cho_factor(S))
+        X = factor_inverse(factor(S))
         eps = np.finfo(float).eps
         assert np.linalg.norm(X @ S - np.eye(n)) <= 10 * n * eps * np.linalg.cond(S)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(17)
-        X = cho_inverse(cho_factor(random_spd(rng, 25)))
+        X = factor_inverse(factor(random_spd(rng, 25)))
         assert np.array_equal(X, X.T)
 
     def test_factor_left_unchanged(self):
         rng = np.random.default_rng(18)
-        c = cho_factor(random_spd(rng, 25))
+        c = factor(random_spd(rng, 25))
         before = c.copy()
-        cho_inverse(c)
+        factor_inverse(c)
         assert np.array_equal(c, before)
 
     def test_empty_factor_has_empty_inverse_without_lapack(self, monkeypatch):
         def forbidden():
-            raise AssertionError("cho_inverse called LAPACK on a 0 x 0 factor")
+            raise AssertionError("factor_inverse called LAPACK on a 0 x 0 factor")
 
         monkeypatch.setattr(kronops, "lapack", forbidden)
-        inv = cho_inverse(np.zeros((0, 0)))
+        inv = factor_inverse(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and inv.dtype == float
 
 
 class TestChoFactor:
+    """factor, cho_factor_jittered and cho_solve on a dense matrix (LAPACK)."""
+
     SINGULAR = np.diag([1.0, 2.0, 0.0])
 
     def count_attempts(self, monkeypatch):
@@ -292,9 +295,9 @@ class TestChoFactor:
     def test_plain_factor_makes_one_attempt(self, monkeypatch):
         attempts = self.count_attempts(monkeypatch)
         with pytest.raises(FactorizationError):
-            cho_factor(self.SINGULAR)
+            factor(self.SINGULAR)
         assert len(attempts) == 1
-        c = cho_factor(np.diag([4.0, 9.0]))
+        c = factor(np.diag([4.0, 9.0]))
         np.testing.assert_array_equal(np.diag(c), [2.0, 3.0])
 
     def test_jittered_factor_retries_with_jitter(self, monkeypatch):
@@ -310,25 +313,25 @@ class TestChoFactor:
         rng = np.random.default_rng(21)
         for n in (1, 6, 40):
             S = random_spd(rng, n)
-            c = cho_factor(S)
+            c = factor(S)
             c_ref, _ = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
             assert np.array_equal(c, c_ref)
             for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
                 assert np.array_equal(cho_solve(c, B), ref)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)])
     def test_non_square_input_rejected(self, shape):
         with pytest.raises(ValueError, match="square"):
-            cho_factor(np.ones(shape))
+            factor(np.ones(shape))
         with pytest.raises(ValueError, match="square"):
-            cho_inverse(np.ones(shape))
+            factor_inverse(np.ones(shape))
 
     @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 3, 1)])
     def test_mismatched_right_hand_side_rejected(self, shape):
-        factor = cho_factor(np.diag([4.0, 9.0, 1.0]))
+        c = factor(np.diag([4.0, 9.0, 1.0]))
         with pytest.raises(ValueError, match="right-hand side"):
-            cho_solve(factor, np.ones(shape))
+            cho_solve(c, np.ones(shape))
 
 
 class TestPsdHelpers:
@@ -414,16 +417,43 @@ class TestBandLayout:
         rng = np.random.default_rng(42)
         S = random_band_stack(rng, self.L, self.P)
         c = factor(S)
-        c_dense = cho_factor(dense_form(S))
+        c_dense = factor(dense_form(S))
         np.testing.assert_allclose(dense_form(c), np.tril(c_dense), rtol=0, atol=1e-13)
         inv = factor_inverse(c)
         assert np.array_equal(inv, inv.mT)
-        ref = cho_inverse(c_dense)
+        ref = factor_inverse(c_dense)
         np.testing.assert_allclose(dense_form(inv), ref, rtol=0, atol=1e-13 * np.abs(ref).max())
         np.testing.assert_allclose(cho_logdet(c), cho_logdet(c_dense), rtol=1e-13)
         b = rng.standard_normal((self.P * self.L))
-        x = cho_solve(c, b.reshape(self.P, self.L).T[..., None])[..., 0].T.reshape(-1)
-        np.testing.assert_allclose(x, cho_solve(c_dense, b), rtol=1e-12)
+        np.testing.assert_allclose(cho_solve(c, b), cho_solve(c_dense, b), rtol=1e-12)
+
+    @pytest.mark.parametrize("L, P", [(5, 3), (1, 4), (6, 1), (1, 1)])
+    def test_vector_forms_match_dense(self, L, P):
+        # a state vector through a stack: to rounding as through its dense
+        # form, and bit for bit as the stack's own (L, P, 1) band columns
+        rng = np.random.default_rng(44 + 10 * L + P)
+        S = random_band_stack(rng, L, P)
+        dense = dense_form(S)
+        x = rng.standard_normal(P * L)
+        columns = x.reshape(P, L).T[..., None]
+
+        def as_vector(X):
+            return X[..., 0].T.reshape(-1)
+
+        y = matvec(S, x)
+        assert y.shape == (P * L,) and np.array_equal(y, as_vector(S @ columns))
+        np.testing.assert_allclose(y, dense @ x, rtol=1e-13, atol=1e-13 * np.abs(y).max())
+        assert np.array_equal(matvec(dense, x), dense @ x)
+        c = factor(S)
+        z = cho_solve(c, x)
+        assert z.shape == (P * L,) and np.array_equal(z, as_vector(cho_solve(c, columns)))
+        np.testing.assert_allclose(z, cho_solve(factor(dense), x), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(14,), (15, 1), (5, 2, 1)])
+    def test_mismatched_right_hand_side_on_a_stack_rejected(self, shape):
+        c = factor(random_band_stack(np.random.default_rng(45), self.L, self.P))
+        with pytest.raises(ValueError, match="right-hand side"):
+            cho_solve(c, np.ones(shape))
 
     def test_one_indefinite_block_fails_the_stack(self):
         S = np.tile(np.eye(self.P), (self.L, 1, 1))

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mtunmix.em import EmParams, check_finite, em_iterate
+from mtunmix.em import EmParams, check_finite
 from mtunmix import em, pipeline
 from mtunmix.errors import FactorizationError, NumericalAbortError
-from mtunmix.hseq import GlmmModel, devectorize_frame, vectorize_frame
-from mtunmix.kalman import Belief, ModelMatrices, rts_smooth, run_filter
+from mtunmix.hseq import GlmmModel, devectorize_frame
 from mtunmix.metrics import nrmse
 from mtunmix.pipeline import PipelineConfig, _em_iteration, default_init, run_kalman_em
 from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
@@ -154,7 +153,7 @@ class TestDegenerateShapes:
     """One pixel, or one material and so 1 x 1 band blocks: the first pass
     runs on band stacks and the others dense, with finite results."""
 
-    def record_layouts(self, monkeypatch):
+    def check_run(self, monkeypatch, L, N, T, P, seed):
         real, shapes = em.run_filter, []
 
         def recording(ys, model, init):
@@ -162,14 +161,8 @@ class TestDegenerateShapes:
             return real(ys, model, init)
 
         monkeypatch.setattr(em, "run_filter", recording)
-        return shapes
-
-    @pytest.mark.parametrize("P", [2, 3])
-    def test_one_pixel(self, monkeypatch, P):
-        L, N, T = 7, 1, 3
-        M0 = synthetic_endmembers(L, P, seed=11)
-        seq, truth = generate(SynthConfig(L=L, N=N, T=T, P=P, rng_seed=11), M0)
-        shapes = self.record_layouts(monkeypatch)
+        M0 = synthetic_endmembers(L, P, seed=seed)
+        seq, truth = generate(SynthConfig(L=L, N=N, T=T, P=P, rng_seed=seed), M0)
         config = PipelineConfig(init=default_init(L, N, P, truth.abundances[0]), K_max=3)
         result = run_kalman_em(seq, GlmmModel(M0=M0), config)
         assert shapes == [(L, P, P)] + [(P * L, P * L)] * 2
@@ -179,25 +172,13 @@ class TestDegenerateShapes:
         for A in result.abundances.maps:
             assert A.shape == (P, N) and np.max(np.abs(A.sum(axis=0) - 1.0)) <= 1e-9
 
+    @pytest.mark.parametrize("P", [2, 3])
+    def test_one_pixel(self, monkeypatch, P):
+        self.check_run(monkeypatch, L=7, N=1, T=3, P=P, seed=11)
+
     @pytest.mark.parametrize("N", [1, 5])
     def test_one_material_em_passes(self, monkeypatch, N):
-        # GlmmModel needs two materials, so run_kalman_em takes none; these
-        # are its EM iterations and final pass on a one-material scene
-        L, T, K = 7, 3, 3
-        M0 = synthetic_endmembers(L, 1, seed=12)
-        seq, truth = generate(SynthConfig(L=L, N=N, T=T, P=1, rng_seed=12), M0)
-        ys = [vectorize_frame(f) for f in seq.frames]
-        m0 = vectorize_frame(M0)
-        shapes = self.record_layouts(monkeypatch)
-        theta = default_init(L, N, 1, truth.abundances[0])
-        for _ in range(K):
-            theta, loglik, means, q_value = em_iterate(ys, m0, theta)
-            check_finite(loglik, *means, q_value)
-        assert shapes == [(L, 1, 1)] + [(L, L)] * (K - 1)
-        check_finite(theta.A, theta.P00, theta.Q, theta.sigma_r2, theta.psi00)
-        model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
-        traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))
-        check_finite(traj.loglik, *rts_smooth(traj))
+        self.check_run(monkeypatch, L=7, N=N, T=3, P=1, seed=12)
 
 
 class TestFiniteGuard:
