@@ -13,10 +13,10 @@ using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m
 is assembled analytically from its L blocks of size P x P: it couples only
 the P entries of one band. The posterior covariance ``P - P B.T S^-1 B P``
 is formed as ``C^-1`` with ``C = P^-1 + s2i B.T B``, and both inverses come
-from their Cholesky factors (LAPACK ``potri``), exactly symmetric. A singular
-or nearly singular P takes the same formulas through its PSD square root H,
-with ``C^-1 = H (I + s2i H B.T B H)^-1 H``; no explicit gain is formed on
-either path.
+from their Cholesky factors (``kronops.factor_inverse``), exactly symmetric.
+A singular or nearly singular P takes the same formulas through its PSD
+square root H, with ``C^-1 = H (I + s2i H B.T B H)^-1 H``; no explicit gain
+is formed on either path.
 
 The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains

@@ -17,17 +17,21 @@ name per job: a dense matrix goes to LAPACK, a stack to NumPy's batched
 ``linalg``. A PL state vector keeps its order in both layouts, and
 :func:`cho_solve` and :func:`matvec` take and return it as it is.
 
-The three LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dpotri``)
-come from SciPy's extension module ``scipy.linalg._flapack``, loaded on
-first use by :func:`lapack` without running the ``scipy.linalg`` package,
+The LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dtrtri``,
+``dlauum``) come from SciPy's extension module ``scipy.linalg._flapack``,
+and BLAS ``dtrmm`` from ``scipy.linalg._fblas``, each loaded on first use by
+:func:`lapack` or :func:`blas` without running the ``scipy.linalg`` package,
 whose import costs about ten times as long and seven times the memory. Only
-the commands that factor a matrix (``unmix`` and the library's EM) load it.
-Every call looks :func:`lapack` up on this module when it runs, so a
-replacement set on the module sees each factorization, solve and inverse.
+the commands that factor a matrix (``unmix`` and the library's EM) load
+them, and ``_fblas`` only once a dense inverse is larger than
+:data:`INVERSE_LEAF`. Every call looks :func:`lapack` and :func:`blas` up on
+this module when it runs, so a replacement set on the module sees each
+factorization, solve and inverse.
 """
 
 from __future__ import annotations
 
+import importlib
 import importlib.machinery
 import importlib.util
 import os
@@ -41,51 +45,68 @@ from .errors import FactorizationError
 #: Relative jitter added to the diagonal on the single Cholesky retry.
 JITTER_SCALE = 1e-10
 
-_FLAPACK = "scipy.linalg._flapack"
-_lapack_module = None
-_lapack_lock = threading.Lock()
+#: Order at and below which :func:`factor_inverse` inverts a factor with one
+#: LAPACK ``trtri`` call; larger factors are split in two.
+INVERSE_LEAF = 96
+
+#: SciPy's wrapper extension of each kind, and the public module that
+#: re-exports its routines where the extension file is not found.
+_EXTENSIONS = {"_flapack": "lapack", "_fblas": "blas"}
+_modules: dict = {}
+_load_lock = threading.Lock()
 
 
 def lapack():
-    """SciPy's LAPACK wrappers, loaded once, thread-safe on first use.
+    """SciPy's LAPACK wrappers (``scipy.linalg._flapack``); see :func:`_extension`."""
+    return _extension("_flapack")
+
+
+def blas():
+    """SciPy's BLAS wrappers (``scipy.linalg._fblas``); see :func:`_extension`."""
+    return _extension("_fblas")
+
+
+def _extension(name: str):
+    """SciPy's wrapper extension ``scipy.linalg.<name>``, loaded once,
+    thread-safe on first use.
 
     ``import scipy`` runs first, so that SciPy sets up its bundled BLAS; then
-    the extension file is loaded under its own name, ``scipy.linalg._flapack``,
-    where a later ``import scipy.linalg`` finds it. A module already loaded
-    under that name is used as it is. Without the file, ``scipy.linalg.lapack``
-    (which re-exports the same routines) is imported instead.
+    the extension file is loaded under its own name, where a later
+    ``import scipy.linalg`` finds it. A module already loaded under that name
+    is used as it is. Without the file, the public ``scipy.linalg`` module
+    that re-exports the same routines is imported instead.
     """
-    global _lapack_module
-    if _lapack_module is None:
-        with _lapack_lock:
-            if _lapack_module is None:
-                _lapack_module = _load_lapack()
-    return _lapack_module
+    module = _modules.get(name)
+    if module is None:
+        with _load_lock:
+            module = _modules.get(name)
+            if module is None:
+                module = _modules[name] = _load_extension(name)
+    return module
 
 
-def _extension_path(package_dir: str) -> str | None:
-    """Path of the ``_flapack`` extension file in SciPy's ``linalg`` folder."""
+def _extension_path(package_dir: str, name: str) -> str | None:
+    """Path of the extension file ``name`` in SciPy's ``linalg`` folder."""
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(package_dir, "linalg", "_flapack" + suffix)
+        path = os.path.join(package_dir, "linalg", name + suffix)
         if os.path.isfile(path):
             return path
     return None
 
 
-def _load_lapack():
+def _load_extension(name: str):
     import scipy
 
-    if _FLAPACK in sys.modules:
-        return sys.modules[_FLAPACK]
-    path = _extension_path(os.path.dirname(scipy.__file__))
+    full_name = "scipy.linalg." + name
+    if full_name in sys.modules:
+        return sys.modules[full_name]
+    path = _extension_path(os.path.dirname(scipy.__file__), name)
     if path is None:
-        from scipy.linalg import lapack as fallback
-
-        return fallback
-    spec = importlib.util.spec_from_file_location(_FLAPACK, path)
+        return importlib.import_module("scipy.linalg." + _EXTENSIONS[name])
+    spec = importlib.util.spec_from_file_location(full_name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules[_FLAPACK] = module
+    sys.modules[full_name] = module
     return module
 
 
@@ -135,7 +156,12 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
 def factor(M: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a dense matrix (LAPACK ``potrf``) or of every
     block of a stack, no jitter; :class:`FactorizationError` if any is not
-    numerically positive definite."""
+    numerically positive definite.
+
+    ``M`` must be exactly symmetric, as every caller's matrix is: a
+    C-ordered matrix goes to ``potrf`` as its Fortran-ordered transpose,
+    which the wrapper copies as it is instead of transposing it.
+    """
     M = np.asarray(M)
     _check_square(M, "factored matrix")
     if M.ndim == 3:
@@ -145,7 +171,7 @@ def factor(M: np.ndarray) -> np.ndarray:
             raise FactorizationError(
                 f"stack of {M.shape[0]} matrices of size {M.shape[-1]} not positive definite"
             ) from exc
-    c, info = lapack().dpotrf(M, lower=1, clean=0)
+    c, info = lapack().dpotrf(M.T if M.flags.c_contiguous else M, lower=1, clean=0)
     if info > 0:
         raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite")
     if info < 0:
@@ -225,11 +251,13 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     """Inverse of the factored matrix, exactly symmetric; the factor is left
     as it is.
 
-    A dense factor goes to LAPACK ``potri``, which costs n^3 / 3 multiply-adds
-    against n^3 for ``cho_solve(c, I)`` and fills the lower triangle, mirrored
-    into the upper; a 0 x 0 factor, which ``potri`` would reject, has a 0 x 0
-    inverse. A stack's inverse is R.T R per block, with R the inverse of the
-    block's factor.
+    A dense factor C is inverted to R = C^-1 by :func:`_lower_inverse`, and
+    LAPACK ``lauum`` forms the lower triangle of R.T R, mirrored into the
+    upper one. That is n^3 / 3 multiply-adds against n^3 for
+    ``cho_solve(c, I)``, as in LAPACK ``potri``, but most of them in BLAS-3
+    products. A 0 x 0 factor, which LAPACK would reject, has a 0 x 0 inverse.
+    A stack's inverse is R.T R per block, with R the inverse of the block's
+    factor.
     """
     _check_square(c, "factor")
     if c.ndim == 3:
@@ -237,10 +265,38 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
         return _mirror_lower(root.mT @ root)
     if c.shape[0] == 0:
         return np.zeros((0, 0))
-    inv, info = lapack().dpotri(c, lower=1, overwrite_c=False)
+    root = np.array(c, order="F")
+    _lower_inverse(root)
+    inv, info = lapack().dlauum(root, lower=1, overwrite_c=1)
     if info != 0:
-        raise FactorizationError(f"potri failed on a factor of size {c.shape[0]} (info={info})")
+        raise FactorizationError(f"lauum failed on a factor of size {c.shape[0]} (info={info})")
     return _mirror_lower(inv)
+
+
+def _lower_inverse(R: np.ndarray) -> None:
+    """Overwrite the lower triangle of R, a lower triangular factor, with that
+    of its inverse; the upper triangle is not read, and left as it is.
+
+    Recursive blocked inversion (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM
+    Review 46(1), 2004): with C = [[C11, 0], [C21, C22]] split at n // 2, the
+    inverse is [[R11, 0], [-R22 C21 R11, R22]], R11 and R22 the inverses of
+    the diagonal blocks, and the off-diagonal block takes two BLAS ``trmm``
+    calls. An order up to :data:`INVERSE_LEAF` takes one LAPACK ``trtri``
+    call, which runs at a fraction of a matrix product's speed on larger ones.
+    """
+    n = R.shape[0]
+    if n <= INVERSE_LEAF:
+        inv, info = lapack().dtrtri(R, lower=1, overwrite_c=1)
+        if info != 0:
+            raise FactorizationError(f"trtri failed on a factor of size {n} (info={info})")
+        R[...] = inv
+        return
+    h = n // 2
+    _lower_inverse(R[:h, :h])
+    _lower_inverse(R[h:, h:])
+    trmm = blas().dtrmm
+    R21 = trmm(-1.0, R[h:, h:], R[h:, :h], lower=1)
+    R[h:, :h] = trmm(1.0, R[:h, :h], R21, side=1, lower=1, overwrite_b=1)
 
 
 def psd_floor(X: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """SciPy is imported only by the code that factors a matrix or aligns more
 than EXHAUSTIVE_ALIGN_LIMIT endmembers, so the other commands start faster;
-the factorizations load SciPy's LAPACK extension, not ``scipy.linalg``.
+the factorizations load SciPy's LAPACK extension, and inverses larger than
+``kronops.INVERSE_LEAF`` its BLAS extension, not ``scipy.linalg``. The
+scripts run L = 60 bands and P = 2 materials, so PL = 120 is above that size.
 Every name the benchmark's tracer replaces exists."""
 
 import importlib
@@ -33,7 +35,7 @@ def run(*argv):
     assert code == 0, (argv, code)
     loaded[argv[0]] = scipy_modules()
 
-run("generate", "--L", "8", "--N", "5", "--T", "2", "--P", "2", "--seed", "3",
+run("generate", "--L", "60", "--N", "5", "--T", "2", "--P", "2", "--seed", "3",
     "--out", out + "/data")
 run("vca", "--input", out + "/data", "--p", "2", "--seed", "1", "--out", out + "/m0.f64")
 run("fcls", "--input", out + "/data", "--m0", out + "/m0.f64", "--out", out + "/fcls")
@@ -62,6 +64,7 @@ def test_only_unmix_loads_scipy_and_only_its_lapack(tmp_path):
     for step in ("import mtunmix", "import mtunmix.cli", "generate", "vca", "fcls", "eval"):
         assert loaded[step] == [], step
     assert "scipy.linalg._flapack" in loaded["unmix"]
+    assert "scipy.linalg._fblas" in loaded["unmix"]
     assert "scipy.linalg" not in loaded["unmix"]
     assert not any(m.startswith("scipy.optimize") for m in loaded["unmix"])
 
@@ -70,18 +73,21 @@ UNMIX_SCRIPT = r"""
 import json, sys
 from mtunmix import cli, kronops
 
-out, fallback = sys.argv[1], sys.argv[2] == "1"
-if fallback:
-    kronops._extension_path = lambda package_dir: None
+out, missing = sys.argv[1], sys.argv[2:]
+real_path = kronops._extension_path
+kronops._extension_path = lambda package_dir, name: (
+    None if name in missing else real_path(package_dir, name))
 for argv in (
-    ["generate", "--L", "8", "--N", "5", "--T", "3", "--P", "2", "--seed", "4",
+    ["generate", "--L", "60", "--N", "5", "--T", "3", "--P", "2", "--seed", "4",
      "--mc", "2", "--out", out + "/data"],
     ["unmix", "--input", out + "/data", "--vca", "--p", "2", "--iters", "2",
      "--mc", "2", "--out", out + "/unmix"],
 ):
     assert cli.main(argv) == 0, argv
 print(json.dumps({"scipy.linalg": "scipy.linalg" in sys.modules,
-                  "lapack": kronops.lapack().__name__}))
+                  "loaded": sorted(kronops._modules),
+                  "lapack": kronops.lapack().__name__,
+                  "blas": kronops.blas().__name__}))
 """
 
 
@@ -90,13 +96,22 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 
 def test_fallback_to_scipy_linalg_writes_the_same_bytes(tmp_path):
-    direct = run_python(UNMIX_SCRIPT, str(tmp_path / "direct"), "0")
-    fallback = run_python(UNMIX_SCRIPT, str(tmp_path / "fallback"), "1")
-    assert direct == {"scipy.linalg": False, "lapack": "scipy.linalg._flapack"}
-    assert fallback == {"scipy.linalg": True, "lapack": "scipy.linalg.lapack"}
+    direct = run_python(UNMIX_SCRIPT, str(tmp_path / "direct"))
+    no_blas = run_python(UNMIX_SCRIPT, str(tmp_path / "no_blas"), "_fblas")
+    neither = run_python(UNMIX_SCRIPT, str(tmp_path / "neither"), "_flapack", "_fblas")
+    loaded = ["_fblas", "_flapack"]
+    assert direct == {"scipy.linalg": False, "loaded": loaded,
+                      "lapack": "scipy.linalg._flapack", "blas": "scipy.linalg._fblas"}
+    assert no_blas == {"scipy.linalg": True, "loaded": loaded,
+                       "lapack": "scipy.linalg._flapack", "blas": "scipy.linalg.blas"}
+    # the LAPACK fallback imports scipy.linalg, which registers _fblas, and
+    # the BLAS lookup then shares it
+    assert neither == {"scipy.linalg": True, "loaded": loaded,
+                       "lapack": "scipy.linalg.lapack", "blas": "scipy.linalg._fblas"}
     direct_files = tree_bytes(tmp_path / "direct" / "unmix")
     assert len(direct_files) > 10
-    assert tree_bytes(tmp_path / "fallback" / "unmix") == direct_files
+    assert tree_bytes(tmp_path / "no_blas" / "unmix") == direct_files
+    assert tree_bytes(tmp_path / "neither" / "unmix") == direct_files
 
 
 def test_scipy_linalg_imported_after_the_direct_load_shares_it():
@@ -105,18 +120,23 @@ import json, sys
 import numpy as np
 from mtunmix import kronops
 
-kronops.factor(np.eye(2))
-direct = kronops.lapack()
+n = 2 * kronops.INVERSE_LEAF + 1
+inv = kronops.factor_inverse(kronops.factor(4.0 * np.eye(n)))
+direct, direct_blas = kronops.lapack(), kronops.blas()
 import scipy.linalg
-from scipy.linalg import _flapack
+from scipy.linalg import _fblas, _flapack
 c, lower = scipy.linalg.cho_factor(np.diag([4.0, 9.0]), lower=True)
 print(json.dumps({
-    "same module": _flapack is direct and sys.modules["scipy.linalg._flapack"] is direct,
+    "same lapack": _flapack is direct and sys.modules["scipy.linalg._flapack"] is direct,
+    "same blas": _fblas is direct_blas and sys.modules["scipy.linalg._fblas"] is direct_blas,
     "same dpotrf": scipy.linalg.lapack.dpotrf is direct.dpotrf,
+    "same dtrmm": scipy.linalg.blas.dtrmm is direct_blas.dtrmm,
     "factor": np.diag(c).tolist(),
+    "inverse": bool(np.array_equal(inv, 0.25 * np.eye(n))),
 }))
 """)
-    assert found == {"same module": True, "same dpotrf": True, "factor": [2.0, 3.0]}
+    assert found == {"same lapack": True, "same blas": True, "same dpotrf": True,
+                     "same dtrmm": True, "factor": [2.0, 3.0], "inverse": True}
 
 
 def test_concurrent_first_calls_load_one_module():
@@ -124,22 +144,25 @@ def test_concurrent_first_calls_load_one_module():
 import json, sys, threading, time
 from mtunmix import kronops
 
-real, loads = kronops._load_lapack, []
+real, loads = kronops._load_extension, []
 
-def slow_load():
-    loads.append(1)
+def slow_load(name):
+    loads.append(name)
     time.sleep(0.05)  # widen the window in which other threads arrive
-    return real()
+    return real(name)
 
-kronops._load_lapack = slow_load
+kronops._load_extension = slow_load
 barrier = threading.Barrier(6, timeout=30)
-got = []
+got = {"_flapack": [], "_fblas": []}
+lookups = [("_flapack", kronops.lapack), ("_fblas", kronops.blas)]
 
-def first_call():
+def first_calls(i):
     barrier.wait()
-    got.append(kronops.lapack())
+    # half the threads ask for BLAS first, so the two loads cross
+    for name, lookup in lookups if i % 2 else lookups[::-1]:
+        got[name].append(lookup())
 
-threads = [threading.Thread(target=first_call) for _ in range(6)]
+threads = [threading.Thread(target=first_calls, args=(i,)) for i in range(6)]
 interval = sys.getswitchinterval()
 sys.setswitchinterval(1e-6)
 try:
@@ -150,11 +173,13 @@ try:
 finally:
     sys.setswitchinterval(interval)
 assert not any(t.is_alive() for t in threads)
-print(json.dumps({"loads": len(loads), "calls": len(got),
-                  "objects": len({id(m) for m in got}),
-                  "registered": got[0] is sys.modules["scipy.linalg._flapack"]}))
+print(json.dumps({name: {"loads": loads.count(name), "calls": len(modules),
+                         "objects": len({id(m) for m in modules}),
+                         "registered": modules[0] is sys.modules["scipy.linalg." + name]}
+                  for name, modules in got.items()}))
 """)
-    assert found == {"loads": 1, "calls": 6, "objects": 1, "registered": True}
+    each = {"loads": 1, "calls": 6, "objects": 1, "registered": True}
+    assert found == {"_flapack": each, "_fblas": each}
 
 
 def test_every_cli_name_the_tracer_binds_resolves():

@@ -215,7 +215,9 @@ class TestUpdate:
             outcomes.append("fail" if info > 0 else "ok")
             return c, info
 
-        recorder = SimpleNamespace(dpotrf=recording, dpotrs=real.dpotrs, dpotri=real.dpotri)
+        recorder = SimpleNamespace(
+            dpotrf=recording, dpotrs=real.dpotrs, dtrtri=real.dtrtri, dlauum=real.dlauum
+        )
         monkeypatch.setattr(kronops, "lapack", lambda: recorder)
         post, ll, _ = update(pred, y, model)
         assert outcomes == ["fail", "ok"]

@@ -219,10 +219,18 @@ def eigh_clip_oracle(X):
     return symmetrize((V * np.clip(w, 0.0, None)) @ V.T)
 
 
-class TestChoInverse:
-    """factor_inverse of a dense factor (LAPACK potri)."""
+#: Orders on both sides of the size at which factor_inverse splits, and odd
+#: splits below the top level
+INVERSE_SIZES = [
+    1, 7, 60, kronops.INVERSE_LEAF, kronops.INVERSE_LEAF + 1, 2 * kronops.INVERSE_LEAF + 1, 411, 519,
+]
 
-    @pytest.mark.parametrize("n", [1, 7, 60])
+
+class TestChoInverse:
+    """factor_inverse of a dense factor (LAPACK trtri up to INVERSE_LEAF,
+    recursive blocks with BLAS trmm above it, then LAPACK lauum)."""
+
+    @pytest.mark.parametrize("n", INVERSE_SIZES)
     def test_matches_dense_inverse(self, n):
         rng = np.random.default_rng(n)
         for _ in range(5):
@@ -247,30 +255,52 @@ class TestChoInverse:
         # cond 1e8 from the spectrum: any computed inverse is off by about
         # cond * eps, so bound the residual instead
         rng = np.random.default_rng(16)
-        n = 40
-        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        S = symmetrize((V * np.logspace(0, 8, n)) @ V.T)
-        X = factor_inverse(factor(S))
         eps = np.finfo(float).eps
-        assert np.linalg.norm(X @ S - np.eye(n)) <= 10 * n * eps * np.linalg.cond(S)
+        for n in (40, 411, 519):
+            V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            S = symmetrize((V * np.logspace(0, 8, n)) @ V.T)
+            X = factor_inverse(factor(S))
+            assert np.linalg.norm(X @ S - np.eye(n)) <= 10 * n * eps * np.linalg.cond(S), n
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(17)
-        X = factor_inverse(factor(random_spd(rng, 25)))
-        assert np.array_equal(X, X.T)
+        for n in INVERSE_SIZES:
+            X = factor_inverse(factor(random_spd(rng, n)))
+            assert np.array_equal(X, X.T), n
 
     def test_factor_left_unchanged(self):
         rng = np.random.default_rng(18)
-        c = factor(random_spd(rng, 25))
-        before = c.copy()
-        factor_inverse(c)
-        assert np.array_equal(c, before)
+        for n in INVERSE_SIZES:
+            c = factor(random_spd(rng, n))
+            before = c.copy()
+            factor_inverse(c)
+            assert np.array_equal(c, before), n
+
+    @pytest.mark.parametrize("n", [7, 2 * kronops.INVERSE_LEAF + 1, 411])
+    def test_reads_only_below_the_diagonal(self, n):
+        # potrf leaves its input's upper triangle in the factor, so no block
+        # of the split may read above the diagonal
+        rng = np.random.default_rng(19)
+        c = factor(random_spd(rng, n))
+        poisoned = np.where(np.tri(n, dtype=bool), c, np.nan)
+        assert np.array_equal(factor_inverse(poisoned), factor_inverse(c))
+
+    @pytest.mark.parametrize("n", [7, 2 * kronops.INVERSE_LEAF + 1])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_zero_pivot_raises(self, n, where):
+        rng = np.random.default_rng(20)
+        c = factor(random_spd(rng, n))
+        k = 0 if where == "first" else n - 1
+        c[k, k] = 0.0
+        with pytest.raises(FactorizationError):
+            factor_inverse(c)
 
     def test_empty_factor_has_empty_inverse_without_lapack(self, monkeypatch):
         def forbidden():
-            raise AssertionError("factor_inverse called LAPACK on a 0 x 0 factor")
+            raise AssertionError("factor_inverse called LAPACK or BLAS on a 0 x 0 factor")
 
         monkeypatch.setattr(kronops, "lapack", forbidden)
+        monkeypatch.setattr(kronops, "blas", forbidden)
         inv = factor_inverse(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and inv.dtype == float
 
@@ -288,7 +318,9 @@ class TestChoFactor:
             attempts.append(M.copy())
             return real.dpotrf(M, **kwargs)
 
-        patched = SimpleNamespace(dpotrf=counting, dpotrs=real.dpotrs, dpotri=real.dpotri)
+        patched = SimpleNamespace(
+            dpotrf=counting, dpotrs=real.dpotrs, dtrtri=real.dtrtri, dlauum=real.dlauum
+        )
         monkeypatch.setattr(kronops, "lapack", lambda: patched)
         return attempts
 
@@ -319,6 +351,14 @@ class TestChoFactor:
             for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
                 assert np.array_equal(cho_solve(c, B), ref)
+
+    @pytest.mark.parametrize("n", [5, 90, 411])
+    def test_factor_same_bits_in_either_memory_order(self, n):
+        # a C-ordered matrix goes to potrf as its transpose, which equals it
+        # only because it is exactly symmetric
+        S = symmetrize(random_spd(np.random.default_rng(22), n))
+        assert S.flags.c_contiguous
+        assert np.array_equal(factor(S), factor(np.asfortranarray(S)))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3), (1, 2, 2, 2)])
     def test_non_square_input_rejected(self, shape):
