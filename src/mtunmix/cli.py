@@ -11,6 +11,8 @@ default to 0 rather than being time-derived.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -29,6 +31,7 @@ from .errors import (
 from .fcls import fcls_refine_frame
 from .hseq import (
     GlmmModel,
+    is_json_int,
     read_hseq,
     read_manifest,
     read_matrix,
@@ -52,68 +55,83 @@ REPLICA_DIR_FMT = "rep_{:04d}"
 M0_SEED_OFFSET = 1000003  # decorrelates auto-generated spectra from the scene draw
 
 
+def _json(payload, indent: int | None = None) -> str:
+    """Strict JSON: a non-finite float raises rather than being written as
+    the ``Infinity`` or ``NaN`` that JSON parsers reject."""
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(_json(payload))
 
 
-def _note(message: str) -> None:
-    print(message, file=sys.stderr)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the platform has
-    one, else every core."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _finite_or_null(x: float) -> float | None:
+    return x if math.isfinite(x) else None
 
 
 def _run_replicas(fn, jobs: list[tuple]) -> list:
     """``fn(*job)`` for every job on a thread pool of at most one thread per
-    CPU the process may use; the results in job order, the first exception
-    re-raised."""
-    workers = max(1, min(len(jobs), _usable_cpus()))
+    CPU the process may use (its affinity mask where the platform has one);
+    the results in job order, the first exception re-raised."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    workers = max(1, min(len(jobs), cpus))
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
 
 
+def _fan_out(args, run_one, *inputs: Path) -> int:
+    """Print the summary of ``run_one(seed, *inputs, out)`` with ``--seed``
+    and ``--out``, or under ``--mc R`` the summaries of R replicas run on
+    the replica pool, replica i with seed ``seed + i`` and the ``rep_<i>``
+    subdirectory of each input and of the output. Every input replica is
+    checked for before any replica runs."""
+    if args.mc < 1:
+        raise ValueError(f"--mc must be >= 1, got {args.mc}")
+    dirs = [*inputs, Path(args.out)]
+    if args.mc == 1:
+        _emit(run_one(args.seed, *dirs))
+        return 0
+    jobs = [(args.seed + i, *(d / REPLICA_DIR_FMT.format(i) for d in dirs)) for i in range(args.mc)]
+    absent = [replica for job in jobs for replica in job[1:-1] if not replica.is_dir()]
+    if absent:
+        raise SequenceFormatError(f"missing replica directory {absent[0]}")
+    _emit({"replicas": _run_replicas(run_one, jobs)})
+    return 0
+
+
 # ---------------------------------------------------------------- generate
 
 
-def _synth_config_from_args(args, seed: int) -> SynthConfig:
-    settings = {
-        "L": args.L,
-        "N": args.N,
-        "T": args.T,
-        "P": args.P,
-        "snr_db": args.snr_db,
-        "F_scale": args.f_scale,
-        "q_var": args.q_var,
-        "abundance_jitter_std": args.jitter_std,
-        "dirichlet_alpha": None,
-        "rng_seed": seed,
-    }
+def _synth_config(args) -> SynthConfig:
+    """``SynthConfig``'s defaults, overridden by the flags given, then by the
+    ``--config`` file; the seed is ``--seed``."""
+    fields = dataclasses.fields(SynthConfig)
+    names = {f.name for f in fields} - {"rng_seed"}
+    settings = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if args.config is not None:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = set(loaded) - set(settings)
+        unknown = sorted(set(loaded) - names)
+        if "rng_seed" in unknown:
+            raise ValueError(f"config file {args.config} sets rng_seed; give the seed with --seed")
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {unknown}")
         settings.update(loaded)
-        settings["rng_seed"] = seed
-    missing = [k for k in ("L", "N", "T", "P") if settings[k] is None]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING]
+    missing = [name for name in required if name not in settings]
     if missing:
         raise ValueError(f"missing required dimensions: {', '.join(missing)}")
-    return SynthConfig(**settings)
+    return SynthConfig(**settings, rng_seed=args.seed)
 
 
-def _generate_one(args, seed: int, out: Path) -> dict:
-    config = _synth_config_from_args(args, seed)
-    if args.m0 is not None:
-        M0 = _load_m0(args, config.L, config.P)
-    else:
+def _generate_one(config: SynthConfig, M0: np.ndarray | None, seed: int, out: Path) -> dict:
+    config = dataclasses.replace(config, rng_seed=seed)
+    if M0 is None:
         M0 = synthetic_endmembers(config.L, config.P, seed=seed + M0_SEED_OFFSET)
     seq, truth = generate(config, M0)
     write_hseq(seq, out, seed=seed, P=config.P)
@@ -130,11 +148,10 @@ def _generate_one(args, seed: int, out: Path) -> dict:
         seed=seed,
     )
     write_matrix(out / "truth" / "m0.f64", M0)
-    echo = {k: getattr(config, k) for k in (
-        "L", "N", "T", "P", "F_scale", "q_var", "snr_db", "abundance_jitter_std", "rng_seed"
-    )}
-    echo["dirichlet_alpha"] = list(config.alpha)
-    (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True))
+    echo = dataclasses.asdict(config)
+    echo.update(dirichlet_alpha=list(config.alpha), snr_db=_finite_or_null(config.snr_db))
+    (out / "config.json").write_text(_json(echo, indent=2))
+    snr = empirical_snr_db(truth.clean_frames, truth.noisy_frames)
     return {
         "out": str(out),
         "L": config.L,
@@ -142,18 +159,14 @@ def _generate_one(args, seed: int, out: Path) -> dict:
         "T": config.T,
         "P": config.P,
         "seed": seed,
-        "empirical_snr_db": empirical_snr_db(truth.clean_frames, truth.noisy_frames),
+        "empirical_snr_db": _finite_or_null(snr),
     }
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
-    if args.mc <= 1:
-        _emit(_generate_one(args, args.seed, out))
-        return 0
-    jobs = [(args, args.seed + i, out / REPLICA_DIR_FMT.format(i)) for i in range(args.mc)]
-    _emit({"replicas": _run_replicas(_generate_one, jobs)})
-    return 0
+    config = _synth_config(args)
+    M0 = _load_m0(args, config.L, config.P) if args.m0 is not None else None
+    return _fan_out(args, functools.partial(_generate_one, config, M0))
 
 
 # ------------------------------------------------------------------- unmix
@@ -166,7 +179,7 @@ def _load_m0(args, L: int, P_hint: int | None):
     if sidecar.is_file():
         meta = json.loads(sidecar.read_text())
         file_L = meta.get("L") if isinstance(meta, dict) else None
-        if not isinstance(file_L, int) or isinstance(file_L, bool):
+        if not is_json_int(file_L):
             raise ValueError(f"endmember sidecar {sidecar} has no integer L")
         if file_L != L:
             raise ValueError(f"endmember sidecar {sidecar} declares L={file_L}, expected L={L}")
@@ -210,9 +223,7 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
         seed=seed,
     )
     write_matrix(out / "m0.f64", M0)
-    (out / "diagnostics.json").write_text(
-        json.dumps(result.diagnostics, indent=2, sort_keys=True)
-    )
+    (out / "diagnostics.json").write_text(_json(result.diagnostics, indent=2))
     return {
         "out": str(out),
         "T": seq.T,
@@ -232,19 +243,7 @@ def cmd_unmix(args) -> int:
         raise ValueError("--lambda must be finite and nonnegative")
     if args.m0 is None and not args.vca:
         raise ValueError("either --m0 or --vca is required")
-    input_dir = Path(args.input)
-    out = Path(args.out)
-    if args.mc <= 1:
-        _emit(_unmix_one(args, args.seed, input_dir, out))
-        return 0
-    jobs = []
-    for i in range(args.mc):
-        rep = REPLICA_DIR_FMT.format(i)
-        if not (input_dir / rep).is_dir():
-            raise SequenceFormatError(f"missing replica directory {input_dir / rep}")
-        jobs.append((args, args.seed + i, input_dir / rep, out / rep))
-    _emit({"replicas": _run_replicas(_unmix_one, jobs)})
-    return 0
+    return _fan_out(args, functools.partial(_unmix_one, args), Path(args.input))
 
 
 # -------------------------------------------------------------------- fcls
@@ -276,12 +275,9 @@ def cmd_vca(args) -> int:
     seq = read_hseq(args.input)
     M0 = vca_extract(seq.frames[0], args.p, seed=args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_matrix(out, M0)
-    Path(str(out) + ".json").write_text(
-        json.dumps({"L": seq.L, "P": args.p, "seed": args.seed}, sort_keys=True)
-    )
+    Path(str(out) + ".json").write_text(_json({"L": seq.L, "P": args.p, "seed": args.seed}))
     _emit({"out": str(out), "L": seq.L, "P": args.p, "seed": args.seed})
     return 0
 
@@ -315,7 +311,7 @@ def cmd_eval(args) -> int:
         "nrmse_y": nrmse(truth["frames"], recon),
     }
     metrics.update({f"{k}_x100": 100.0 * v for k, v in list(metrics.items())})
-    Path(args.out).write_text(json.dumps(metrics, indent=2, sort_keys=True))
+    Path(args.out).write_text(_json(metrics, indent=2))
     _emit(metrics)
     return 0
 
@@ -336,10 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--N", type=int, help="pixel count")
     gen.add_argument("--T", type=int, help="frame count")
     gen.add_argument("--P", type=int, help="endmember count")
-    gen.add_argument("--snr-db", type=float, default=30.0, dest="snr_db")
-    gen.add_argument("--f-scale", type=float, default=0.9, dest="f_scale")
-    gen.add_argument("--q-var", type=float, default=0.01, dest="q_var")
-    gen.add_argument("--jitter-std", type=float, default=3e-3, dest="jitter_std")
+    # each dest is the SynthConfig field the flag sets, whose default applies
+    gen.add_argument("--snr-db", type=float, dest="snr_db")
+    gen.add_argument("--f-scale", type=float, dest="F_scale")
+    gen.add_argument("--q-var", type=float, dest="q_var")
+    gen.add_argument("--jitter-std", type=float, dest="abundance_jitter_std")
     gen.add_argument("--m0", help="raw endmember file to mix with (default: synthetic)")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--mc", type=int, default=1, help="independent replicas")
@@ -390,17 +387,15 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (NumericalAbortError, FactorizationError) as exc:
-        _note(f"numerical abort: {exc}")
-        return 4
+        code, message = 4, f"numerical abort: {exc}"
     except RankDeficiencyError as exc:
-        _note(f"rank deficiency: {exc}")
-        return 5
+        code, message = 5, f"rank deficiency: {exc}"
     except (SequenceFormatError, OSError) as exc:
-        _note(f"i/o failure: {exc}")
-        return 3
-    except (ValueError, json.JSONDecodeError) as exc:
-        _note(f"invalid arguments: {exc}")
-        return 2
+        code, message = 3, f"i/o failure: {exc}"
+    except ValueError as exc:  # json.JSONDecodeError included
+        code, message = 2, f"invalid arguments: {exc}"
+    print(message, file=sys.stderr)  # one line on stderr, no traceback
+    return code
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ All types are plain immutable containers; file operations are single-writer.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -35,6 +36,12 @@ FORMAT_TAGS = {"dtype": "float64", "byte_order": "little", "layout": "column-maj
 MANIFEST_NAME = "manifest.json"
 
 _DTYPE = np.dtype("<f8")
+
+
+def is_json_int(value) -> bool:
+    """True for an integer that is not a bool, the one check every JSON
+    integer read by the package passes: ``2.9``, ``true`` and ``"3"`` fail."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def vectorize_frame(Y: np.ndarray) -> np.ndarray:
@@ -213,33 +220,31 @@ def write_hseq(
 
 
 def read_manifest(path: Path | str) -> Manifest:
-    """Parse a directory's manifest and check it: the format tags, dimensions
-    L, N, T and any declared P of at least 1, and as many frame files as frames."""
+    """Parse a directory's manifest and check it: the format tags, integers L, N,
+    T and any P of at least 1, any integer seed, and a frame file per frame."""
     root = Path(path)
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
         raise SequenceFormatError(f"no {MANIFEST_NAME} in {root}")
     try:
         d = json.loads(mpath.read_text())
-        manifest = Manifest(
-            L=int(d["L"]),
-            N=int(d["N"]),
-            T=int(d["T"]),
-            P=int(d["P"]) if d.get("P") is not None else None,
-            frame_files=tuple(str(f) for f in d.get("frames", [])),
-            seed=int(d["seed"]) if d.get("seed") is not None else None,
-        )
+        frame_files = tuple(str(f) for f in d.get("frames", []))
     except json.JSONDecodeError as exc:
         raise SequenceFormatError(f"unparseable manifest {mpath}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError) as exc:
         raise SequenceFormatError(f"malformed manifest {mpath}: {exc}") from exc
     for key, tag in FORMAT_TAGS.items():
         if d.get(key) != tag:
             raise SequenceFormatError(f"{mpath}: unsupported {key} {d.get(key)!r}, not {tag!r}")
-    for name in ("L", "N", "T", "P"):
-        value = getattr(manifest, name)
-        if value is not None and value < 1:
+    ints = {name: d.get(name) for name in ("L", "N", "T", "P", "seed")}
+    for name, value in ints.items():
+        if value is None and name in ("P", "seed"):
+            continue
+        if not is_json_int(value):
+            raise SequenceFormatError(f"{mpath} declares {name}={value!r}, not an integer")
+        if name != "seed" and value < 1:
             raise SequenceFormatError(f"{mpath} declares {name}={value}, below 1")
+    manifest = Manifest(**ints, frame_files=frame_files)
     if manifest.frame_files and manifest.T != len(manifest.frame_files):
         raise SequenceFormatError(
             f"manifest declares T={manifest.T} but lists {len(manifest.frame_files)} frame files"

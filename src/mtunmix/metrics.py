@@ -92,12 +92,11 @@ def align_endmember_sequences(truth_seq, est_seq) -> tuple[int, ...]:
     return _best_permutation(cost)
 
 
-def apply_permutation(perm, endmembers=None, abundances=None):
-    """Reorder estimate columns/rows so material k lines up with truth's k."""
+def apply_permutation(perm, endmembers, abundances):
+    """Reorder estimate columns/rows so material k lines up with truth's k;
+    returns the reordered (endmembers, abundances)."""
     perm = list(perm)
-    out = []
-    if endmembers is not None:
-        out.append([np.asarray(M)[:, perm] for M in endmembers])
-    if abundances is not None:
-        out.append([np.asarray(A)[perm, :] for A in abundances])
-    return out[0] if len(out) == 1 else tuple(out)
+    return (
+        [np.asarray(M)[:, perm] for M in endmembers],
+        [np.asarray(A)[perm, :] for A in abundances],
+    )

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fcls import project_simplex
-from .hseq import HsiSequence, devectorize_frame
+from .hseq import HsiSequence, devectorize_frame, is_json_int
 
-DEFAULT_JITTER_STD = 3e-3
+N_BUMPS = 4  # Gaussian bumps per synthetic spectrum
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,13 @@ class SynthConfig:
     F_scale: float = 0.9
     q_var: float = 0.01
     snr_db: float = 30.0
-    abundance_jitter_std: float = DEFAULT_JITTER_STD
+    abundance_jitter_std: float = 3e-3
     rng_seed: int = 0
 
     def __post_init__(self):
         for name in ("L", "N", "T", "P"):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            if not is_json_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("snr_db", "F_scale", "q_var", "abundance_jitter_std"):
             if not isinstance(getattr(self, name), numbers.Real):
@@ -126,14 +126,14 @@ def generate(config: SynthConfig, M0: np.ndarray) -> tuple[HsiSequence, GroundTr
     return HsiSequence(frames=tuple(noisy)), truth
 
 
-def synthetic_endmembers(L: int, P: int, seed: int = 0, n_bumps: int = 4) -> np.ndarray:
+def synthetic_endmembers(L: int, P: int, seed: int = 0) -> np.ndarray:
     """Smooth positive stand-in spectra: baseline plus Gaussian bumps, L x P."""
     rng = np.random.default_rng(seed)
     x = np.linspace(0.0, 1.0, L)
     M = np.empty((L, P))
     for p in range(P):
         spectrum = np.full(L, 0.05)
-        for _ in range(n_bumps):
+        for _ in range(N_BUMPS):
             amp = rng.uniform(0.1, 0.6)
             center = rng.uniform(0.0, 1.0)
             width = rng.uniform(0.05, 0.25)

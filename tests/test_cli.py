@@ -34,6 +34,15 @@ def json_out(out):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def strict_json(text):
+    """``text`` parsed as a strict parser does, rejecting NaN and Infinity."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def tree_bytes(root):
     """{relative path: contents} of every file under root."""
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -164,6 +173,59 @@ class TestGenerate:
         assert code == 2
         assert "bogus" in err
 
+    def test_config_values_win_over_flags(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"L": 10, "N": 6, "T": 3, "P": 2, "snr_db": 25.0}))
+        out = tmp_path / "x"
+        code, _, _ = run_cli(
+            capsys, "generate", "--config", str(cfg), "--L", "12", "--snr-db", "40",
+            "--q-var", "0.2", "--out", str(out),
+        )
+        assert code == 0
+        echo = json.loads((out / "config.json").read_text())
+        # the file's L and snr_db, the flag's q_var, SynthConfig's F_scale
+        assert (echo["L"], echo["snr_db"], echo["q_var"], echo["F_scale"]) == (10, 25.0, 0.2, 0.9)
+
+    def test_config_echo_without_its_seed_reproduces_the_run(self, tmp_path, capsys):
+        first = tmp_path / "first"
+        code, _, _ = run_cli(
+            capsys, "generate", "--L", "10", "--N", "6", "--T", "2", "--P", "2",
+            "--q-var", "0.05", "--seed", "7", "--out", str(first),
+        )
+        assert code == 0
+        # the echo records rng_seed, which only --seed sets
+        echo_path = first / "config.json"
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "generate", "--config", str(echo_path), "--out", str(out)
+        )
+        assert code == 2
+        assert err.splitlines() == [
+            f"invalid arguments: config file {echo_path} sets rng_seed; give the seed with --seed"
+        ]
+        assert stdout == "" and not out.exists()
+        echo = json.loads(echo_path.read_text())
+        assert echo.pop("rng_seed") == 7
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(echo))
+        again = tmp_path / "again"
+        code, _, _ = run_cli(
+            capsys, "generate", "--config", str(cfg), "--seed", "7", "--out", str(again)
+        )
+        assert code == 0
+        assert tree_bytes(again) == tree_bytes(first)
+
+    def test_noise_free_outputs_are_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "clean"
+        code, stdout, _ = run_cli(
+            capsys,
+            "generate", "--L", "8", "--N", "4", "--T", "2", "--P", "2", "--snr-db", "inf",
+            "--out", str(out),
+        )
+        assert code == 0
+        assert strict_json(stdout)["empirical_snr_db"] is None
+        assert strict_json((out / "config.json").read_text())["snr_db"] is None
+
     def test_custom_endmember_file(self, tmp_path, capsys):
         M0 = synthetic_endmembers(14, 2, seed=3)
         m0_path = tmp_path / "custom.f64"
@@ -287,6 +349,26 @@ class TestUnmix:
         assert code == 3
         assert f"{mpath} declares {key}=0" in err
 
+    @pytest.mark.parametrize("value", [2.9, True, "3"])
+    @pytest.mark.parametrize("key", ["L", "N", "T", "P", "seed"])
+    def test_manifest_entry_not_an_integer_exit_3(
+        self, small_dataset, tmp_path, capsys, key, value
+    ):
+        data, _ = small_dataset
+        mpath = data / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest[key] = value
+        mpath.write_text(json.dumps(manifest))
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(data), "--vca", "--out", str(out)
+        )
+        assert code == 3
+        assert err.splitlines() == [
+            f"i/o failure: {mpath} declares {key}={value!r}, not an integer"
+        ]
+        assert stdout == "" and not out.exists()
+
     @pytest.mark.parametrize("command", ["generate", "unmix", "fcls"])
     def test_non_finite_m0_exit_2(self, small_dataset, tmp_path, capsys, command):
         data, _ = small_dataset
@@ -380,6 +462,30 @@ class TestUnmix:
         ]
         assert caught == [] and stdout == ""
         assert not (out / "manifest.json").exists()
+
+    def test_clamp_psi_count_in_diagnostics(self, tmp_path, capsys):
+        # the scene of the pipeline's clamp test, which has negative scaling factors
+        M0 = synthetic_endmembers(8, 2, seed=6)
+        seq, _ = generate(SynthConfig(L=8, N=6, T=3, P=2, rng_seed=6, q_var=0.5, snr_db=10.0), M0)
+        data, m0_path = tmp_path / "data", tmp_path / "m0.f64"
+        write_hseq(seq, data, P=2)
+        write_matrix(m0_path, M0)
+        runs = {}
+        for name, flags in (("clamped", ["--clamp-psi"]), ("plain", [])):
+            out = tmp_path / name
+            code, _, _ = run_cli(
+                capsys, "unmix", "--input", str(data), "--m0", str(m0_path), "--iters", "2",
+                *flags, "--out", str(out),
+            )
+            assert code == 0
+            diags = json.loads((out / "diagnostics.json").read_text())
+            runs[name] = (diags["clamped_entries"], read_result_dir(out))
+        (count, clamped), (plain_count, plain) = runs["clamped"], runs["plain"]
+        assert count == sum(int(np.sum(psi < 0)) for psi in clamped["psis"]) > 0
+        assert plain_count == 0
+        for psi, psi_plain, M in zip(clamped["psis"], plain["psis"], clamped["endmembers"]):
+            assert psi.tobytes() == psi_plain.tobytes()
+            assert M.tobytes() == (M0 * np.maximum(psi, 0.0)).tobytes()
 
     def test_requires_m0_or_vca(self, small_dataset, tmp_path, capsys):
         data, _ = small_dataset
@@ -514,6 +620,40 @@ class TestUnmix:
             files = tree_bytes(out / rep)
             assert {"manifest.json", "diagnostics.json", "abund_0001.f64"} <= files.keys()
             assert files == tree_bytes(single)
+
+
+class TestReplicaFanOut:
+    @pytest.mark.parametrize("mc", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["generate", "unmix"])
+    def test_replica_count_below_one_exit_2(self, small_dataset, tmp_path, capsys, command, mc):
+        data, _ = small_dataset
+        argv = {
+            "generate": ["generate", "--L", "8", "--N", "4", "--T", "2", "--P", "2"],
+            "unmix": ["unmix", "--input", str(data), "--vca"],
+        }[command]
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, "--mc", mc, "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"invalid arguments: --mc must be >= 1, got {mc}"]
+        assert stdout == "" and not out.exists()
+
+    def test_missing_input_replica_exit_3_before_any_runs(self, tmp_path, capsys):
+        gen = tmp_path / "gdata"
+        code, _, _ = run_cli(
+            capsys,
+            "generate", "--L", "10", "--N", "6", "--T", "2", "--P", "2",
+            "--mc", "2", "--out", str(gen),
+        )
+        assert code == 0
+        out = tmp_path / "umc"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(gen), "--vca", "--mc", "3", "--out", str(out)
+        )
+        assert code == 3
+        assert err.splitlines() == [
+            f"i/o failure: missing replica directory {gen / 'rep_0002'}"
+        ]
+        assert stdout == "" and not out.exists()
 
 
 class TestReplicaPool:

@@ -158,7 +158,8 @@ class TestSequenceIO:
         with pytest.raises(SequenceFormatError, match=f"{key} '{value}'"):
             read_hseq(tmp_path / "seq")
 
-    @pytest.mark.parametrize("value", [0, -2, float("inf")])
+    # int() would read 2.9 as 2 bands, true as 1 and "3" as 3
+    @pytest.mark.parametrize("value", [0, -2, float("inf"), 2.9, True, "3"])
     def test_band_count_below_one_or_infinite_rejected(self, tmp_path, value):
         write_hseq(HsiSequence(frames=(np.ones((2, 2)),)), tmp_path / "seq")
         mpath = tmp_path / "seq" / "manifest.json"

@@ -128,9 +128,18 @@ class TestRunKalmanEm:
             clamp_psi_nonneg=True,
         )
         result = run_kalman_em(seq, GlmmModel(M0=M0), config)
-        assert result.diagnostics["clamped_entries"] >= 0
-        for M in result.endmembers:
-            assert M.min() >= 0.0
+        plain = run_kalman_em(
+            seq, GlmmModel(M0=M0), dataclasses.replace(config, clamp_psi_nonneg=False)
+        )
+        negative = sum(int(np.sum(psi < 0)) for psi in result.psis)
+        assert negative == 14
+        assert result.diagnostics["clamped_entries"] == negative
+        assert plain.diagnostics["clamped_entries"] == 0
+        # the clamp acts on the endmembers only: the smoothed states are untouched
+        for psi, psi_plain in zip(result.psis, plain.psis):
+            assert psi.tobytes() == psi_plain.tobytes()
+        for M, psi in zip(result.endmembers, result.psis):
+            assert M.tobytes() == (M0 * np.maximum(psi, 0.0)).tobytes()
 
     def test_k_max_validated(self):
         with pytest.raises(ValueError, match="K_max"):
