@@ -45,6 +45,7 @@ from .pipeline import (
     DEFAULT_EM_ITERS,
     DEFAULT_LAMBDA,
     PipelineConfig,
+    check_run_settings,
     default_init,
     run_kalman_em,
     vca_extract,
@@ -83,6 +84,12 @@ def _run_replicas(fn, jobs: list[tuple]) -> list:
         return [f.result() for f in futures]
 
 
+def _check_seed(seed: int) -> None:
+    """Refuse a negative ``--seed``, which NumPy's generators reject."""
+    if seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {seed}")
+
+
 def _fan_out(args, run_one, *inputs: Path) -> int:
     """Print the summary of ``run_one(seed, *inputs, out)`` with ``--seed``
     and ``--out``, or under ``--mc R`` the summaries of R replicas run on
@@ -91,6 +98,7 @@ def _fan_out(args, run_one, *inputs: Path) -> int:
     checked for before any replica runs."""
     if args.mc < 1:
         raise ValueError(f"--mc must be >= 1, got {args.mc}")
+    _check_seed(args.seed)
     dirs = [*inputs, Path(args.out)]
     if args.mc == 1:
         _emit(run_one(args.seed, *dirs))
@@ -237,10 +245,7 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
 
 
 def cmd_unmix(args) -> int:
-    if args.iters < 1:
-        raise ValueError("--iters must be >= 1")
-    if not 0 <= args.lam < math.inf:
-        raise ValueError("--lambda must be finite and nonnegative")
+    check_run_settings(args.iters, args.lam, names={"K_max": "--iters", "lam": "--lambda"})
     if args.m0 is None and not args.vca:
         raise ValueError("either --m0 or --vca is required")
     return _fan_out(args, functools.partial(_unmix_one, args), Path(args.input))
@@ -272,6 +277,7 @@ def cmd_fcls(args) -> int:
 
 
 def cmd_vca(args) -> int:
+    _check_seed(args.seed)
     seq = read_hseq(args.input)
     M0 = vca_extract(seq.frames[0], args.p, seed=args.seed)
     out = Path(args.out)

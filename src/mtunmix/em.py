@@ -3,11 +3,16 @@
 One EM iteration runs the filter and the smoothed-mean pass under the current
 parameters, then one backward pass of the smoothed-covariance recursion whose
 every step is reduced to the sufficient statistics as it comes (Shumway &
-Stoffer 1982): the increment moment D in one PL x PL array and the same-band
-entries the block traces read. It then applies closed-form maximizers for
-the initial belief, the process noise, the observation noise variance, and
-the average abundance matrix. Before the new parameters are built, one
-finiteness check covers them, the log-likelihood and the smoothed means.
+Stoffer 1982): the increment moment D in one PL x PL array, which adds each
+step's smoothed increment covariance V_t, and the same-band entries the block
+traces read. It then applies closed-form maximizers for the initial belief,
+the process noise, the observation noise variance, and the average abundance
+matrix. Before the new parameters are built, one finiteness check covers
+them, the log-likelihood and the smoothed means.
+
+The surrogate at the new parameters, which the iteration also returns, comes
+from the M-step identities and the Cholesky factors of the new P00 and Q, with
+no inverse; :func:`q_function` is the reference evaluation.
 
 An iteration whose P00 and Q are both exactly zero between bands, as
 ``default_init``'s are, filters and smooths on (L, P, P) band stacks (see
@@ -28,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalAbortError
+from .errors import FactorizationError, NumericalAbortError
 from .kalman import (
     Belief,
     ModelMatrices,
@@ -45,6 +50,7 @@ from .kronops import (
     cho_logdet,
     cho_solve,
     dense_form,
+    factor,
     factor_inverse,
     psd_floor,
     symmetrize,
@@ -81,7 +87,8 @@ class SufficientStats:
     """Smoothed-trajectory statistics consumed by the M-steps.
 
     ``increment_second_moment``  D = sum_t E[(psi_t - psi_{t-1})(psi_t - psi_{t-1}).T]
-                                 = sum_t S_t + S_{t-1} - X_t - X_t.T + delta_t delta_t.T,
+                                 = sum_t V_t + delta_t delta_t.T,
+                                 V_t = S_t + S_{t-1} - X_t - X_t.T,  X_t = Cov(psi_t, psi_{t-1}),
                                  delta_t = psi_t^s - psi_{t-1}^s             (t = 1..T)
     ``obs_energy``               sum_t y_t.T y_t
     ``gram_block_trace``         P x P block traces of diag(m0) S1 diag(m0), with
@@ -106,28 +113,26 @@ def accumulate_stats(
     smoothed t = 0 belief (mean and covariance S_0).
 
     The smoothed covariances come from :func:`smoothed_covariances` and are
-    reduced as each backward step yields them: added into D, and their
-    same-band entries S_t[(p, l), (q, l)] (the only ones the block traces of
-    diag(m0) S1 diag(m0) read) into an L x P x P array. No smoothed
-    covariance outlives its step, and S1 itself is never formed. D and S_0
-    are dense in both layouts.
+    reduced as each backward step yields them: the increment covariance V_t
+    added into D, and the same-band entries S_t[(p, l), (q, l)] (the only
+    ones the block traces of diag(m0) S1 diag(m0) read) into an L x P x P
+    array. No smoothed covariance outlives its step, and S1 itself is never
+    formed. D and S_0 are dense in both layouts.
     """
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
 
     D = np.zeros((P * L, P * L))
     at = band_index(L, P) if model.Q.ndim == 3 else ...  # where a step's covariances go in D
     band = np.zeros((L, P, P))
-    t = T
-    for S_t, S_prev, X in smoothed_covariances(traj, model.Q):
-        delta = means[t] - means[t - 1]
-        D[at] += S_t
-        D[at] += S_prev
-        D[at] -= X + X.mT  # exactly symmetric, as every other term, so D is too
-        D += np.outer(delta, delta)
+    for S_t, S_prev, V in smoothed_covariances(traj, model.Q):
+        D[at] += V
         band += band_blocks(S_t, L)
         S_0 = S_prev
-        del S_t, X  # not alive beside the next step's matrices
-        t -= 1
+        del S_t  # not alive beside the next step's matrices
+    # the smoothed mean increments' outer products in one product, which
+    # NumPy forms as a symmetric rank-T update: D stays exactly symmetric
+    deltas = np.diff(np.stack(means), axis=0)
+    D += deltas.T @ deltas
 
     obs_energy = 0.0
     cross_bt = np.zeros((N, P))
@@ -188,10 +193,19 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
     return -0.5 * (term0 + term_q + term_r)
 
 
-def m_step_p00(smoothed0: Belief, psi00_old: np.ndarray) -> np.ndarray:
-    """P00* = P_0^s + (psi_0^s - psi00)(psi_0^s - psi00).T."""
+def m_step_p00(
+    smoothed0: Belief, psi00_old: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """P00* = P_0^s + (psi_0^s - psi00)(psi_0^s - psi00).T, and its plain
+    Cholesky factor, None where it has none."""
     d = smoothed0.mean - np.asarray(psi00_old, dtype=float).reshape(-1)
-    return symmetrize(smoothed0.cov + np.outer(d, d))
+    P00 = np.outer(d, d)
+    P00 += smoothed0.cov
+    P00 = symmetrize(P00)
+    try:
+        return P00, factor(P00)
+    except FactorizationError:
+        return P00, None
 
 
 def m_step_psi00(smoothed0: Belief) -> np.ndarray:
@@ -199,8 +213,9 @@ def m_step_psi00(smoothed0: Belief) -> np.ndarray:
     return smoothed0.mean.copy()
 
 
-def m_step_q(stats: SufficientStats) -> np.ndarray:
-    """Q* = D / T, floored to the PSD cone.
+def m_step_q(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray | None]:
+    """Q* = D / T, floored to the PSD cone, and its plain Cholesky factor,
+    None where it has none (:func:`mtunmix.kronops.psd_floor`).
 
     The 1/T factor makes this the exact maximizer of the surrogate's Q block;
     tiny negative eigenvalues from smoother round-off are clipped at zero.
@@ -239,6 +254,33 @@ def check_finite(*arrays) -> None:
         raise NumericalAbortError("non-finite state encountered")
 
 
+def _updated_surrogate(
+    theta: EmParams,
+    stats: SufficientStats,
+    psi00_old: np.ndarray,
+    c_p00: np.ndarray,
+    c_q: np.ndarray,
+) -> float:
+    """:func:`q_function` at the M-step's own parameters, from the factors of
+    their P00 and Q alone.
+
+    There psi00 = psi_0^s, P00 = P_0^s + e e.T with e = psi_0^s - psi00_old,
+    Q = D / T and sigma_r2 = tr_resid / (T N L), so the traces reduce to
+
+        tr(P00^-1 [P_0^s + d d.T]) = PL - e.T P00^-1 e   (d = 0),
+        tr(Q^-1 D) = T PL,   tr_resid / sigma_r2 = T N L,
+
+    and no inverse is formed. The identities need Q unclipped and sigma_r2
+    above its floor.
+    """
+    PL, TNL = theta.psi00.size, stats.T * stats.N * stats.L
+    e = theta.psi00 - psi00_old
+    term0 = PL - float(e @ cho_solve(c_p00, e)) + cho_logdet(c_p00)
+    term_q = stats.T * PL + stats.T * cho_logdet(c_q)
+    term_r = TNL + TNL * np.log(theta.sigma_r2)
+    return -0.5 * (term0 + term_q + term_r)
+
+
 def em_iterate(
     ys: list[np.ndarray], m0: np.ndarray, theta: EmParams
 ) -> tuple[EmParams, float, list[np.ndarray], float]:
@@ -252,6 +294,10 @@ def em_iterate(
     jointly. A non-finite log-likelihood, smoothed mean or updated parameter
     raises :class:`NumericalAbortError` before the new parameters are built.
     The pass runs on band stacks when P00 and Q are both zero between bands.
+
+    The surrogate comes from :func:`_updated_surrogate`, or from
+    :func:`q_function` where a floor binds: Q clipped or without a plain
+    factor, sigma_r2 at ``SIGMA_R2_FLOOR``, or P00 without a plain factor.
     """
     L = theta.psi00.size // theta.A.shape[0]
     P00, Q = theta.P00, theta.Q
@@ -262,13 +308,16 @@ def em_iterate(
     means = rts_smooth(traj)
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
 
-    P00_new = m_step_p00(smoothed0, theta.psi00)
+    P00_new, c_p00 = m_step_p00(smoothed0, theta.psi00)
     psi00_new = m_step_psi00(smoothed0)
-    Q_new = m_step_q(stats)
+    Q_new, c_q = m_step_q(stats)
     A_new = m_step_abundance(stats)
     sigma_new = m_step_sigma(stats, A_new)
 
     check_finite(traj.loglik, *means, A_new, P00_new, Q_new, sigma_new, psi00_new)
     theta_new = EmParams(A=A_new, P00=P00_new, Q=Q_new, sigma_r2=sigma_new, psi00=psi00_new)
-    q_value = q_function(theta_new, stats, smoothed0)
+    if c_p00 is None or c_q is None or sigma_new <= SIGMA_R2_FLOOR:
+        q_value = q_function(theta_new, stats, smoothed0)
+    else:
+        q_value = _updated_surrogate(theta_new, stats, theta.psi00, c_p00, c_q)
     return theta_new, traj.loglik, means, q_value

@@ -26,8 +26,9 @@ A :class:`Trajectory` is the filter's output, never changed after it: per
 frame the filtered belief and that inverse, about 2T + 1 PL x PL matrices,
 and the log-likelihood. :func:`rts_smooth` returns the smoothed means, two
 matrix-vector products per step. :func:`smoothed_covariances` yields each
-smoothed covariance and lag-one cross covariance as the backward pass
-reaches it, for the EM statistics to reduce at once; none is stored.
+smoothed covariance S_t and the covariance V_{t+1} of the smoothed increment
+psi_{t+1} - psi_t as the backward pass reaches them, three PL x PL products
+per step, for the EM statistics to reduce at once; none is stored.
 
 Covariances take the model's Q's layout (:mod:`mtunmix.kronops`): dense, or
 an (L, P, P) band stack when Q and the initial covariance are zero between
@@ -47,6 +48,7 @@ import numpy as np
 
 from .errors import FactorizationError
 from .kronops import (
+    band_index,
     cho_factor_jittered,
     cho_logdet,
     cho_solve,
@@ -118,15 +120,23 @@ class ModelMatrices:
         return self.m0.reshape((self.L, self.P), order="F")
 
     @cached_property
-    def btb(self) -> np.ndarray:
-        """B.T @ B = diag(m0) (A A.T (x) I_L) diag(m0) in Q's layout.
-
-        Band l's block is diag(M0[l]) A A.T diag(M0[l]); the dense form holds
-        these blocks and zeros between bands.
-        """
+    def btb_blocks(self) -> np.ndarray:
+        """The (L, P, P) band blocks of B.T @ B = diag(m0) (A A.T (x) I_L) diag(m0):
+        band l's block is diag(M0[l]) A A.T diag(M0[l]), and B.T B is zero
+        between bands."""
         M0 = self.m0_mat
-        blocks = symmetrize((self.A @ self.A.T) * M0[:, :, None] * M0[:, None, :])
-        return blocks if self.Q.ndim == 3 else dense_form(blocks)
+        return symmetrize((self.A @ self.A.T) * M0[:, :, None] * M0[:, None, :])
+
+    @cached_property
+    def btb_index(self):
+        """Where :attr:`btb_blocks` sit in an array of Q's layout: the band
+        entries of a dense matrix, or the whole of a stack."""
+        return ... if self.Q.ndim == 3 else band_index(self.L, self.P)
+
+    @cached_property
+    def btb(self) -> np.ndarray:
+        """B.T @ B in Q's layout: the band blocks, or their dense form."""
+        return self.btb_blocks if self.Q.ndim == 3 else dense_form(self.btb_blocks)
 
     def apply_B(self, psi: np.ndarray) -> np.ndarray:
         """B @ psi as vec((M0 * Psi) @ A) without forming B."""
@@ -201,8 +211,10 @@ def update(
     The gain is applied through the Woodbury identity: with C = P^-1 + s2i B.T B
     and s2i = 1/sigma_r2, the posterior covariance P - P B.T S^-1 B P collapses
     to C^-1 and the posterior mean to psi + s2i C^-1 B.T v, so the step costs
-    only PL x PL factorizations. The likelihood increment log N(v_t; 0, S_t)
-    uses the matrix determinant lemma log|S| = NL log sigma_r2 + log|P| + log|C|.
+    only PL x PL factorizations. C is a copy of P^-1 with s2i B.T B added at
+    its band entries, the only ones where B.T B is not zero. The likelihood
+    increment log N(v_t; 0, S_t) uses the matrix determinant lemma
+    log|S| = NL log sigma_r2 + log|P| + log|C|.
 
     If P has no Cholesky factor (it is singular: an exactly known state), or
     its condition number exceeds ``MAX_PRED_COND`` (a nearly known state), the
@@ -227,7 +239,6 @@ def update(
         raise ValueError(f"observation length {y.size}, expected {model.obs_dim}")
     s2 = model.sigma_r2
     s2i = 1.0 / s2
-    BtB = model.btb
     v = y - model.apply_B(pred.mean)
     bv = model.apply_Bt(v)
 
@@ -237,15 +248,21 @@ def update(
         cond = _norm1(pred.cov) * _norm1(pred_precision)
         if not cond <= MAX_PRED_COND:
             raise FactorizationError(f"predicted covariance has condition number {cond:.1e}")
-        # exactly symmetric: both terms are
-        c_inner = cho_factor_jittered(pred_precision + s2i * BtB)
+        # P^-1 + s2i B.T B, added only where B.T B is not zero; exactly
+        # symmetric, as both terms are
+        inner = pred_precision.copy()
+        inner[model.btb_index] += s2i * model.btb_blocks
+        c_inner = cho_factor_jittered(inner)
+        del inner
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
         mid = cho_solve(c_inner, bv)
         cov = factor_inverse(c_inner)
     except FactorizationError:
         w, V = np.linalg.eigh(symmetrize(pred.cov))
         H = (V * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ V.mT
-        c_chat = cho_factor_jittered(symmetrize(np.eye(w.shape[-1]) + s2i * (H @ BtB @ H)))
+        c_chat = cho_factor_jittered(
+            symmetrize(np.eye(w.shape[-1]) + s2i * (H @ model.btb @ H))
+        )
         logdet_S = model.obs_dim * math.log(s2) + cho_logdet(c_chat)
         mid = matvec(H, cho_solve(c_chat, matvec(H, bv)))
         cov = symmetrize(H @ factor_inverse(c_chat) @ H)
@@ -297,30 +314,46 @@ def smoothed_covariances(
     traj: Trajectory, Q: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Backward covariance recursion under process noise ``Q`` (the filter's):
-    yields (S_{t+1}, S_t, X_{t+1}) for t = T-1, ..., 0, one step at a time.
+    yields (S_{t+1}, S_t, V_{t+1}) for t = T-1, ..., 0, one step at a time.
 
-    S_t is the smoothed covariance of psi_t and X_{t+1} = Cov(psi_{t+1}, psi_t)
-    under the smoothed posterior:
+    S_t is the smoothed covariance of psi_t and V_{t+1} that of the increment
+    psi_{t+1} - psi_t under the smoothed posterior. With
+    W = S_{t+1} - P_{t+1|t}, three products make a step:
 
-        G_t = P_{t|t} P_{t+1|t}^-1,
-        S_t = P_{t|t} + G_t (S_{t+1} - P_{t+1|t}) G_t^T,
-        X_{t+1} = S_{t+1} G_t^T,
+        G_t = P_{t|t} P_{t+1|t}^-1,   Z = G_t W,
+        S_t = P_{t|t} + Z G_t^T,
+        V_{t+1} = S_{t+1} + S_t - U - U^T,   U = Z + P_{t|t},
 
-    starting from S_T = P_{T|T}. The recursion subtracts the predicted
-    covariance explicitly rather than using G_t P_{t+1|t} = P_{t|t}, which
-    holds only as far as the stored inverse is exact. Only the step's own
+    starting from S_T = P_{T|T}. U.T is the lag-one covariance
+    Cov(psi_{t+1}, psi_t) = S_{t+1} G_t^T, rewritten with
+    G_t P_{t+1|t} = P_{t|t}, so it costs no fourth product; V_{t+1} is the
+    smoothed disturbance variance of the disturbance smoother (Durbin &
+    Koopman, Time Series Analysis by State Space Methods, 2nd ed., 4.5), and
+    it is exactly symmetric. The S_t recursion itself subtracts the predicted
+    covariance explicitly rather than using that identity, which holds only
+    as far as the stored inverse is exact.
+
+    G, W and Z live in three buffers allocated once per pass, and V_{t+1} is
+    one of them: read each step's V_{t+1} before asking for the next step,
+    and keep a copy of it if it must outlive the step. Only the step's own
     matrices are alive, so a consumer that reduces each step and keeps none
     of them holds no per-frame covariance. The first S_{t+1} yielded is the
     trajectory's own P_{T|T}: read what is yielded, do not write into it.
     """
     S_next = traj.beliefs[-1].cov
+    G, W, Z = (np.empty_like(Q) for _ in range(3))
     for t in range(traj.T - 1, -1, -1):
-        filt = traj.beliefs[t]
-        G = filt.cov @ traj.pred_precisions[t]
-        S = G @ (S_next - predict(filt, Q).cov) @ G.mT
-        S += filt.cov
-        S = symmetrize(S)
-        X = S_next @ G.mT
-        del G
-        yield S_next, S, X
+        P_t = traj.beliefs[t].cov
+        np.matmul(P_t, traj.pred_precisions[t], out=G)
+        np.add(P_t, Q, out=W)  # P_{t+1|t}, as predict forms it
+        np.subtract(S_next, W, out=W)
+        np.matmul(G, W, out=Z)
+        np.matmul(Z, G.mT, out=W)
+        W += P_t
+        S = symmetrize(W)
+        Z += P_t
+        np.add(Z, Z.mT, out=G)
+        np.add(S_next, S, out=W)
+        W -= G
+        yield S_next, S, W
         S_next = S

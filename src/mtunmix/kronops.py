@@ -49,6 +49,11 @@ JITTER_SCALE = 1e-10
 #: LAPACK ``trtri`` call; larger factors are split in two.
 INVERSE_LEAF = 96
 
+#: Order of the diagonal blocks in which :func:`_mirror_lower` copies a
+#: triangle, and the strictly upper triangle of one such block.
+MIRROR_BLOCK = 64
+_STRICT_UPPER = ~np.tri(MIRROR_BLOCK, dtype=bool)
+
 #: SciPy's wrapper extension of each kind, and the public module that
 #: re-exports its routines where the extension file is not found.
 _EXTENSIONS = {"_flapack": "lapack", "_fblas": "blas"}
@@ -243,8 +248,20 @@ def cho_logdet(c: np.ndarray) -> float:
 
 
 def _mirror_lower(X: np.ndarray) -> np.ndarray:
-    """X's lower triangle mirrored into its upper one, over the last two axes."""
-    return np.where(np.tri(X.shape[-1], dtype=bool), X, X.mT)
+    """X's lower triangle mirrored into its upper one in place, over the last
+    two axes; returns X.
+
+    The copy runs in square blocks of :data:`MIRROR_BLOCK` along the
+    diagonal: each diagonal block takes its own lower triangle, and the rows
+    right of it the transpose of the columns below it.
+    """
+    n = X.shape[-1]
+    for a in range(0, n, MIRROR_BLOCK):
+        b = min(a + MIRROR_BLOCK, n)
+        diagonal = X[..., a:b, a:b]
+        np.copyto(diagonal, diagonal.mT, where=_STRICT_UPPER[: b - a, : b - a])
+        X[..., a:b, b:] = X[..., b:, a:b].mT
+    return X
 
 
 def factor_inverse(c: np.ndarray) -> np.ndarray:
@@ -252,8 +269,9 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     as it is.
 
     A dense factor C is inverted to R = C^-1 by :func:`_lower_inverse`, and
-    LAPACK ``lauum`` forms the lower triangle of R.T R, mirrored into the
-    upper one. That is n^3 / 3 multiply-adds against n^3 for
+    LAPACK ``lauum`` forms the lower triangle of R.T R in Fortran order,
+    mirrored into the upper one in place and returned as its transpose, the
+    same values in C order. That is n^3 / 3 multiply-adds against n^3 for
     ``cho_solve(c, I)``, as in LAPACK ``potri``, but most of them in BLAS-3
     products. A 0 x 0 factor, which LAPACK would reject, has a 0 x 0 inverse.
     A stack's inverse is R.T R per block, with R the inverse of the block's
@@ -270,7 +288,8 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     inv, info = lapack().dlauum(root, lower=1, overwrite_c=1)
     if info != 0:
         raise FactorizationError(f"lauum failed on a factor of size {c.shape[0]} (info={info})")
-    return _mirror_lower(inv)
+    # symmetric, so the C-ordered transpose holds the same values
+    return _mirror_lower(inv).T
 
 
 def _lower_inverse(R: np.ndarray) -> None:
@@ -299,22 +318,23 @@ def _lower_inverse(R: np.ndarray) -> None:
     R[h:, :h] = trmm(1.0, R[:h, :h], R21, side=1, lower=1, overwrite_b=1)
 
 
-def psd_floor(X: np.ndarray) -> np.ndarray:
+def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Nearest PSD matrix (or stack) by clipping negative eigenvalues of
-    symmetrize(X) at 0.
+    symmetrize(X) at 0, and the plain Cholesky factor of the result, None
+    where it has none.
 
     A plain Cholesky (no jitter, which would pass slightly indefinite input)
-    first tests for positive definiteness; only a matrix that fails it is
-    eigendecomposed.
+    first tests symmetrize(X) for positive definiteness, and its factor is
+    the one returned; only a matrix that fails it is eigendecomposed, and
+    then no factor is returned, whether an eigenvalue was clipped or not.
     """
     S = symmetrize(X)
     try:
-        factor(S)
-        return S
+        return S, factor(S)
     except FactorizationError:
         pass
     w, V = np.linalg.eigh(S)
     if w.min() >= 0.0:
-        return S
+        return S, None
     w = np.clip(w, 0.0, None)
-    return symmetrize((V * w[..., None, :]) @ V.mT)
+    return symmetrize((V * w[..., None, :]) @ V.mT), None

@@ -28,9 +28,21 @@ DEFAULT_EM_ITERS = 5
 DEFAULT_LAMBDA = 1e-8
 
 
+def check_run_settings(K_max: int, lam: float, names: dict[str, str] | None = None) -> None:
+    """Raise ValueError unless ``K_max`` >= 1 and ``lam`` is finite and
+    nonnegative. The message calls a setting by its field name, or by the
+    name ``names`` gives that field (a command-line flag, say)."""
+    names = names or {}
+    if K_max < 1:
+        raise ValueError(f"{names.get('K_max', 'K_max')} must be >= 1, got {K_max}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"{names.get('lam', 'lambda')} must be finite and nonnegative, got {lam}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Run settings: iteration count, refinement weight, initial parameters."""
+    """Run settings: iteration count, refinement weight, initial parameters;
+    see :func:`check_run_settings`."""
 
     init: EmParams
     K_max: int = DEFAULT_EM_ITERS
@@ -38,10 +50,7 @@ class PipelineConfig:
     clamp_psi_nonneg: bool = False
 
     def __post_init__(self):
-        if self.K_max < 1:
-            raise ValueError("K_max must be >= 1")
-        if not 0 <= self.lam < np.inf:
-            raise ValueError("lambda must be finite and nonnegative")
+        check_run_settings(self.K_max, self.lam)
 
 
 @dataclass(frozen=True)

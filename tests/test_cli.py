@@ -637,6 +637,26 @@ class TestReplicaFanOut:
         assert err.splitlines() == [f"invalid arguments: --mc must be >= 1, got {mc}"]
         assert stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [("generate", []), ("generate", ["--mc", "2"]), ("unmix", []), ("unmix", ["--mc", "2"]),
+         ("vca", [])],
+    )
+    def test_negative_seed_exit_2(self, small_dataset, tmp_path, capsys, command, extra):
+        # checked before anything runs: the two-replica unmix has no replica inputs
+        data, _ = small_dataset
+        argv = {
+            "generate": ["generate", "--L", "8", "--N", "4", "--T", "2", "--P", "2"],
+            "unmix": ["unmix", "--input", str(data), "--vca"],
+            "vca": ["vca", "--input", str(data), "--p", "2"],
+        }[command]
+        seed = "-3" if command == "unmix" else "-1"
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(capsys, *argv, *extra, "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [f"invalid arguments: --seed must be >= 0, got {seed}"]
+        assert stdout == "" and not out.exists()
+
     def test_missing_input_replica_exit_3_before_any_runs(self, tmp_path, capsys):
         gen = tmp_path / "gdata"
         code, _, _ = run_cli(

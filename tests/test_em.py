@@ -214,12 +214,13 @@ def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, 
 
     tol = JOINT_POSTERIOR_TOL * max(np.abs(cov).max(), 1e-300)
     D = np.zeros((d, d))
-    for t, (S_t, S_prev, X) in zip(range(T, 0, -1), smoothed_covariances(traj, model.Q)):
+    for t, (S_t, S_prev, V) in zip(range(T, 0, -1), smoothed_covariances(traj, model.Q)):
+        increment = block(t, t) + block(t - 1, t - 1) - block(t, t - 1) - block(t - 1, t)
         np.testing.assert_allclose(S_t, block(t, t), rtol=0, atol=tol)
         np.testing.assert_allclose(S_prev, block(t - 1, t - 1), rtol=0, atol=tol)
-        np.testing.assert_allclose(X, block(t, t - 1), rtol=0, atol=tol)
+        np.testing.assert_allclose(V, increment, rtol=0, atol=tol)
         delta = mean[t * d : (t + 1) * d] - mean[(t - 1) * d : t * d]
-        D += block(t, t) + block(t - 1, t - 1) - block(t, t - 1) - block(t - 1, t)
+        D += increment
         D += np.outer(delta, delta)
     np.testing.assert_allclose(smoothed0.cov, block(0, 0), rtol=0, atol=tol)
     np.testing.assert_allclose(
@@ -386,6 +387,22 @@ class TestQFunction:
                 q_new, q_function_trace_form(theta_new, stats, smoothed0), rtol=1e-12
             )
 
+    def test_em_iterate_falls_back_where_the_floor_clips(self):
+        # Q = 0: the state is constant, D is round-off of both signs and
+        # psd_floor clips it, so the M-step identities do not hold; the
+        # surrogate em_iterate returns is q_function's, bit for bit
+        rng = np.random.default_rng(0)
+        L, N, P, T = 3, 2, 2, 4
+        model, init, ys = random_instance(rng, L, N, P, T)
+        zero = np.zeros((P * L, P * L))
+        known = ModelMatrices(A=model.A, m0=model.m0, Q=zero, sigma_r2=model.sigma_r2)
+        theta = EmParams(A=model.A, P00=init.cov, Q=zero, sigma_r2=model.sigma_r2, psi00=init.mean)
+        theta_new, _, means, q_new = em_iterate(ys, model.m0, theta)
+        stats, smoothed0 = accumulate_stats(run_filter(ys, known, init), means, ys, known)
+        assert np.linalg.eigvalsh(stats.increment_second_moment).min() < 0
+        assert m_step_q(stats)[1] is None
+        assert q_new == q_function(theta_new, stats, smoothed0)
+
     def test_m_step_improves_surrogate(self):
         rng = np.random.default_rng(3)
         L, N, P, T = 3, 2, 2, 5
@@ -406,13 +423,14 @@ class TestMStepClosedForms:
         rng = np.random.default_rng(4)
         cov = random_spd(rng, 4)
         mean = rng.standard_normal(4)
-        np.testing.assert_array_equal(m_step_p00(Belief(mean=mean, cov=cov), mean), cov)
+        np.testing.assert_array_equal(m_step_p00(Belief(mean=mean, cov=cov), mean)[0], cov)
 
     def test_p00_pure_rank_one(self):
         e1 = np.zeros(3)
         e1[0] = 1.0
-        out = m_step_p00(Belief(mean=e1, cov=np.zeros((3, 3))), np.zeros(3))
+        out, factor = m_step_p00(Belief(mean=e1, cov=np.zeros((3, 3))), np.zeros(3))
         np.testing.assert_array_equal(out, np.outer(e1, e1))
+        assert factor is None  # rank one: no plain Cholesky factor
 
     def test_p00_rank_one_update(self):
         rng = np.random.default_rng(5)
@@ -421,7 +439,7 @@ class TestMStepClosedForms:
         old = rng.standard_normal(4)
         d = mean - old
         np.testing.assert_allclose(
-            m_step_p00(Belief(mean=mean, cov=cov), old), cov + np.outer(d, d), rtol=1e-12
+            m_step_p00(Belief(mean=mean, cov=cov), old)[0], cov + np.outer(d, d), rtol=1e-12
         )
 
     def test_psi00_identity_assignment(self):
@@ -443,7 +461,7 @@ class TestMStepClosedForms:
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = run_filter(ys, model, Belief(mean=psi, cov=np.zeros((PL, PL))))
         stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
-        np.testing.assert_allclose(m_step_q(stats), np.zeros((PL, PL)), atol=1e-12)
+        np.testing.assert_allclose(m_step_q(stats)[0], np.zeros((PL, PL)), atol=1e-12)
 
     def test_q_single_transition_reduces_to_one_term(self):
         rng = np.random.default_rng(20)
@@ -457,7 +475,7 @@ class TestMStepClosedForms:
             - cross - cross.T
             + pr.cov + np.outer(pr.mean, pr.mean)
         )
-        np.testing.assert_allclose(m_step_q(stats), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(m_step_q(stats)[0], expected, rtol=1e-10, atol=1e-12)
 
     def test_q_matches_joint_posterior_oracle(self):
         rng = np.random.default_rng(7)
@@ -478,7 +496,7 @@ class TestMStepClosedForms:
                     - cov[j : j + d, i : i + d]
                 )
                 expected += cov_d + np.outer(mu_d, mu_d)
-            np.testing.assert_allclose(m_step_q(stats), expected / T, rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(m_step_q(stats)[0], expected / T, rtol=1e-8, atol=1e-10)
 
     def test_sigma_noiseless_exact_fit(self):
         # y_t = B psi_t exactly, smoothed states equal truth with zero covariance
@@ -675,13 +693,15 @@ def random_band_stack(rng, L, P, scale):
 
 
 def e_step(ys, model, init):
-    """One E-step pass: log-likelihood, smoothed means, the band blocks of
-    every backward step's (S_{t+1}, S_t, X_{t+1}), the statistics and S_0."""
+    """One E-step pass: log-likelihood, smoothed means, copies of the band
+    blocks of every backward step's (S_{t+1}, S_t, V_{t+1}), the statistics
+    and S_0."""
     L = model.L
     traj = run_filter(ys, model, init)
     means = rts_smooth(traj)
     steps = [
-        tuple(band_blocks(M, L) for M in step) for step in smoothed_covariances(traj, model.Q)
+        tuple(band_blocks(M, L).copy() for M in step)
+        for step in smoothed_covariances(traj, model.Q)
     ]
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
     return traj.loglik, means, steps, stats, smoothed0

@@ -380,10 +380,13 @@ class TestSmoother:
         for t, b in enumerate(beliefs):
             np.testing.assert_allclose(means[t], b.mean, rtol=0, atol=1e-13 * np.abs(b.mean).max())
         steps = smoothed_covariances(traj, model.Q)
-        for t, (S_next, S, X) in zip(range(T - 1, -1, -1), steps):
+        for t, (S_next, S, V) in zip(range(T - 1, -1, -1), steps):
             np.testing.assert_array_equal(S_next, beliefs[t + 1].cov)
             np.testing.assert_array_equal(S, beliefs[t].cov)
-            np.testing.assert_array_equal(X, beliefs[t + 1].cov @ gains[t].T)
+            X = beliefs[t + 1].cov @ gains[t].T
+            increment = beliefs[t + 1].cov + beliefs[t].cov - X - X.T
+            np.testing.assert_array_equal(V, V.T)
+            np.testing.assert_allclose(V, increment, rtol=0, atol=1e-13 * np.abs(increment).max())
 
 
 class TestMarginalLoglik:

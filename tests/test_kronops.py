@@ -226,6 +226,33 @@ INVERSE_SIZES = [
 ]
 
 
+class TestMirrorLower:
+    """The in-place blocked triangle copy behind every inverse."""
+
+    B = kronops.MIRROR_BLOCK
+
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 1, 411])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_bits_of_the_masked_select(self, n, order):
+        X = np.array(np.random.default_rng(n).standard_normal((n, n)), order=order)
+        expected = np.where(np.tri(n, dtype=bool), X, X.T)
+        out = kronops._mirror_lower(X)
+        assert out is X
+        assert np.array_equal(out, expected)
+
+    def test_stack(self):
+        X = np.random.default_rng(3).standard_normal((5, self.B + 2, self.B + 2))
+        expected = np.where(np.tri(self.B + 2, dtype=bool), X, X.mT)
+        assert np.array_equal(kronops._mirror_lower(X), expected)
+
+    def test_dense_inverse_is_c_ordered(self):
+        # the same memory order as before the copy went in place, so the
+        # products that read an inverse see the same layout
+        rng = np.random.default_rng(4)
+        for n in (5, 2 * kronops.INVERSE_LEAF + 1):
+            assert factor_inverse(factor(random_spd(rng, n))).flags.c_contiguous
+
+
 class TestChoInverse:
     """factor_inverse of a dense factor (LAPACK trtri up to INVERSE_LEAF,
     recursive blocks with BLAS trmm above it, then LAPACK lauum)."""
@@ -377,13 +404,14 @@ class TestChoFactor:
 class TestPsdHelpers:
     def test_floor_clips_negative_eigenvalues(self):
         X = np.diag([1.0, -0.5])
-        floored = psd_floor(X)
+        floored, c = psd_floor(X)
         np.testing.assert_allclose(floored, np.diag([1.0, 0.0]), atol=1e-14)
+        assert c is None
 
     def test_floor_keeps_psd_input(self):
         rng = np.random.default_rng(14)
         S = random_spd(rng, 5)
-        np.testing.assert_allclose(psd_floor(S), S, rtol=1e-12)
+        np.testing.assert_allclose(psd_floor(S)[0], S, rtol=1e-12)
 
     def test_floor_positive_definite_skips_eigh(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -393,8 +421,9 @@ class TestPsdHelpers:
             raise AssertionError("eigh called on a positive-definite input")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        out = psd_floor(X)
+        out, c = psd_floor(X)
         assert np.array_equal(out, symmetrize(X))
+        assert np.array_equal(c, factor(symmetrize(X)))  # the test's factor, returned
 
     def test_floor_indefinite_matches_eigh_oracle(self):
         rng = np.random.default_rng(20)
@@ -402,7 +431,7 @@ class TestPsdHelpers:
             V, _ = np.linalg.qr(rng.standard_normal((6, 6)))
             X = (V * np.array([-2.0, -1e-9, 0.5, 1.0, 2.0, 3.0])) @ V.T
             X = X + 1e-12 * rng.standard_normal((6, 6))
-            np.testing.assert_allclose(psd_floor(X), eigh_clip_oracle(X), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(psd_floor(X)[0], eigh_clip_oracle(X), rtol=0, atol=1e-13)
 
     def test_floor_exact_zero_eigenvalue_takes_eigh_path(self, monkeypatch):
         # PSD but singular: the Cholesky fails, eigh finds no negative eigenvalue
@@ -417,10 +446,11 @@ class TestPsdHelpers:
             return real_eigh(A)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        out = psd_floor(X)
+        out, c = psd_floor(X)
         assert len(calls) == 1
         assert real_eigh(X)[0][0] >= 0.0
         assert np.array_equal(out, symmetrize(X))
+        assert c is None
 
 
 def random_band_stack(rng, L, P, scale=1.0):
@@ -515,10 +545,10 @@ class TestBandLayout:
         rng = np.random.default_rng(43)
         V, _ = np.linalg.qr(rng.standard_normal((self.L, self.P, self.P)))
         S = (V * np.array([-1.0, 0.5, 2.0])) @ V.mT
-        floored = psd_floor(S)
+        floored = psd_floor(S)[0]
         np.testing.assert_allclose(
-            dense_form(floored), psd_floor(dense_form(S)), rtol=0, atol=1e-13
+            dense_form(floored), psd_floor(dense_form(S))[0], rtol=0, atol=1e-13
         )
         assert np.linalg.eigvalsh(floored).min() >= -1e-14
         S_pd = random_band_stack(rng, self.L, self.P)
-        assert np.array_equal(psd_floor(S_pd), symmetrize(S_pd))
+        assert np.array_equal(psd_floor(S_pd)[0], symmetrize(S_pd))
