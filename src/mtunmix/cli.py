@@ -40,6 +40,7 @@ from .hseq import (
     write_matrix,
     write_result_dir,
 )
+from .kronops import one_blas_thread
 from .metrics import align_endmember_sequences, apply_permutation, nrmse, sam
 from .pipeline import (
     DEFAULT_EM_ITERS,
@@ -72,14 +73,15 @@ def _finite_or_null(x: float) -> float | None:
 
 def _run_replicas(fn, jobs: list[tuple]) -> list:
     """``fn(*job)`` for every job on a thread pool of at most one thread per
-    CPU the process may use (its affinity mask where the platform has one);
+    CPU the process may use (its affinity mask where the platform has one),
+    with NumPy's BLAS on one thread (:func:`mtunmix.kronops.one_blas_thread`);
     the results in job order, the first exception re-raised."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     workers = max(1, min(len(jobs), cpus))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *job) for job in jobs]
         return [f.result() for f in futures]
 
@@ -92,16 +94,17 @@ def _check_seed(seed: int) -> None:
 
 def _fan_out(args, run_one, *inputs: Path) -> int:
     """Print the summary of ``run_one(seed, *inputs, out)`` with ``--seed``
-    and ``--out``, or under ``--mc R`` the summaries of R replicas run on
-    the replica pool, replica i with seed ``seed + i`` and the ``rep_<i>``
-    subdirectory of each input and of the output. Every input replica is
-    checked for before any replica runs."""
+    and ``--out``, or under ``--mc R`` the summaries of R replicas, replica
+    i with seed ``seed + i`` and the ``rep_<i>`` subdirectory of each input
+    and of the output; either way through :func:`_run_replicas`, so BLAS
+    runs on one thread. Every input replica is checked for before any
+    replica runs."""
     if args.mc < 1:
         raise ValueError(f"--mc must be >= 1, got {args.mc}")
     _check_seed(args.seed)
     dirs = [*inputs, Path(args.out)]
     if args.mc == 1:
-        _emit(run_one(args.seed, *dirs))
+        _emit(_run_replicas(run_one, [(args.seed, *dirs)])[0])
         return 0
     jobs = [(args.seed + i, *(d / REPLICA_DIR_FMT.format(i) for d in dirs)) for i in range(args.mc)]
     absent = [replica for job in jobs for replica in job[1:-1] if not replica.is_dir()]
@@ -231,7 +234,10 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
         seed=seed,
     )
     write_matrix(out / "m0.f64", M0)
-    (out / "diagnostics.json").write_text(_json(result.diagnostics, indent=2))
+    # a point-mass state's surrogate is +inf, which strict JSON writes as null
+    q_values = [_finite_or_null(q) for q in result.diagnostics["q_value"]]
+    diagnostics = dict(result.diagnostics, q_value=q_values)
+    (out / "diagnostics.json").write_text(_json(diagnostics, indent=2))
     return {
         "out": str(out),
         "T": seq.T,

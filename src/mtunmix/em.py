@@ -29,6 +29,7 @@ contracted frame by frame, so the dense NL x PL matrix is never formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +54,7 @@ from .kronops import (
     factor,
     factor_inverse,
     psd_floor,
-    symmetrize,
+    symmetric,
 )
 
 #: Lower bound applied to the observation-noise variance update.
@@ -201,7 +202,7 @@ def m_step_p00(
     d = smoothed0.mean - np.asarray(psi00_old, dtype=float).reshape(-1)
     P00 = np.outer(d, d)
     P00 += smoothed0.cov
-    P00 = symmetrize(P00)
+    P00 = symmetric(P00)
     try:
         return P00, factor(P00)
     except FactorizationError:
@@ -298,6 +299,10 @@ def em_iterate(
     The surrogate comes from :func:`_updated_surrogate`, or from
     :func:`q_function` where a floor binds: Q clipped or without a plain
     factor, sigma_r2 at ``SIGMA_R2_FLOOR``, or P00 without a plain factor.
+    Where the new P00 or Q is exactly zero, a point-mass state, it is
+    ``math.inf``: log|P00| or log|Q| is -inf there, and the second moment it
+    weighs is zero too (P_0^s + e e.T, or D, which has no positive
+    eigenvalue), so its trace term vanishes.
     """
     L = theta.psi00.size // theta.A.shape[0]
     P00, Q = theta.P00, theta.Q
@@ -307,6 +312,8 @@ def em_iterate(
     traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=P00))
     means = rts_smooth(traj)
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
+    loglik = traj.loglik
+    del traj, model  # the filtered covariances are not alive beside the M-steps
 
     P00_new, c_p00 = m_step_p00(smoothed0, theta.psi00)
     psi00_new = m_step_psi00(smoothed0)
@@ -314,10 +321,12 @@ def em_iterate(
     A_new = m_step_abundance(stats)
     sigma_new = m_step_sigma(stats, A_new)
 
-    check_finite(traj.loglik, *means, A_new, P00_new, Q_new, sigma_new, psi00_new)
+    check_finite(loglik, *means, A_new, P00_new, Q_new, sigma_new, psi00_new)
     theta_new = EmParams(A=A_new, P00=P00_new, Q=Q_new, sigma_r2=sigma_new, psi00=psi00_new)
-    if c_p00 is None or c_q is None or sigma_new <= SIGMA_R2_FLOOR:
+    if not (np.any(P00_new) and np.any(Q_new)):
+        q_value = math.inf
+    elif c_p00 is None or c_q is None or sigma_new <= SIGMA_R2_FLOOR:
         q_value = q_function(theta_new, stats, smoothed0)
     else:
         q_value = _updated_surrogate(theta_new, stats, theta.psi00, c_p00, c_q)
-    return theta_new, traj.loglik, means, q_value
+    return theta_new, loglik, means, q_value

@@ -56,6 +56,7 @@ from .kronops import (
     factor,
     factor_inverse,
     matvec,
+    symmetric,
     symmetrize,
 )
 
@@ -75,8 +76,9 @@ class ModelMatrices:
     ``B`` is defined by construction from the average abundances ``A`` (P x N)
     and the vectorized reference endmembers ``m0`` (length LP); the dense
     NL x PL matrix is never formed. ``Q``, dense or a band stack, sets the
-    layout of the covariances; it is stored symmetrized, so the predictions
-    built from it stay exactly symmetric.
+    layout of the covariances; it is stored symmetrized (as it is where it is
+    exactly symmetric already), so the predictions built from it stay exactly
+    symmetric.
     """
 
     A: np.ndarray
@@ -94,7 +96,7 @@ class ModelMatrices:
         Q = np.asarray(self.Q, dtype=float)
         if Q.shape not in ((m0.size, m0.size), (m0.size // A.shape[0], A.shape[0], A.shape[0])):
             raise ValueError(f"Q shape {Q.shape} vs state dim {m0.size}")
-        object.__setattr__(self, "Q", symmetrize(Q))
+        object.__setattr__(self, "Q", symmetric(Q))
         if not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 must be positive")
 
@@ -280,7 +282,7 @@ def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Traj
     whose covariance is in the layout of the model's Q."""
     if init.cov.shape != model.Q.shape:
         raise ValueError(f"initial covariance shape {init.cov.shape} vs Q shape {model.Q.shape}")
-    beliefs = [Belief(mean=init.mean, cov=symmetrize(init.cov))]
+    beliefs = [Belief(mean=init.mean, cov=symmetric(init.cov))]
     precisions, terms = [], []
     for y in ys:
         post, ll, precision = update(predict(beliefs[-1], model.Q), y, model)

@@ -17,25 +17,24 @@ name per job: a dense matrix goes to LAPACK, a stack to NumPy's batched
 ``linalg``. A PL state vector keeps its order in both layouts, and
 :func:`cho_solve` and :func:`matvec` take and return it as it is.
 
-The LAPACK routines used here (``dpotrf``, ``dpotrs``, ``dtrtri``,
-``dlauum``) come from SciPy's extension module ``scipy.linalg._flapack``,
-and BLAS ``dtrmm`` from ``scipy.linalg._fblas``, each loaded on first use by
-:func:`lapack` or :func:`blas` without running the ``scipy.linalg`` package,
-whose import costs about ten times as long and seven times the memory. Only
-the commands that factor a matrix (``unmix`` and the library's EM) load
-them, and ``_fblas`` only once a dense inverse is larger than
-:data:`INVERSE_LEAF`. Every call looks :func:`lapack` and :func:`blas` up on
-this module when it runs, so a replacement set on the module sees each
-factorization, solve and inverse.
+LAPACK ``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS ``dtrmm``
+are those of the OpenBLAS that NumPy bundles, called through ctypes
+(:class:`OpenBlas`): NumPy's products and these factorizations share one
+BLAS library and its buffers, SciPy is not imported, and each call releases
+the GIL, so threads that each run a replica factor at the same time.
+:func:`one_blas_thread` sets that library to one thread for a block of work.
+Where NumPy bundles no such library (builds on Accelerate or MKL),
+:func:`lapack` and :func:`blas` return SciPy's ``scipy.linalg.lapack`` and
+``scipy.linalg.blas``, which take the same calls. Every call looks
+:func:`lapack` and :func:`blas` up on this module when it runs, so a
+replacement set on the module sees each factorization, solve and inverse.
 """
 
 from __future__ import annotations
 
-import importlib
-import importlib.machinery
-import importlib.util
-import os
-import sys
+import contextlib
+import ctypes
+import functools
 import threading
 
 import numpy as np
@@ -54,65 +53,201 @@ INVERSE_LEAF = 96
 MIRROR_BLOCK = 64
 _STRICT_UPPER = ~np.tri(MIRROR_BLOCK, dtype=bool)
 
-#: SciPy's wrapper extension of each kind, and the public module that
-#: re-exports its routines where the extension file is not found.
-_EXTENSIONS = {"_flapack": "lapack", "_fblas": "blas"}
-_modules: dict = {}
-_load_lock = threading.Lock()
+# argument types: a character, an integer, a matrix or the scalar alpha, and
+# a character's hidden length; ctypes passes a c_int64 or c_double where a
+# pointer to one is declared by reference
+_C, _I = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64)
+_D, _H = ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
+#: The routines :func:`lapack` and :func:`blas` bind, each the ILP64 symbol
+#: ``scipy_<name>_64_`` of the OpenBLAS that NumPy bundles, and their arguments.
+_SIGNATURES = {
+    "dpotrf": (_C, _I, _D, _I, _I, _H),
+    "dpotrs": (_C, _I, _I, _D, _I, _D, _I, _I, _H),
+    "dtrtri": (_C, _C, _I, _D, _I, _I, _H, _H),
+    "dlauum": (_C, _I, _D, _I, _I, _H),
+    "dtrmm": (_C, _C, _C, _C, _I, _I, _D, _D, _I, _D, _I, _H, _H, _H, _H),
+}
+_SET_THREADS = "scipy_openblas_set_num_threads64_"
+_GET_THREADS = "scipy_openblas_get_num_threads64_"
+_bound: list = []  # the one binding, once made
+_bind_lock = threading.Lock()
 
 
 def lapack():
-    """SciPy's LAPACK wrappers (``scipy.linalg._flapack``); see :func:`_extension`."""
-    return _extension("_flapack")
+    """``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum``; see :func:`_binding`."""
+    return _binding()[0]
 
 
 def blas():
-    """SciPy's BLAS wrappers (``scipy.linalg._fblas``); see :func:`_extension`."""
-    return _extension("_fblas")
+    """``dtrmm``; see :func:`_binding`."""
+    return _binding()[1]
 
 
-def _extension(name: str):
-    """SciPy's wrapper extension ``scipy.linalg.<name>``, loaded once,
-    thread-safe on first use.
+def _binding() -> tuple:
+    """The LAPACK and BLAS routine sets, bound once, thread-safe on first use:
+    an :class:`OpenBlas` on NumPy's own library where it has the symbols,
+    else SciPy's public ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
+    (NumPy built on Accelerate or MKL), which take the same calls."""
+    if not _bound:
+        with _bind_lock:
+            if not _bound:
+                _bound.append(_bind())
+    return _bound[0]
 
-    ``import scipy`` runs first, so that SciPy sets up its bundled BLAS; then
-    the extension file is loaded under its own name, where a later
-    ``import scipy.linalg`` finds it. A module already loaded under that name
-    is used as it is. Without the file, the public ``scipy.linalg`` module
-    that re-exports the same routines is imported instead.
+
+def _bind() -> tuple:
+    lib = _numpy_openblas()
+    if lib is not None:
+        routines = OpenBlas(lib)
+        return routines, routines
+    from scipy.linalg import blas, lapack
+
+    return lapack, blas
+
+
+@functools.cache
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS NumPy has loaded, reached through ``numpy.linalg``'s
+    extension, which links it; None where it lacks any symbol used here."""
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    names = [f"scipy_{name}_64_" for name in _SIGNATURES] + [_SET_THREADS, _GET_THREADS]
+    if not all(hasattr(lib, name) for name in names):
+        return None
+    set_threads, get_threads = getattr(lib, _SET_THREADS), getattr(lib, _GET_THREADS)
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return lib
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with NumPy's OpenBLAS on one thread, then restore its
+    thread count.
+
+    The count is the whole process's, so the body's results do not depend on
+    the machine's core count, and threads that each run a replica do not
+    share cores with BLAS threads. Where :func:`lapack` falls back to SciPy,
+    this does nothing, and results may depend on the thread count.
     """
-    module = _modules.get(name)
-    if module is None:
-        with _load_lock:
-            module = _modules.get(name)
-            if module is None:
-                module = _modules[name] = _load_extension(name)
-    return module
+    lib = _numpy_openblas()
+    if lib is None:
+        yield
+        return
+    set_threads = getattr(lib, _SET_THREADS)
+    previous = getattr(lib, _GET_THREADS)()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
 
 
-def _extension_path(package_dir: str, name: str) -> str | None:
-    """Path of the extension file ``name`` in SciPy's ``linalg`` folder."""
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(package_dir, "linalg", name + suffix)
-        if os.path.isfile(path):
-            return path
-    return None
+def _matrix(a, copy: bool) -> tuple[np.ndarray, int]:
+    """``a`` as LAPACK addresses a matrix, and its leading dimension: ``a``
+    itself where its columns are contiguous, as in a block of a
+    Fortran-ordered array, unless ``copy`` asks for a new one; else a copy in
+    Fortran order. A vector is one column."""
+    a = np.asarray(a)
+    if a.ndim == 1:
+        a = a[:, None]
+    rows, cols = a.shape
+    step, lead = a.strides
+    if copy or not (
+        a.dtype == np.float64
+        and a.flags.writeable
+        and (step == 8 or rows <= 1)
+        and (cols <= 1 or (lead % 8 == 0 and lead >= 8 * rows))
+    ):
+        a = np.array(a, dtype=np.float64, order="F")
+        lead = a.strides[1]
+    return a, max(1, lead // 8 if cols > 1 else rows)
 
 
-def _load_extension(name: str):
-    import scipy
+def _order(a: np.ndarray, n: int | None = None) -> int:
+    """The order of the square matrix ``a``, which must be ``n`` where given;
+    LAPACK would read past a matrix of any other shape."""
+    rows, cols = a.shape
+    if rows != cols:
+        raise ValueError(f"matrix of shape {a.shape} is not square")
+    if n is not None and n != rows:
+        raise ValueError(f"matrix of order {rows} against an operand of {n} rows or columns")
+    return rows
 
-    full_name = "scipy.linalg." + name
-    if full_name in sys.modules:
-        return sys.modules[full_name]
-    path = _extension_path(os.path.dirname(scipy.__file__), name)
-    if path is None:
-        return importlib.import_module("scipy.linalg." + _EXTENSIONS[name])
-    spec = importlib.util.spec_from_file_location(full_name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    sys.modules[full_name] = module
-    return module
+
+def _first(a: np.ndarray):
+    """A ctypes double at ``a[0, 0]``, which ctypes passes as the address of
+    the matrix; None for an empty one, which LAPACK does not read."""
+    return ctypes.c_double.from_buffer(a[:1, :1]) if a.size else None
+
+
+_UPLO = (b"U", b"L")
+_SIDE = (b"L", b"R")
+
+class OpenBlas:
+    """``dpotrf``, ``dpotrs``, ``dtrtri``, ``dlauum`` and ``dtrmm`` called
+    through ctypes, with the signatures and results of SciPy's wrappers for
+    the arguments used here. ctypes releases the GIL for each call.
+
+    The symbols take every argument by reference, integers (``info``
+    included) as 64 bits, then the hidden lengths of the Fortran character
+    arguments. A matrix goes in with its leading dimension, so a block of a
+    Fortran-ordered array is worked on in place where ``overwrite_*`` allows;
+    any other layout is copied first, as SciPy's wrappers do.
+    """
+
+    def __init__(self, lib: ctypes.CDLL):
+        for name, argtypes in _SIGNATURES.items():
+            routine = getattr(lib, f"scipy_{name}_64_")
+            routine.argtypes, routine.restype = argtypes, None
+            setattr(self, "_" + name, routine)
+
+    def dpotrf(self, a, lower=0, clean=1):
+        c, lead = _matrix(a, copy=True)
+        info, n = ctypes.c_int64(), ctypes.c_int64(_order(c))
+        self._dpotrf(_UPLO[lower], n, _first(c), ctypes.c_int64(lead), info, 1)
+        if clean:
+            c[...] = np.tril(c) if lower else np.triu(c)
+        return c, info.value
+
+    def dpotrs(self, c, b, lower=0):
+        c, lead = _matrix(c, copy=False)
+        x, ldx = _matrix(b, copy=True)
+        n, nrhs = ctypes.c_int64(_order(c, x.shape[0])), ctypes.c_int64(x.shape[1])
+        info = ctypes.c_int64()
+        self._dpotrs(
+            _UPLO[lower], n, nrhs, _first(c), ctypes.c_int64(lead),
+            _first(x), ctypes.c_int64(ldx), info, 1,
+        )
+        return x.reshape(np.shape(b)), info.value
+
+    def dtrtri(self, c, lower=0, overwrite_c=0):
+        a, lead = _matrix(c, copy=not overwrite_c)
+        info, n = ctypes.c_int64(), ctypes.c_int64(_order(a))
+        self._dtrtri(_UPLO[lower], b"N", n, _first(a), ctypes.c_int64(lead), info, 1, 1)
+        return a, info.value
+
+    def dlauum(self, c, lower=0, overwrite_c=0):
+        a, lead = _matrix(c, copy=not overwrite_c)
+        info, n = ctypes.c_int64(), ctypes.c_int64(_order(a))
+        self._dlauum(_UPLO[lower], n, _first(a), ctypes.c_int64(lead), info, 1)
+        return a, info.value
+
+    def dtrmm(self, alpha, a, b, side=0, lower=0, overwrite_b=0):
+        a, lda = _matrix(a, copy=False)
+        b, ldb = _matrix(b, copy=not overwrite_b)
+        _order(a, b.shape[side])
+        m, n = ctypes.c_int64(b.shape[0]), ctypes.c_int64(b.shape[1])
+        self._dtrmm(
+            _SIDE[side], _UPLO[lower], b"N", b"N", m, n,
+            ctypes.c_double(alpha), _first(a), ctypes.c_int64(lda),
+            _first(b), ctypes.c_int64(ldb), 1, 1, 1, 1,
+        )
+        return b
 
 
 def _check_square(M: np.ndarray, what: str) -> None:
@@ -156,6 +291,12 @@ def symmetrize(X: np.ndarray) -> np.ndarray:
     out = X + X.mT
     out /= 2.0
     return out
+
+
+def symmetric(X: np.ndarray) -> np.ndarray:
+    """X itself where it is exactly symmetric over the last two axes, as
+    :func:`symmetrize` would return it bit for bit; else :func:`symmetrize` (X)."""
+    return X if np.array_equal(X, X.mT) else symmetrize(X)
 
 
 def factor(M: np.ndarray) -> np.ndarray:
@@ -314,7 +455,7 @@ def _lower_inverse(R: np.ndarray) -> None:
     _lower_inverse(R[:h, :h])
     _lower_inverse(R[h:, h:])
     trmm = blas().dtrmm
-    R21 = trmm(-1.0, R[h:, h:], R[h:, :h], lower=1)
+    R21 = trmm(-1.0, R[h:, h:], R[h:, :h], lower=1, overwrite_b=1)
     R[h:, :h] = trmm(1.0, R[:h, :h], R21, side=1, lower=1, overwrite_b=1)
 
 
@@ -327,8 +468,10 @@ def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     first tests symmetrize(X) for positive definiteness, and its factor is
     the one returned; only a matrix that fails it is eigendecomposed, and
     then no factor is returned, whether an eigenvalue was clipped or not.
+    An exactly symmetric X is not copied: where it passes the test, X itself
+    is returned.
     """
-    S = symmetrize(X)
+    S = symmetric(X)
     try:
         return S, factor(S)
     except FactorizationError:

@@ -7,11 +7,11 @@ per-criterion lines stream).
 import itertools
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from mtunmix import cli
 from mtunmix.cli import main as cli_main
 from mtunmix.em import EmParams, accumulate_stats, em_iterate, m_step_abundance
 from mtunmix.fcls import fcls_refine_frame, fcls_solve
@@ -315,8 +315,8 @@ def _benchmark_replica(i):
 def test_criterion_7_benchmark_ordering():
     start = time.perf_counter()
     replicas = 25
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        rows = list(pool.map(_benchmark_replica, range(replicas)))
+    # the command line's replica pool: one thread per CPU, BLAS on one thread
+    rows = cli._run_replicas(_benchmark_replica, [(i,) for i in range(replicas)])
     elapsed = time.perf_counter() - start
 
     mean = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}

@@ -1,5 +1,6 @@
 """EM statistics, surrogate, and M-steps against independent oracles."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -294,13 +295,13 @@ class TestStreamedStatsDegenerate:
 def test_em_iterate_peak_memory():
     # One EM iteration keeps the filter's output, 2T + 1 PL x PL matrices
     # (filtered covariances, predicted precisions, the initial covariance),
-    # plus a fixed number, whatever T is:
-    #   2  the model's Q and B.T B;
-    #   4  what the iteration hands on: D, S_0 and the new P00 and Q;
-    #   5  the largest step's own temporaries: a backward step's S_{t+1},
-    #      S_t, G and two products, or an update's factors and inverses.
-    # A trajectory that kept smoothed covariances and gains, or dense moment
-    # sums, would pass this bound by T or more matrices.
+    # until the statistics are reduced, plus a fixed number, whatever T is:
+    #   1  D, which the backward pass adds into;
+    #   5  a backward step's own matrices: S_{t+1}, S_t and the G, W and Z
+    #      buffers, one of which holds V_{t+1}.
+    # The model keeps the given Q and the initial belief the given P00, both
+    # exactly symmetric. A copy of either, or a trajectory that kept smoothed
+    # covariances and gains, would pass this bound.
     L, N, P, T = 60, 8, 3, 5
     rng = np.random.default_rng(34)
     model, init, ys = random_instance(rng, L, N, P, T)
@@ -313,7 +314,7 @@ def test_em_iterate_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / matrix_bytes <= (2 * T + 1) + 2 + 4 + 5
+    assert peak / matrix_bytes <= (2 * T + 1) + 1 + 5
 
 
 class TestQFunction:
@@ -667,6 +668,23 @@ class TestEmIterate:
             A = m_step_abundance(stats)
         nrmse_a = np.linalg.norm(A - A_true) / np.linalg.norm(A_true)
         assert nrmse_a <= 0.02
+
+    def test_exactly_known_state_has_infinite_surrogate(self):
+        # P00 = Q = 0: the state stays at the initial mean, the M-steps give
+        # P00 = Q = 0 again, and the surrogate of that point mass is +inf
+        rng = np.random.default_rng(33)
+        L, N, P, T = 3, 2, 2, 4
+        model, init, ys = random_instance(rng, L, N, P, T)
+        zero = np.zeros((P * L, P * L))
+        theta = EmParams(A=model.A, P00=zero, Q=zero, sigma_r2=model.sigma_r2, psi00=init.mean)
+        for _ in range(2):
+            theta, loglik, means, q_value = em_iterate(ys, model.m0, theta)
+            assert q_value == math.inf
+            assert np.isfinite(loglik)
+            np.testing.assert_array_equal(theta.P00, zero)
+            np.testing.assert_array_equal(theta.Q, zero)
+            for mean in means:
+                np.testing.assert_array_equal(mean, init.mean)
 
     def test_m_step_outputs_keep_invariants(self):
         rng = np.random.default_rng(17)

@@ -1,8 +1,10 @@
-"""SciPy is imported only by the code that factors a matrix or aligns more
-than EXHAUSTIVE_ALIGN_LIMIT endmembers, so the other commands start faster;
-the factorizations load SciPy's LAPACK extension, and inverses larger than
-``kronops.INVERSE_LEAF`` its BLAS extension, not ``scipy.linalg``. The
-scripts run L = 60 bands and P = 2 materials, so PL = 120 is above that size.
+"""Where NumPy bundles OpenBLAS, no command imports SciPy: the
+factorizations call NumPy's own library through ctypes, and ``eval`` loads
+``scipy.optimize`` only to align more than EXHAUSTIVE_ALIGN_LIMIT endmembers.
+Those calls release the GIL and bind the library once, and SciPy's public
+wrappers, the fallback where NumPy has no such library, give the same
+output to rounding. The scripts run L = 60 bands and P = 2 materials, so
+PL = 120 is above ``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too.
 Every name the benchmark's tracer replaces exists."""
 
 import importlib
@@ -10,9 +12,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import mtunmix
+from mtunmix import kronops
 
 SRC = str(Path(mtunmix.__file__).resolve().parents[1])
 ROOT = str(Path(__file__).resolve().parents[1])
@@ -47,9 +55,11 @@ print(json.dumps(loaded))
 """
 
 
-def run_python(script: str, *args: str) -> dict:
-    """Run ``script`` in a fresh interpreter; its last stdout line is JSON."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+def run_python(script: str, *args: str, env: dict | None = None) -> dict:
+    """Run ``script`` in a fresh interpreter, in ``env`` (by default this
+    one's) with the package on the path; its last stdout line is JSON."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([SRC, env.get("PYTHONPATH", "")])
     proc = subprocess.run(
         [sys.executable, "-c", script, *args],
         env=env, capture_output=True, text=True, timeout=120,
@@ -58,25 +68,25 @@ def run_python(script: str, *args: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_only_unmix_loads_scipy_and_only_its_lapack(tmp_path):
+bundled = pytest.mark.skipif(
+    kronops._numpy_openblas() is None, reason="NumPy bundles no OpenBLAS with the symbols"
+)
+
+
+@bundled
+def test_no_command_loads_scipy(tmp_path):
     loaded = run_python(SCRIPT, str(tmp_path))
-    # modules only accumulate, so each step before unmix loaded none
-    for step in ("import mtunmix", "import mtunmix.cli", "generate", "vca", "fcls", "eval"):
-        assert loaded[step] == [], step
-    assert "scipy.linalg._flapack" in loaded["unmix"]
-    assert "scipy.linalg._fblas" in loaded["unmix"]
-    assert "scipy.linalg" not in loaded["unmix"]
-    assert not any(m.startswith("scipy.optimize") for m in loaded["unmix"])
+    for step, modules in loaded.items():
+        assert modules == [], step
 
 
 UNMIX_SCRIPT = r"""
 import json, sys
 from mtunmix import cli, kronops
 
-out, missing = sys.argv[1], sys.argv[2:]
-real_path = kronops._extension_path
-kronops._extension_path = lambda package_dir, name: (
-    None if name in missing else real_path(package_dir, name))
+out, fallback = sys.argv[1], sys.argv[2] == "fallback"
+if fallback:
+    kronops._numpy_openblas = lambda: None
 for argv in (
     ["generate", "--L", "60", "--N", "5", "--T", "3", "--P", "2", "--seed", "4",
      "--mc", "2", "--out", out + "/data"],
@@ -84,10 +94,9 @@ for argv in (
      "--mc", "2", "--out", out + "/unmix"],
 ):
     assert cli.main(argv) == 0, argv
-print(json.dumps({"scipy.linalg": "scipy.linalg" in sys.modules,
-                  "loaded": sorted(kronops._modules),
-                  "lapack": kronops.lapack().__name__,
-                  "blas": kronops.blas().__name__}))
+print(json.dumps({"scipy": "scipy" in sys.modules,
+                  "lapack": type(kronops.lapack()).__name__,
+                  "blas": type(kronops.blas()).__name__}))
 """
 
 
@@ -95,48 +104,64 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_fallback_to_scipy_linalg_writes_the_same_bytes(tmp_path):
-    direct = run_python(UNMIX_SCRIPT, str(tmp_path / "direct"))
-    no_blas = run_python(UNMIX_SCRIPT, str(tmp_path / "no_blas"), "_fblas")
-    neither = run_python(UNMIX_SCRIPT, str(tmp_path / "neither"), "_flapack", "_fblas")
-    loaded = ["_fblas", "_flapack"]
-    assert direct == {"scipy.linalg": False, "loaded": loaded,
-                      "lapack": "scipy.linalg._flapack", "blas": "scipy.linalg._fblas"}
-    assert no_blas == {"scipy.linalg": True, "loaded": loaded,
-                       "lapack": "scipy.linalg._flapack", "blas": "scipy.linalg.blas"}
-    # the LAPACK fallback imports scipy.linalg, which registers _fblas, and
-    # the BLAS lookup then shares it
-    assert neither == {"scipy.linalg": True, "loaded": loaded,
-                       "lapack": "scipy.linalg.lapack", "blas": "scipy.linalg._fblas"}
+@bundled
+def test_forced_fallback_matches_the_ctypes_run(tmp_path):
+    # SciPy bundles another OpenBLAS build than NumPy's, so the two runs
+    # agree to rounding, not byte for byte
+    direct = run_python(UNMIX_SCRIPT, str(tmp_path / "direct"), "direct")
+    fallback = run_python(UNMIX_SCRIPT, str(tmp_path / "fallback"), "fallback")
+    assert direct == {"scipy": False, "lapack": "OpenBlas", "blas": "OpenBlas"}
+    assert fallback == {"scipy": True, "lapack": "module", "blas": "module"}
+    assert tree_bytes(tmp_path / "direct" / "data") == tree_bytes(tmp_path / "fallback" / "data")
     direct_files = tree_bytes(tmp_path / "direct" / "unmix")
-    assert len(direct_files) > 10
-    assert tree_bytes(tmp_path / "no_blas" / "unmix") == direct_files
-    assert tree_bytes(tmp_path / "neither" / "unmix") == direct_files
+    fallback_files = tree_bytes(tmp_path / "fallback" / "unmix")
+    assert sorted(direct_files) == sorted(fallback_files) and len(direct_files) > 10
+    for name, want in direct_files.items():
+        got = fallback_files[name]
+        if name.endswith(".f64"):
+            want, got = np.frombuffer(want, "<f8"), np.frombuffer(got, "<f8")
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12 * np.abs(want).max())
+        elif name.endswith("diagnostics.json"):
+            want, got = json.loads(want), json.loads(got)
+            assert got.keys() == want.keys()
+            for key in want:
+                np.testing.assert_allclose(got[key], want[key], rtol=1e-9)
+        else:
+            assert got == want, name
 
 
-def test_scipy_linalg_imported_after_the_direct_load_shares_it():
-    found = run_python(r"""
-import json, sys
-import numpy as np
-from mtunmix import kronops
+@bundled
+def test_lapack_releases_the_gil():
+    # a second thread keeps counting while the first is inside an n = 2000
+    # dpotrf: none of its pauses spans a quarter of the call, where a call that
+    # held the GIL would pause it for the whole factorization
+    n = 2000
+    M = np.ones((n, n)) + n * np.eye(n)
+    pauses, stop = [], threading.Event()
 
-n = 2 * kronops.INVERSE_LEAF + 1
-inv = kronops.factor_inverse(kronops.factor(4.0 * np.eye(n)))
-direct, direct_blas = kronops.lapack(), kronops.blas()
-import scipy.linalg
-from scipy.linalg import _fblas, _flapack
-c, lower = scipy.linalg.cho_factor(np.diag([4.0, 9.0]), lower=True)
-print(json.dumps({
-    "same lapack": _flapack is direct and sys.modules["scipy.linalg._flapack"] is direct,
-    "same blas": _fblas is direct_blas and sys.modules["scipy.linalg._fblas"] is direct_blas,
-    "same dpotrf": scipy.linalg.lapack.dpotrf is direct.dpotrf,
-    "same dtrmm": scipy.linalg.blas.dtrmm is direct_blas.dtrmm,
-    "factor": np.diag(c).tolist(),
-    "inverse": bool(np.array_equal(inv, 0.25 * np.eye(n))),
-}))
-""")
-    assert found == {"same lapack": True, "same blas": True, "same dpotrf": True,
-                     "same dtrmm": True, "factor": [2.0, 3.0], "inverse": True}
+    def count():
+        last = time.perf_counter()
+        while not stop.is_set():
+            now = time.perf_counter()
+            if now - last > 1e-3:
+                pauses.append((last, now))
+            last = now
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)  # hand the GIL over at once when it is free
+    counter = threading.Thread(target=count)
+    try:
+        counter.start()
+        start = time.perf_counter()
+        _, info = kronops.lapack().dpotrf(M, lower=1, clean=0)
+        end = time.perf_counter()
+    finally:
+        stop.set()
+        counter.join()
+        sys.setswitchinterval(interval)
+    assert info == 0
+    longest = max((min(b, end) - max(a, start) for a, b in pauses), default=0.0)
+    assert longest < 0.25 * (end - start), (longest, end - start)
 
 
 def test_concurrent_first_calls_load_one_module():
@@ -144,21 +169,21 @@ def test_concurrent_first_calls_load_one_module():
 import json, sys, threading, time
 from mtunmix import kronops
 
-real, loads = kronops._load_extension, []
+real, binds = kronops._bind, []
 
-def slow_load(name):
-    loads.append(name)
+def slow_bind():
+    binds.append(1)
     time.sleep(0.05)  # widen the window in which other threads arrive
-    return real(name)
+    return real()
 
-kronops._load_extension = slow_load
+kronops._bind = slow_bind
 barrier = threading.Barrier(6, timeout=30)
-got = {"_flapack": [], "_fblas": []}
-lookups = [("_flapack", kronops.lapack), ("_fblas", kronops.blas)]
+got = {"lapack": [], "blas": []}
+lookups = [("lapack", kronops.lapack), ("blas", kronops.blas)]
 
 def first_calls(i):
     barrier.wait()
-    # half the threads ask for BLAS first, so the two loads cross
+    # half the threads ask for BLAS first, so the two lookups cross
     for name, lookup in lookups if i % 2 else lookups[::-1]:
         got[name].append(lookup())
 
@@ -173,13 +198,40 @@ try:
 finally:
     sys.setswitchinterval(interval)
 assert not any(t.is_alive() for t in threads)
-print(json.dumps({name: {"loads": loads.count(name), "calls": len(modules),
-                         "objects": len({id(m) for m in modules}),
-                         "registered": modules[0] is sys.modules["scipy.linalg." + name]}
-                  for name, modules in got.items()}))
+print(json.dumps({"binds": len(binds),
+                  **{name: {"calls": len(found), "objects": len({id(r) for r in found})}
+                     for name, found in got.items()}}))
 """)
-    each = {"loads": 1, "calls": 6, "objects": 1, "registered": True}
-    assert found == {"_flapack": each, "_fblas": each}
+    each = {"calls": 6, "objects": 1}
+    assert found == {"binds": 1, "lapack": each, "blas": each}
+
+
+def test_unmix_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # unmix runs with BLAS on one thread whatever OPENBLAS_NUM_THREADS says
+    if kronops._numpy_openblas() is None:
+        pytest.skip("the thread budget needs NumPy's bundled OpenBLAS")
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("one CPU: the default thread count is already one")
+    script = r"""
+import sys
+from mtunmix import cli
+out = sys.argv[1]
+for argv in (
+    ["generate", "--L", "173", "--N", "12", "--T", "3", "--P", "3", "--seed", "5",
+     "--out", out + "/data"],
+    ["unmix", "--input", out + "/data", "--vca", "--iters", "2", "--out", out + "/unmix"],
+):
+    assert cli.main(argv) == 0, argv
+print("{}")
+"""
+    trees = []
+    for name, threads in (("unset", None), ("one", "1")):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        run_python(script, str(tmp_path / name), env=env)
+        trees.append(tree_bytes(tmp_path / name / "unmix"))
+    assert len(trees[0]) > 10 and trees[0] == trees[1]
 
 
 def test_every_cli_name_the_tracer_binds_resolves():

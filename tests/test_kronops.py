@@ -20,6 +20,7 @@ from mtunmix.kronops import (
     factor_inverse,
     matvec,
     psd_floor,
+    symmetric,
     symmetrize,
 )
 from oracles import (
@@ -451,6 +452,51 @@ class TestPsdHelpers:
         assert real_eigh(X)[0][0] >= 0.0
         assert np.array_equal(out, symmetrize(X))
         assert c is None
+
+
+    def test_symmetric_copies_only_an_asymmetric_matrix(self):
+        rng = np.random.default_rng(23)
+        for S in (symmetrize(random_spd(rng, 6)), random_band_stack(rng, 4, 3)):
+            assert symmetric(S) is S
+            X = S.copy()
+            X[..., 0, 1] += 1e-3
+            assert np.array_equal(symmetric(X), symmetrize(X))
+
+
+@pytest.mark.skipif(
+    kronops._numpy_openblas() is None, reason="NumPy bundles no OpenBLAS with the symbols"
+)
+class TestOpenBlas:
+    """The ctypes binding: strided blocks in place, other layouts copied, and
+    shapes LAPACK would read past rejected."""
+
+    def test_block_of_fortran_array_inverted_in_place(self):
+        rng = np.random.default_rng(24)
+        c = factor(random_spd(rng, 9))
+        root = np.asfortranarray(rng.standard_normal((12, 12)))
+        root[2:11, 1:10] = c
+        block = root[2:11, 1:10]
+        outside = root.copy()
+        inv, info = kronops.lapack().dtrtri(block, lower=1, overwrite_c=1)
+        assert info == 0 and inv is block
+        np.testing.assert_allclose(np.tril(block) @ np.tril(c), np.eye(9), atol=1e-12)
+        outside[2:11, 1:10] = root[2:11, 1:10]
+        assert np.array_equal(root, outside)  # nothing written outside the block
+        # a C-ordered copy of the factor is copied, not overwritten
+        c_rows = np.ascontiguousarray(c)
+        again, info = kronops.lapack().dtrtri(c_rows, lower=1, overwrite_c=1)
+        assert info == 0 and again is not c_rows and np.array_equal(c_rows, c)
+        assert np.array_equal(np.tril(again), np.tril(block))
+
+    def test_mismatched_shapes_rejected(self):
+        lapack, blas = kronops.lapack(), kronops.blas()
+        with pytest.raises(ValueError, match="not square"):
+            lapack.dpotrf(np.ones((2, 3)), lower=1, clean=0)
+        with pytest.raises(ValueError, match="order 3"):
+            lapack.dpotrs(np.eye(3), np.ones(4), lower=1)
+        with pytest.raises(ValueError, match="order 3"):
+            blas.dtrmm(1.0, np.eye(3), np.ones((4, 3)), lower=1)
+        assert blas.dtrmm(2.0, np.eye(3), np.ones((4, 3)), side=1, lower=1).shape == (4, 3)
 
 
 def random_band_stack(rng, L, P, scale=1.0):
