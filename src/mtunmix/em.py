@@ -5,20 +5,24 @@ parameters, then one backward pass of the smoothed-covariance recursion whose
 every step is reduced to the sufficient statistics as it comes (Shumway &
 Stoffer 1982): the increment moment D in one PL x PL array, which adds each
 step's smoothed increment covariance V_t, and the same-band entries the block
-traces read. It then applies closed-form maximizers for the initial belief,
-the process noise, the observation noise variance, and the average abundance
-matrix. Before the new parameters are built, one finiteness check covers
-them, the log-likelihood and the smoothed means.
+traces read. That pass writes into the trajectory's own arrays (see
+:func:`mtunmix.kalman.smoothed_covariances`), and a dense D is the first V it
+yields, so the E-step holds the trajectory's 2T matrices plus two. It then
+applies closed-form maximizers for the initial belief, the process noise, the
+observation noise variance, and the average abundance matrix. Before the new
+parameters are built, one finiteness check covers them, the log-likelihood
+and the smoothed means.
 
 The surrogate at the new parameters, which the iteration also returns, comes
 from the M-step identities and the Cholesky factors of the new P00 and Q, with
 no inverse; :func:`q_function` is the reference evaluation.
 
-An iteration whose P00 and Q are both exactly zero between bands, as
-``default_init``'s are, filters and smooths on (L, P, P) band stacks (see
-:mod:`mtunmix.kalman`). Only the rank-T outer products of the smoothed mean
-increments in D are not zero between bands, so D, S_0 and the M-steps stay
-dense.
+:class:`EmParams` holds P00 and Q dense or as (L, P, P) band stacks, as
+``default_init`` returns them. An iteration whose P00 and Q are both exactly
+zero between bands filters and smooths on band stacks (see
+:mod:`mtunmix.kalman`); any other pair runs dense. Only the rank-T outer
+products of the smoothed mean increments in D are not zero between bands, so
+D, S_0 and the M-steps stay dense.
 
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
@@ -63,7 +67,11 @@ SIGMA_R2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EmParams:
-    """Latent parameter set: average abundances, initial belief, noise terms."""
+    """Latent parameter set: average abundances, initial belief, noise terms.
+
+    P00 and Q are each a dense PL x PL matrix or an (L, P, P) band stack
+    (:mod:`mtunmix.kronops`); the M-steps return them dense.
+    """
 
     A: np.ndarray
     P00: np.ndarray
@@ -76,8 +84,9 @@ class EmParams:
         object.__setattr__(self, "P00", np.ascontiguousarray(self.P00, dtype=float))
         object.__setattr__(self, "Q", np.ascontiguousarray(self.Q, dtype=float))
         object.__setattr__(self, "psi00", np.ascontiguousarray(self.psi00, dtype=float).reshape(-1))
-        d = self.psi00.size
-        if self.P00.shape != (d, d) or self.Q.shape != (d, d):
+        d, P = self.psi00.size, self.A.shape[0]
+        shapes = ((d, d), (d // P, P, P)) if d % P == 0 else ((d, d),)
+        if self.P00.shape not in shapes or self.Q.shape not in shapes:
             raise ValueError("P00/Q shapes inconsistent with psi00 length")
         if not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 must be positive")
@@ -113,23 +122,29 @@ def accumulate_stats(
     (t = 0..T, from :func:`rts_smooth`) to the M-step statistics and the
     smoothed t = 0 belief (mean and covariance S_0).
 
-    The smoothed covariances come from :func:`smoothed_covariances` and are
-    reduced as each backward step yields them: the increment covariance V_t
-    added into D, and the same-band entries S_t[(p, l), (q, l)] (the only
-    ones the block traces of diag(m0) S1 diag(m0) read) into an L x P x P
-    array. No smoothed covariance outlives its step, and S1 itself is never
-    formed. D and S_0 are dense in both layouts.
+    The smoothed covariances come from :func:`smoothed_covariances`, which
+    spends the trajectory, and are reduced as each backward step yields them:
+    the increment covariance V_t added into D, and the same-band entries
+    S_t[(p, l), (q, l)] (the only ones the block traces of
+    diag(m0) S1 diag(m0) read) into an L x P x P array; S1 itself is never
+    formed. On a dense trajectory D is the first V, which the pass writes
+    into that step's spent precision and never reuses; on band stacks D is a
+    new dense array. D and S_0 are dense in both layouts, and they are the
+    only PL x PL arrays of the trajectory's pass that outlive it.
     """
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
 
-    D = np.zeros((P * L, P * L))
-    at = band_index(L, P) if model.Q.ndim == 3 else ...  # where a step's covariances go in D
+    at, D = ..., None  # where a step's V goes in D; D is the first V
+    if model.Q.ndim == 3:
+        at, D = band_index(L, P), np.zeros((P * L, P * L))
     band = np.zeros((L, P, P))
     for S_t, S_prev, V in smoothed_covariances(traj, model.Q):
-        D[at] += V
+        if D is None:
+            D = V
+        else:
+            D[at] += V
         band += band_blocks(S_t, L)
         S_0 = S_prev
-        del S_t  # not alive beside the next step's matrices
     # the smoothed mean increments' outer products in one product, which
     # NumPy forms as a symmetric rank-T update: D stays exactly symmetric
     deltas = np.diff(np.stack(means), axis=0)
@@ -176,15 +191,16 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
 
     where d = psi_0^s - psi00 and D = ``stats.increment_second_moment``. Each
     trace tr(X^-1 S) with X symmetric is the inner product of X^-1 and S, X^-1
-    from X's factor; the rank-one part of the first is d.T P00^-1 d.
+    from X's factor; the rank-one part of the first is d.T P00^-1 d. P00 and
+    Q may be band stacks, read as their dense forms.
     """
     d = smoothed0.mean - theta.psi00
-    c_p00 = cho_factor_jittered(theta.P00)
+    c_p00 = cho_factor_jittered(dense_form(theta.P00))
     p00_inv = factor_inverse(c_p00)
     term0 = float(np.vdot(p00_inv, smoothed0.cov) + d @ p00_inv @ d) + cho_logdet(c_p00)
     del c_p00, p00_inv
 
-    c_q = cho_factor_jittered(theta.Q)
+    c_q = cho_factor_jittered(dense_form(theta.Q))
     term_q = float(np.vdot(factor_inverse(c_q), stats.increment_second_moment))
     term_q += stats.T * cho_logdet(c_q)
 
@@ -294,7 +310,8 @@ def em_iterate(
     variance with the *new* abundances so the (A, sigma_r2) block is maximized
     jointly. A non-finite log-likelihood, smoothed mean or updated parameter
     raises :class:`NumericalAbortError` before the new parameters are built.
-    The pass runs on band stacks when P00 and Q are both zero between bands.
+    The pass runs on band stacks when P00 and Q, dense or stacks, are both
+    zero between bands, and dense otherwise; it writes into neither.
 
     The surrogate comes from :func:`_updated_surrogate`, or from
     :func:`q_function` where a floor binds: Q clipped or without a plain
@@ -308,6 +325,8 @@ def em_iterate(
     P00, Q = theta.P00, theta.Q
     if band_diagonal(P00, L) and band_diagonal(Q, L):
         P00, Q = band_blocks(P00, L), band_blocks(Q, L)
+    else:
+        P00, Q = dense_form(P00), dense_form(Q)
     model = ModelMatrices(A=theta.A, m0=m0, Q=Q, sigma_r2=theta.sigma_r2)
     traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=P00))
     means = rts_smooth(traj)

@@ -22,13 +22,17 @@ The update also returns the inverse of the predicted covariance it forms on
 the way, and the filter keeps it per frame, so the smoother's gains
 ``G_t = P_{t|t} P_{t+1|t}^-1`` need no factorization of their own.
 
-A :class:`Trajectory` is the filter's output, never changed after it: per
-frame the filtered belief and that inverse, about 2T + 1 PL x PL matrices,
-and the log-likelihood. :func:`rts_smooth` returns the smoothed means, two
-matrix-vector products per step. :func:`smoothed_covariances` yields each
-smoothed covariance S_t and the covariance V_{t+1} of the smoothed increment
-psi_{t+1} - psi_t as the backward pass reaches them, three PL x PL products
-per step, for the EM statistics to reduce at once; none is stored.
+A :class:`Trajectory` is the filter's output: per frame the filtered belief
+and that inverse, 2T + 1 PL x PL matrices of which the trajectory owns all
+but the initial covariance, and the log-likelihood. :func:`rts_smooth`
+returns the smoothed means, two matrix-vector products per step.
+:func:`smoothed_covariances` then spends the trajectory, as a textbook RTS
+pass does: it yields each smoothed covariance S_t and the covariance V_{t+1}
+of the smoothed increment psi_{t+1} - psi_t as the backward pass reaches
+them, three PL x PL products per step, and writes them into the arrays the
+trajectory owns, S_t over P_{t|t} and V_{t+1} over the spent precision of
+that step, so the pass allocates two matrices whatever T is. A spent
+trajectory takes no second pass of either kind.
 
 Covariances take the model's Q's layout (:mod:`mtunmix.kronops`): dense, or
 an (L, P, P) band stack when Q and the initial covariance are zero between
@@ -41,7 +45,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -184,15 +188,28 @@ class Trajectory:
     the prediction of the belief before it under the process noise Q.
     ``loglik`` is the marginal log-likelihood, the sum of the frames'
     innovation log-densities in frame order.
+
+    The trajectory owns the filtered covariances of frames 1..T and the
+    precisions, 2T PL x PL matrices, and :func:`smoothed_covariances`
+    overwrites them; the initial covariance is the caller's and is only read.
+    ``spent`` is set when that pass starts, and a spent trajectory's
+    covariances and precisions no longer hold the filter's values; its
+    means and ``loglik`` do.
     """
 
     beliefs: tuple[Belief, ...]
     pred_precisions: tuple[np.ndarray, ...]
     loglik: float
+    spent: bool = field(default=False, init=False)
 
     @property
     def T(self) -> int:
         return len(self.pred_precisions)
+
+    def check_unspent(self) -> None:
+        """Raise ValueError if the covariance pass has started on this trajectory."""
+        if self.spent:
+            raise ValueError("trajectory already spent by a smoothed-covariance pass")
 
 
 def predict(prior: Belief, Q: np.ndarray) -> Belief:
@@ -246,7 +263,9 @@ def update(
 
     try:
         cP = factor(pred.cov)
+        logdet_P = cho_logdet(cP)
         pred_precision = factor_inverse(cP)
+        del cP  # not alive beside the inner matrix and its factor
         cond = _norm1(pred.cov) * _norm1(pred_precision)
         if not cond <= MAX_PRED_COND:
             raise FactorizationError(f"predicted covariance has condition number {cond:.1e}")
@@ -256,7 +275,7 @@ def update(
         inner[model.btb_index] += s2i * model.btb_blocks
         c_inner = cho_factor_jittered(inner)
         del inner
-        logdet_S = model.obs_dim * math.log(s2) + cho_logdet(cP) + cho_logdet(c_inner)
+        logdet_S = model.obs_dim * math.log(s2) + logdet_P + cho_logdet(c_inner)
         mid = cho_solve(c_inner, bv)
         cov = factor_inverse(c_inner)
     except FactorizationError:
@@ -302,8 +321,10 @@ def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
     The random walk predicts psi_{t+1|t} = psi_{t|t}, and P_{t+1|t}^-1 is the
     inverse the filter's update stored, so a step is two matrix-vector
     products and nothing is factored. The last smoothed mean is the last
-    filtered mean, the same array.
+    filtered mean, the same array. Raises ValueError on a spent trajectory,
+    whose covariances and precisions the covariance pass has overwritten.
     """
+    traj.check_unspent()
     means = [b.mean for b in traj.beliefs]
     for t in range(traj.T - 1, -1, -1):
         filt = traj.beliefs[t]
@@ -316,7 +337,8 @@ def smoothed_covariances(
     traj: Trajectory, Q: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Backward covariance recursion under process noise ``Q`` (the filter's):
-    yields (S_{t+1}, S_t, V_{t+1}) for t = T-1, ..., 0, one step at a time.
+    yields (S_{t+1}, S_t, V_{t+1}) for t = T-1, ..., 0, one step at a time,
+    and spends the trajectory.
 
     S_t is the smoothed covariance of psi_t and V_{t+1} that of the increment
     psi_{t+1} - psi_t under the smoothed posterior. With
@@ -335,26 +357,37 @@ def smoothed_covariances(
     covariance explicitly rather than using that identity, which holds only
     as far as the stored inverse is exact.
 
-    G, W and Z live in three buffers allocated once per pass, and V_{t+1} is
-    one of them: read each step's V_{t+1} before asking for the next step,
-    and keep a copy of it if it must outlive the step. Only the step's own
-    matrices are alive, so a consumer that reduces each step and keeps none
-    of them holds no per-frame covariance. The first S_{t+1} yielded is the
-    trajectory's own P_{T|T}: read what is yielded, do not write into it.
+    The pass works in place. Once G_t is formed, the step's predicted
+    precision is spent and holds W and then V_{t+1}; S_t overwrites P_{t|t}
+    for t >= 1, and S_0 goes into the Z buffer, as P_{0|0} is the caller's
+    initial covariance. G and Z, allocated once, are the pass's only
+    matrices, so what is yielded stays valid after the pass: read it, do not
+    write into it. The first S_{t+1} yielded is P_{T|T} itself.
+
+    The trajectory is marked spent when this is called; calling it or
+    :func:`rts_smooth` on a spent trajectory raises ValueError.
     """
+    traj.check_unspent()
+    object.__setattr__(traj, "spent", True)
+    return _backward_pass(traj, Q)
+
+
+def _backward_pass(traj: Trajectory, Q: np.ndarray):
     S_next = traj.beliefs[-1].cov
-    G, W, Z = (np.empty_like(Q) for _ in range(3))
+    G, Z = np.empty_like(Q), np.empty_like(Q)
     for t in range(traj.T - 1, -1, -1):
-        P_t = traj.beliefs[t].cov
-        np.matmul(P_t, traj.pred_precisions[t], out=G)
+        P_t, W = traj.beliefs[t].cov, traj.pred_precisions[t]
+        np.matmul(P_t, W, out=G)  # the precision's last read: W is free from here
         np.add(P_t, Q, out=W)  # P_{t+1|t}, as predict forms it
         np.subtract(S_next, W, out=W)
         np.matmul(G, W, out=Z)
         np.matmul(Z, G.mT, out=W)
         W += P_t
-        S = symmetrize(W)
         Z += P_t
         np.add(Z, Z.mT, out=G)
+        S = P_t if t else Z
+        np.add(W, W.mT, out=S)  # symmetrize(W), in place
+        S /= 2.0
         np.add(S_next, S, out=W)
         W -= G
         yield S_next, S, W

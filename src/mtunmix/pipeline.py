@@ -68,19 +68,22 @@ class UnmixResult:
 def default_init(L: int, N: int, P: int, A0: np.ndarray) -> EmParams:
     """Standard initialization: psi00 all-ones, Q = 0.1 I, sigma_r = 0.01, P00 = I.
 
+    P00 and Q are (L, P, P) band stacks of P x P blocks, the layout the first
+    EM iteration filters in (:mod:`mtunmix.em`), so a run keeps no dense
+    PL x PL identity; ``kronops.dense_form`` gives the matrices.
     sigma_r = 0.01 is a standard deviation, so the stored variance is 1e-4;
     misreading it as a variance would change the initial gain magnitudes.
     """
     A0 = np.asarray(A0, dtype=float)
     if A0.shape != (P, N):
         raise ValueError(f"A0 shape {A0.shape}, expected {(P, N)}")
-    d = P * L
+    identity = np.tile(np.eye(P), (L, 1, 1))
     return EmParams(
         A=A0.copy(),
-        P00=np.eye(d),
-        Q=0.1 * np.eye(d),
+        P00=identity,
+        Q=0.1 * identity,
         sigma_r2=0.01**2,
-        psi00=np.ones(d),
+        psi00=np.ones(P * L),
     )
 
 

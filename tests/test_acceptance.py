@@ -156,6 +156,7 @@ def test_criterion_4_abundance_m_step_optimality():
         ys = [rng.standard_normal(N * L) for _ in range(T)]
         traj = run_filter(ys, model, init)
         means = rts_smooth(traj)
+        S1 = literal_stats_oracle(traj, ys, model)["S1"]  # before the pass spends traj
         stats, _ = accumulate_stats(traj, means, ys, model)
         A_hat = m_step_abundance(stats)
 
@@ -185,7 +186,7 @@ def test_criterion_4_abundance_m_step_optimality():
         worst_grad = max(worst_grad, np.linalg.norm(grad_fd) / np.linalg.norm(Hm, 2))
 
         D0 = np.diag(model.m0)
-        S1t = D0 @ literal_stats_oracle(traj, ys, model)["S1"] @ D0
+        S1t = D0 @ S1 @ D0
         S3t = obs_state_outer(means, ys) @ D0
         t1 = nkp_decompose(S1t, L, L, K=min(P * P, L * L))
         t3 = nkp_decompose(S3t, L, L, K=min(N * P, L * L))

@@ -29,7 +29,7 @@ from mtunmix.kalman import (
     run_filter,
     smoothed_covariances,
 )
-from mtunmix.kronops import band_blocks, dense_form
+from mtunmix.kronops import band_blocks, dense_form, symmetrize
 from mtunmix.pipeline import default_init
 from oracles import (
     block_trace_cross,
@@ -140,8 +140,8 @@ class TestAccumulateStats:
         L, N, P, T = 3, 2, 2, 5
         for _ in range(10):
             model, init, ys, traj = filtered_instance(rng, L, N, P, T)
-            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             oracle = literal_stats_oracle(traj, ys, model)
+            stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             D = oracle["D"]
             np.testing.assert_allclose(
                 stats.increment_second_moment, D, rtol=0, atol=1e-12 * np.abs(D).max()
@@ -215,7 +215,8 @@ def test_streamed_statistics_match_joint_posterior(seed, L, N, P, T, log_scale, 
 
     tol = JOINT_POSTERIOR_TOL * max(np.abs(cov).max(), 1e-300)
     D = np.zeros((d, d))
-    for t, (S_t, S_prev, V) in zip(range(T, 0, -1), smoothed_covariances(traj, model.Q)):
+    steps = smoothed_covariances(run_filter(ys, model, init), model.Q)  # traj is spent
+    for t, (S_t, S_prev, V) in zip(range(T, 0, -1), steps):
         increment = block(t, t) + block(t - 1, t - 1) - block(t, t - 1) - block(t - 1, t)
         np.testing.assert_allclose(S_t, block(t, t), rtol=0, atol=tol)
         np.testing.assert_allclose(S_prev, block(t - 1, t - 1), rtol=0, atol=tol)
@@ -239,15 +240,15 @@ def degenerate_instance(rng, L, N, P, T, known=False):
         zero = np.zeros((P * L, P * L))
         model = ModelMatrices(A=model.A, m0=model.m0, Q=zero, sigma_r2=model.sigma_r2)
         init = Belief(mean=init.mean, cov=zero)
-    return model, ys, run_filter(ys, model, init)
+    return model, init, ys, run_filter(ys, model, init)
 
 
 class TestStreamedStatsDegenerate:
     """The streamed statistics against the dense reference at edge shapes."""
 
     def assert_matches_dense(self, model, ys, traj):
-        stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
         ref = literal_stats_oracle(traj, ys, model)
+        stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
 
         def close(actual, expected):
             atol = 1e-12 * max(np.abs(expected).max(), 1e-300)
@@ -265,20 +266,20 @@ class TestStreamedStatsDegenerate:
         # T = 1: only the initial backward step runs
         rng = np.random.default_rng(30)
         for _ in range(5):
-            model, ys, traj = degenerate_instance(rng, L=3, N=2, P=2, T=1)
-            assert len(list(smoothed_covariances(traj, model.Q))) == 1
+            model, init, ys, traj = degenerate_instance(rng, L=3, N=2, P=2, T=1)
+            assert len(list(smoothed_covariances(run_filter(ys, model, init), model.Q))) == 1
             self.assert_matches_dense(model, ys, traj)
 
     def test_one_material(self):
         rng = np.random.default_rng(31)
         for _ in range(5):
-            model, ys, traj = degenerate_instance(rng, L=4, N=3, P=1, T=4)
+            model, _, ys, traj = degenerate_instance(rng, L=4, N=3, P=1, T=4)
             self.assert_matches_dense(model, ys, traj)
 
     def test_one_pixel(self):
         rng = np.random.default_rng(32)
         for _ in range(5):
-            model, ys, traj = degenerate_instance(rng, L=4, N=1, P=3, T=4)
+            model, _, ys, traj = degenerate_instance(rng, L=4, N=1, P=3, T=4)
             self.assert_matches_dense(model, ys, traj)
 
     def test_exactly_known_state(self):
@@ -286,22 +287,24 @@ class TestStreamedStatsDegenerate:
         # covariances and D vanish and the state stays at the initial mean
         rng = np.random.default_rng(33)
         L, N, P, T = 3, 2, 2, 4
-        model, ys, traj = degenerate_instance(rng, L, N, P, T, known=True)
+        model, _, ys, traj = degenerate_instance(rng, L, N, P, T, known=True)
         stats, smoothed0 = self.assert_matches_dense(model, ys, traj)
         np.testing.assert_array_equal(stats.increment_second_moment, np.zeros((P * L, P * L)))
         np.testing.assert_array_equal(smoothed0.cov, np.zeros((P * L, P * L)))
 
 
 def test_em_iterate_peak_memory():
-    # One EM iteration keeps the filter's output, 2T + 1 PL x PL matrices
-    # (filtered covariances, predicted precisions, the initial covariance),
-    # until the statistics are reduced, plus a fixed number, whatever T is:
-    #   1  D, which the backward pass adds into;
-    #   5  a backward step's own matrices: S_{t+1}, S_t and the G, W and Z
-    #      buffers, one of which holds V_{t+1}.
-    # The model keeps the given Q and the initial belief the given P00, both
-    # exactly symmetric. A copy of either, or a trajectory that kept smoothed
-    # covariances and gains, would pass this bound.
+    # One EM iteration keeps the filter's output until the statistics are
+    # reduced: the 2T PL x PL matrices the trajectory owns (the filtered
+    # covariances of frames 1..T and the predicted precisions; the initial
+    # covariance is the given P00 itself). The covariance pass writes S_t and
+    # V_{t+1} into those arrays, and D is the first V, so on top of them come
+    # only the pass's G and Z buffers, Z ending as S_0, whatever T is; the
+    # filter's last update holds as many (the predicted covariance, its
+    # inverse, the inner matrix and its factor). 2T + 2.33 to 2T + 2.42
+    # measured at T = 2, 3, 5, 8, the fraction being vectors and band arrays.
+    # A pass that allocated each S_t, a D of its own, or a copy of P00 or Q
+    # fails this bound.
     L, N, P, T = 60, 8, 3, 5
     rng = np.random.default_rng(34)
     model, init, ys = random_instance(rng, L, N, P, T)
@@ -314,7 +317,45 @@ def test_em_iterate_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak / matrix_bytes <= (2 * T + 1) + 1 + 5
+    assert peak / matrix_bytes <= 2 * T + 3
+
+
+class TestCallerArrays:
+    """The covariance pass works in the trajectory's own arrays: the caller's
+    P00, Q and initial covariance keep every bit, dense or as band stacks."""
+
+    def instance(self, stacks, L=4, N=3, P=2, T=4):
+        rng = np.random.default_rng(35)
+        d = P * L
+        if stacks:  # exactly symmetric, so the filter reads them in place
+            P00 = symmetrize(random_band_stack(rng, L, P, 1.0 / P))
+            Q = symmetrize(random_band_stack(rng, L, P, 0.1 / P))
+        else:
+            P00, Q = random_spd(rng, d, 1.0 / d), random_spd(rng, d, 0.1 / d)
+        theta = EmParams(
+            A=rng.standard_normal((P, N)), P00=P00, Q=Q,
+            sigma_r2=float(rng.uniform(0.05, 1.0)), psi00=rng.standard_normal(d),
+        )
+        ys = [rng.standard_normal(N * L) for _ in range(T)]
+        return ys, rng.uniform(0.2, 1.0, d), theta
+
+    @pytest.mark.parametrize("stacks", [False, True])
+    def test_filter_and_covariance_pass(self, stacks):
+        ys, m0, theta = self.instance(stacks)
+        before = theta.P00.tobytes(), theta.Q.tobytes()
+        model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
+        traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))
+        assert traj.beliefs[0].cov is theta.P00 and model.Q is theta.Q
+        accumulate_stats(traj, rts_smooth(traj), ys, model)
+        assert (theta.P00.tobytes(), theta.Q.tobytes()) == before
+
+    @pytest.mark.parametrize("stacks", [False, True])
+    def test_em_iterate(self, stacks):
+        ys, m0, theta = self.instance(stacks)
+        before = theta.P00.tobytes(), theta.Q.tobytes()
+        for _ in range(2):
+            em_iterate(ys, m0, theta)
+            assert (theta.P00.tobytes(), theta.Q.tobytes()) == before
 
 
 class TestQFunction:
@@ -340,6 +381,7 @@ class TestQFunction:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+            dense = literal_stats_oracle(traj, ys, model)
             stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
             theta = EmParams(
                 A=rng.standard_normal((P, N)),
@@ -348,7 +390,6 @@ class TestQFunction:
                 sigma_r2=float(rng.uniform(0.2, 2)),
                 psi00=rng.standard_normal(P * L),
             )
-            dense = literal_stats_oracle(traj, ys, model)
             B = np.kron(theta.A.T, np.eye(L)) @ np.diag(model.m0)
             expected = q_transcription_oracle(theta, dense, dense["smoothed0"], B, T, N * L)
             np.testing.assert_allclose(q_function(theta, stats, smoothed0), expected, rtol=1e-10)
@@ -403,6 +444,18 @@ class TestQFunction:
         assert np.linalg.eigvalsh(stats.increment_second_moment).min() < 0
         assert m_step_q(stats)[1] is None
         assert q_new == q_function(theta_new, stats, smoothed0)
+
+    def test_band_stacks_read_as_their_dense_forms(self):
+        rng = np.random.default_rng(23)
+        L, N, P, T = 4, 3, 2, 3
+        model, init, ys, traj = filtered_instance(rng, L, N, P, T)
+        stats, smoothed0 = accumulate_stats(traj, rts_smooth(traj), ys, model)
+        stacks = default_init(L, N, P, model.A)
+        dense = EmParams(
+            A=stacks.A, P00=dense_form(stacks.P00), Q=dense_form(stacks.Q),
+            sigma_r2=stacks.sigma_r2, psi00=stacks.psi00,
+        )
+        assert q_function(stacks, stats, smoothed0) == q_function(dense, stats, smoothed0)
 
     def test_m_step_improves_surrogate(self):
         rng = np.random.default_rng(3)
@@ -468,8 +521,8 @@ class TestMStepClosedForms:
         rng = np.random.default_rng(20)
         L, N, P = 3, 2, 2
         model, init, ys, traj = filtered_instance(rng, L, N, P, T=1)
-        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         (pr, sm), (G,) = full_rts_smooth(traj, model.Q)
+        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
         cross = sm.cov @ G.T + np.outer(sm.mean, pr.mean)
         expected = (
             sm.cov + np.outer(sm.mean, sm.mean)
@@ -508,10 +561,12 @@ class TestMStepClosedForms:
         model = ModelMatrices(A=A, m0=m0, Q=np.eye(P * L), sigma_r2=1.0)
         psis = [rng.standard_normal(P * L) for _ in range(T + 1)]
         ys = [dense_B(model) @ psi for psi in psis[1:]]
-        zero = np.zeros((P * L, P * L))
+        def zero():  # the covariance pass writes into the trajectory's own arrays
+            return np.zeros((P * L, P * L))
+
         traj = Trajectory(
-            beliefs=tuple(Belief(mean=p, cov=zero) for p in psis),
-            pred_precisions=(zero,) * T,
+            beliefs=tuple(Belief(mean=p, cov=zero()) for p in psis),
+            pred_precisions=tuple(zero() for _ in range(T)),
             loglik=0.0,
         )
         stats, _ = accumulate_stats(traj, psis, ys, model)
@@ -535,11 +590,12 @@ class TestMStepClosedForms:
         L, N, P, T = 3, 2, 2, 4
         for _ in range(10):
             model, init, ys, traj = filtered_instance(rng, L, N, P, T)
-            stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
+            means = rts_smooth(traj)
+            S1 = literal_stats_oracle(traj, ys, model)["S1"]
+            stats, _ = accumulate_stats(traj, means, ys, model)
             A = rng.standard_normal((P, N))
             B = np.kron(A.T, np.eye(L)) @ np.diag(model.m0)
-            S1 = literal_stats_oracle(traj, ys, model)["S1"]
-            S3 = obs_state_outer(rts_smooth(traj), ys)
+            S3 = obs_state_outer(means, ys)
             dense = (
                 stats.obs_energy - 2 * np.trace(B @ S3.T) + np.trace(B @ S1 @ B.T)
             ) / (T * L * N)
@@ -588,10 +644,11 @@ class TestAbundanceMStep:
         rng = np.random.default_rng(13)
         L, N, P, T = 3, 2, 2, 4
         model, init, ys, traj = filtered_instance(rng, L, N, P, T)
-        stats, _ = accumulate_stats(traj, rts_smooth(traj), ys, model)
+        means = rts_smooth(traj)
         D0 = np.diag(model.m0)
         S1t = D0 @ literal_stats_oracle(traj, ys, model)["S1"] @ D0
-        S3t = obs_state_outer(rts_smooth(traj), ys) @ D0
+        stats, _ = accumulate_stats(traj, means, ys, model)
+        S3t = obs_state_outer(means, ys) @ D0
         terms1 = nkp_decompose(S1t, L, L, K=min(P * P, L * L))
         terms3 = nkp_decompose(S3t, L, L, K=min(N * P, L * L))
         lhs = sum(np.trace(D) * (C + C.T) for C, D in zip(terms1.left_factors, terms1.right_factors))
@@ -713,13 +770,14 @@ def random_band_stack(rng, L, P, scale):
 def e_step(ys, model, init):
     """One E-step pass: log-likelihood, smoothed means, copies of the band
     blocks of every backward step's (S_{t+1}, S_t, V_{t+1}), the statistics
-    and S_0."""
+    and S_0. The steps come from a second filter pass, as the statistics
+    spend the first."""
     L = model.L
     traj = run_filter(ys, model, init)
     means = rts_smooth(traj)
     steps = [
         tuple(band_blocks(M, L).copy() for M in step)
-        for step in smoothed_covariances(traj, model.Q)
+        for step in smoothed_covariances(run_filter(ys, model, init), model.Q)
     ]
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
     return traj.loglik, means, steps, stats, smoothed0
@@ -809,7 +867,7 @@ class TestBandPass:
     def test_one_off_band_entry_runs_dense(self, monkeypatch):
         shapes = self.record_layouts(monkeypatch)
         ys, m0, theta = self.instance()
-        Q = theta.Q.copy()
+        Q = dense_form(theta.Q).copy()
         Q[0, 1] = Q[1, 0] = 1e-300  # bands 0 and 1 of material 0
         em_iterate(ys, m0, EmParams(A=theta.A, P00=theta.P00, Q=Q, sigma_r2=theta.sigma_r2,
                                     psi00=theta.psi00))

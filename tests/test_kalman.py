@@ -344,6 +344,26 @@ class TestSmoother:
         rts_smooth(traj)
         assert len(list(smoothed_covariances(traj, model.Q))) == T
 
+    def test_spent_trajectory_takes_no_second_pass(self):
+        # the covariance pass overwrites the filtered covariances and
+        # precisions, so neither pass may read the trajectory after it starts
+        rng = np.random.default_rng(22)
+        L, N, P, T = 3, 2, 2, 4
+        model = random_model(rng, L, N, P)
+        init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
+        traj = run_filter([rng.standard_normal(N * L) for _ in range(T)], model, init)
+        rts_smooth(traj)
+        assert not traj.spent
+        steps = smoothed_covariances(traj, model.Q)
+        assert traj.spent
+        next(steps)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="spent"):
+                smoothed_covariances(traj, model.Q)
+            with pytest.raises(ValueError, match="spent"):
+                rts_smooth(traj)
+            list(steps)  # and once the pass has ended
+
     def test_smoothed_means_equal_batch_map(self):
         rng = np.random.default_rng(10)
         L, N, P, T = 3, 2, 2, 6

@@ -1,6 +1,7 @@
 """End-to-end driver: recovery on controlled scenes, diagnostics, determinism."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mtunmix.em import EmParams, check_finite
 from mtunmix import em, pipeline
 from mtunmix.errors import FactorizationError, NumericalAbortError
 from mtunmix.hseq import GlmmModel, devectorize_frame
+from mtunmix.kronops import dense_form
 from mtunmix.metrics import nrmse
 from mtunmix.pipeline import PipelineConfig, _em_iteration, default_init, run_kalman_em
 from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
@@ -30,8 +32,8 @@ class TestDefaultInit:
         theta = default_init(173, 50, 3, A0)
         assert theta.psi00.shape == (519,)
         np.testing.assert_array_equal(theta.psi00, 1.0)
-        np.testing.assert_array_equal(np.diag(theta.Q), 0.1)
-        np.testing.assert_array_equal(theta.P00, np.eye(519))
+        np.testing.assert_array_equal(np.diag(dense_form(theta.Q)), 0.1)
+        np.testing.assert_array_equal(dense_form(theta.P00), np.eye(519))
         assert theta.sigma_r2 == pytest.approx(1e-4)
         np.testing.assert_array_equal(theta.A, A0)
 
@@ -156,6 +158,28 @@ class TestRunKalmanEm:
         config = PipelineConfig(init=default_init(10, seq.N, 3, truth.abundances[0]))
         with pytest.raises(ValueError, match="L="):
             run_kalman_em(seq, other, config)
+
+
+def test_run_kalman_em_peak_memory():
+    # A run from default_init at the many-bands benchmark size peaks at one
+    # EM iteration's 2T + 2 PL x PL matrices (tests/test_em.py::
+    # test_em_iterate_peak_memory) plus the dense P00 and Q of the previous
+    # iteration's parameters, which the M-steps' results and factors stay
+    # under; default_init's band stacks pin no dense matrix for the run.
+    # 2T + 4.15 measured at T = 3 (4.19 at T = 2, 4.18 at T = 5).
+    L, N, P, T = 137, 12, 3, 3
+    M0 = synthetic_endmembers(L, P, seed=0)
+    seq, truth = generate(SynthConfig(L=L, N=N, T=T, P=P, snr_db=30.0, rng_seed=5), M0)
+    model = GlmmModel(M0=M0)
+    matrix_bytes = 8 * (P * L) ** 2
+    tracemalloc.start()
+    try:
+        config = PipelineConfig(init=default_init(L, N, P, truth.abundances[0]))
+        run_kalman_em(seq, model, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / matrix_bytes <= 2 * T + 5
 
 
 class TestDegenerateShapes:
