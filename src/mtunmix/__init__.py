@@ -4,12 +4,12 @@ Library layout:
 
 - :mod:`mtunmix.hseq`     array types, vectorization, on-disk HSEQ format
 - :mod:`mtunmix.kronops`  the covariance layer, one name per job for a dense matrix
-                          (LAPACK of NumPy's own OpenBLAS through ctypes, SciPy's
-                          wrappers where NumPy has none) or an (L, P, P) band stack
-                          (NumPy) alike: Cholesky factors (plain or jittered), solves
-                          and products with a state vector, factor inverses,
-                          log-determinants and PSD flooring; and a one-thread BLAS
-                          budget for replica runs
+                          (LAPACK of NumPy's own OpenBLAS through ctypes, or
+                          numpy.linalg where NumPy bundles none) or an (L, P, P)
+                          band stack (numpy.linalg) alike: Cholesky factors (plain
+                          or jittered), solves and products with a state vector,
+                          factor inverses, log-determinants and PSD flooring; and a
+                          one-thread BLAS budget for replica runs
 - :mod:`mtunmix.kalman`   Woodbury filter update (PSD square root for nearly singular
                           predictions) into a frozen trajectory, RTS smoothed means,
                           and the smoothed-covariance recursion, one step at a time,

@@ -221,7 +221,8 @@ def write_hseq(
 
 def read_manifest(path: Path | str) -> Manifest:
     """Parse a directory's manifest and check it: the format tags, integers L, N,
-    T and any P of at least 1, any integer seed, and a frame file per frame."""
+    T and any P of at least 1, any integer seed, and a frame file per frame,
+    each a plain file name in the directory."""
     root = Path(path)
     mpath = root / MANIFEST_NAME
     if not mpath.is_file():
@@ -244,6 +245,10 @@ def read_manifest(path: Path | str) -> Manifest:
             raise SequenceFormatError(f"{mpath} declares {name}={value!r}, not an integer")
         if name != "seed" and value < 1:
             raise SequenceFormatError(f"{mpath} declares {name}={value}, below 1")
+    for name in frame_files:
+        # a path would reach outside the directory
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise SequenceFormatError(f"{mpath} lists frame {name!r}, not a plain file name")
     manifest = Manifest(**ints, frame_files=frame_files)
     if manifest.frame_files and manifest.T != len(manifest.frame_files):
         raise SequenceFormatError(
@@ -281,6 +286,10 @@ def psi_file_name(t: int) -> str:
     return f"psi_{t:04d}.f64"
 
 
+#: The per-frame series of a result directory, by file name prefix.
+SERIES_PREFIXES = ("frame", "abund", "endm", "psi")
+
+
 def write_result_dir(
     path: Path | str,
     L: int,
@@ -297,9 +306,11 @@ def write_result_dir(
 
     Abundances are P x N per frame, endmembers L x P, scaling factors L x P
     (the devectorized state), frames L x N. All arrays are optional; a
-    manifest records dimensions and whichever frame files exist. The manifest
-    is written last, after any earlier one is removed, so a directory whose
-    writing failed part way has none.
+    manifest records dimensions and whichever frame files exist. Any earlier
+    manifest and series of frame, abundance, endmember and scaling-factor
+    files are removed first, so a rerun leaves none of an earlier run's
+    frames; the manifest is written last, so a directory whose writing
+    failed part way has none.
     """
     root = Path(path)
     try:
@@ -307,6 +318,9 @@ def write_result_dir(
     except OSError as exc:
         raise SequenceFormatError(f"cannot create directory {root}: {exc}") from exc
     (root / MANIFEST_NAME).unlink(missing_ok=True)
+    for prefix in SERIES_PREFIXES:
+        for old in root.glob(f"{prefix}_[0-9]*.f64"):
+            old.unlink()
     frame_names: tuple[str, ...] = ()
     if frames is not None:
         frame_names = tuple(frame_file_name(t) for t in range(T))

@@ -1,6 +1,6 @@
 """Cholesky factors (plain, or with one jitter retry), solves and inverses
 from a factor, and PSD flooring with a positive-definite fast test. A factor
-is the lower-triangular array ``dpotrf`` returns, read below the diagonal only.
+is a lower-triangular array, read below the diagonal only.
 
 These primitives back the state-space machinery: the observation matrix has
 the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
@@ -13,29 +13,24 @@ A covariance is dense, one PL x PL array whose entry p * L + l is material p
 in band l, or a band stack, an (L, P, P) array whose block l holds entries
 (p * L + l, q * L + l) of a covariance zero between bands. The factors,
 solves, products, inverses, log-determinants and PSD floor take either, one
-name per job: a dense matrix goes to LAPACK, a stack to NumPy's batched
-``linalg``. A PL state vector keeps its order in both layouts, and
-:func:`cho_solve` and :func:`matvec` take and return it as it is.
-
-LAPACK ``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS ``dtrmm``
-are those of the OpenBLAS that NumPy bundles, called through ctypes
-(:class:`OpenBlas`): NumPy's products and these factorizations share one
-BLAS library and its buffers, SciPy is not imported, and each call releases
-the GIL, so threads that each run a replica factor at the same time.
-:func:`one_blas_thread` sets that library to one thread for a block of work.
-Where NumPy bundles no such library (builds on Accelerate or MKL),
-:func:`lapack` and :func:`blas` return SciPy's ``scipy.linalg.lapack`` and
-``scipy.linalg.blas``, which take the same calls. Every call looks
-:func:`lapack` and :func:`blas` up on this module when it runs, so a
-replacement set on the module sees each factorization, solve and inverse.
+name per job. A stack goes to NumPy's batched ``linalg``. A dense matrix goes
+to LAPACK ``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS
+``dtrmm`` of the OpenBLAS that NumPy bundles, bound through ctypes when this
+module loads (:data:`_openblas`): NumPy's products and these factorizations
+share one BLAS library, and each call releases the GIL, so threads that each
+run a replica factor at the same time. Where NumPy bundles no such library
+(builds on Accelerate or MKL), :data:`_openblas` is None and a dense matrix
+takes the ``numpy.linalg`` lines of a stack. :func:`one_blas_thread` sets the
+bundled library to one thread for a block of work. A PL state vector keeps
+its order in both layouts, and :func:`cho_solve` and :func:`matvec` take and
+return it as it is.
 """
 
 from __future__ import annotations
 
 import contextlib
 import ctypes
-import functools
-import threading
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -58,70 +53,45 @@ _STRICT_UPPER = ~np.tri(MIRROR_BLOCK, dtype=bool)
 # pointer to one is declared by reference
 _C, _I = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int64)
 _D, _H = ctypes.POINTER(ctypes.c_double), ctypes.c_size_t
-#: The routines :func:`lapack` and :func:`blas` bind, each the ILP64 symbol
-#: ``scipy_<name>_64_`` of the OpenBLAS that NumPy bundles, and their arguments.
-_SIGNATURES = {
-    "dpotrf": (_C, _I, _D, _I, _I, _H),
-    "dpotrs": (_C, _I, _I, _D, _I, _D, _I, _I, _H),
-    "dtrtri": (_C, _C, _I, _D, _I, _I, _H, _H),
-    "dlauum": (_C, _I, _D, _I, _I, _H),
-    "dtrmm": (_C, _C, _C, _C, _I, _I, _D, _D, _I, _D, _I, _H, _H, _H, _H),
+_int = ctypes.c_int64
+#: The routines bound, by the name each takes here: the ILP64 symbol of the
+#: OpenBLAS that NumPy bundles, and its arguments. The LAPACK and BLAS ones
+#: take every argument by reference, integers (``info`` included) as 64 bits,
+#: then the hidden lengths of the Fortran character arguments.
+_ROUTINES = {
+    "dpotrf": ("scipy_dpotrf_64_", (_C, _I, _D, _I, _I, _H)),
+    "dpotrs": ("scipy_dpotrs_64_", (_C, _I, _I, _D, _I, _D, _I, _I, _H)),
+    "dtrtri": ("scipy_dtrtri_64_", (_C, _C, _I, _D, _I, _I, _H, _H)),
+    "dlauum": ("scipy_dlauum_64_", (_C, _I, _D, _I, _I, _H)),
+    "dtrmm": ("scipy_dtrmm_64_", (_C, _C, _C, _C, _I, _I, _D, _D, _I, _D, _I, _H, _H, _H, _H)),
+    "set_threads": ("scipy_openblas_set_num_threads64_", (ctypes.c_int,)),
+    "get_threads": ("scipy_openblas_get_num_threads64_", ()),
 }
-_SET_THREADS = "scipy_openblas_set_num_threads64_"
-_GET_THREADS = "scipy_openblas_get_num_threads64_"
-_bound: list = []  # the one binding, once made
-_bind_lock = threading.Lock()
 
 
-def lapack():
-    """``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum``; see :func:`_binding`."""
-    return _binding()[0]
-
-
-def blas():
-    """``dtrmm``; see :func:`_binding`."""
-    return _binding()[1]
-
-
-def _binding() -> tuple:
-    """The LAPACK and BLAS routine sets, bound once, thread-safe on first use:
-    an :class:`OpenBlas` on NumPy's own library where it has the symbols,
-    else SciPy's public ``scipy.linalg.lapack`` and ``scipy.linalg.blas``
-    (NumPy built on Accelerate or MKL), which take the same calls."""
-    if not _bound:
-        with _bind_lock:
-            if not _bound:
-                _bound.append(_bind())
-    return _bound[0]
-
-
-def _bind() -> tuple:
-    lib = _numpy_openblas()
-    if lib is not None:
-        routines = OpenBlas(lib)
-        return routines, routines
-    from scipy.linalg import blas, lapack
-
-    return lapack, blas
-
-
-@functools.cache
-def _numpy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS NumPy has loaded, reached through ``numpy.linalg``'s
-    extension, which links it; None where it lacks any symbol used here."""
+def _numpy_openblas() -> SimpleNamespace | None:
+    """The :data:`_ROUTINES` of the OpenBLAS NumPy has loaded, reached through
+    ``numpy.linalg``'s extension, which links it; None where it lacks any."""
     from numpy.linalg import _umath_linalg
 
     try:
         lib = ctypes.CDLL(_umath_linalg.__file__)
     except OSError:
         return None
-    names = [f"scipy_{name}_64_" for name in _SIGNATURES] + [_SET_THREADS, _GET_THREADS]
-    if not all(hasattr(lib, name) for name in names):
+    if not all(hasattr(lib, symbol) for symbol, _ in _ROUTINES.values()):
         return None
-    set_threads, get_threads = getattr(lib, _SET_THREADS), getattr(lib, _GET_THREADS)
-    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-    return lib
+    routines = SimpleNamespace()
+    for name, (symbol, argtypes) in _ROUTINES.items():
+        routine = getattr(lib, symbol)
+        routine.argtypes, routine.restype = argtypes, None
+        setattr(routines, name, routine)
+    routines.get_threads.restype = ctypes.c_int
+    return routines
+
+
+#: NumPy's OpenBLAS routines, bound once; None sends dense matrices to
+#: ``numpy.linalg``, as where NumPy bundles no OpenBLAS.
+_openblas = _numpy_openblas()
 
 
 @contextlib.contextmanager
@@ -131,41 +101,19 @@ def one_blas_thread():
 
     The count is the whole process's, so the body's results do not depend on
     the machine's core count, and threads that each run a replica do not
-    share cores with BLAS threads. Where :func:`lapack` falls back to SciPy,
-    this does nothing, and results may depend on the thread count.
+    share cores with BLAS threads. Where NumPy bundles no OpenBLAS, this does
+    nothing, and results may depend on the thread count.
     """
-    lib = _numpy_openblas()
+    lib = _openblas
     if lib is None:
         yield
         return
-    set_threads = getattr(lib, _SET_THREADS)
-    previous = getattr(lib, _GET_THREADS)()
-    set_threads(1)
+    previous = lib.get_threads()
+    lib.set_threads(1)
     try:
         yield
     finally:
-        set_threads(previous)
-
-
-def _matrix(a, copy: bool) -> tuple[np.ndarray, int]:
-    """``a`` as LAPACK addresses a matrix, and its leading dimension: ``a``
-    itself where its columns are contiguous, as in a block of a
-    Fortran-ordered array, unless ``copy`` asks for a new one; else a copy in
-    Fortran order. A vector is one column."""
-    a = np.asarray(a)
-    if a.ndim == 1:
-        a = a[:, None]
-    rows, cols = a.shape
-    step, lead = a.strides
-    if copy or not (
-        a.dtype == np.float64
-        and a.flags.writeable
-        and (step == 8 or rows <= 1)
-        and (cols <= 1 or (lead % 8 == 0 and lead >= 8 * rows))
-    ):
-        a = np.array(a, dtype=np.float64, order="F")
-        lead = a.strides[1]
-    return a, max(1, lead // 8 if cols > 1 else rows)
+        lib.set_threads(previous)
 
 
 def _order(a: np.ndarray, n: int | None = None) -> int:
@@ -179,75 +127,67 @@ def _order(a: np.ndarray, n: int | None = None) -> int:
     return rows
 
 
-def _first(a: np.ndarray):
-    """A ctypes double at ``a[0, 0]``, which ctypes passes as the address of
-    the matrix; None for an empty one, which LAPACK does not read."""
-    return ctypes.c_double.from_buffer(a[:1, :1]) if a.size else None
+def _matrix(a: np.ndarray) -> tuple:
+    """``a`` as LAPACK takes a matrix: a ctypes double at ``a[0, 0]``, which
+    ctypes passes as its address (None for an empty matrix, which LAPACK
+    does not read), and the leading dimension. ``a`` must be a writeable
+    float64 matrix with contiguous columns, as a block of a Fortran-ordered
+    array is; ValueError for any other layout, which LAPACK would misread."""
+    rows, cols = a.shape
+    step, lead = a.strides
+    if not (
+        a.dtype == np.float64
+        and a.flags.writeable
+        and (step == 8 or rows <= 1)
+        and (cols <= 1 or (lead % 8 == 0 and lead >= 8 * rows))
+    ):
+        raise ValueError("LAPACK takes a writeable float64 matrix with contiguous columns")
+    first = ctypes.c_double.from_buffer(a[:1, :1]) if a.size else None
+    return first, _int(max(1, lead // 8 if cols > 1 else rows))
 
 
-_UPLO = (b"U", b"L")
-_SIDE = (b"L", b"R")
+# Each helper below works in place on a column-major matrix or block of one,
+# its lower triangle where it reads a triangle, and returns LAPACK's info.
 
-class OpenBlas:
-    """``dpotrf``, ``dpotrs``, ``dtrtri``, ``dlauum`` and ``dtrmm`` called
-    through ctypes, with the signatures and results of SciPy's wrappers for
-    the arguments used here. ctypes releases the GIL for each call.
 
-    The symbols take every argument by reference, integers (``info``
-    included) as 64 bits, then the hidden lengths of the Fortran character
-    arguments. A matrix goes in with its leading dimension, so a block of a
-    Fortran-ordered array is worked on in place where ``overwrite_*`` allows;
-    any other layout is copied first, as SciPy's wrappers do.
-    """
+def dpotrf(a: np.ndarray) -> int:
+    """Overwrite the lower triangle of ``a`` with its Cholesky factor; the
+    upper triangle is left as it is."""
+    info = _int(0)
+    _openblas.dpotrf(b"L", _int(_order(a)), *_matrix(a), info, 1)
+    return info.value
 
-    def __init__(self, lib: ctypes.CDLL):
-        for name, argtypes in _SIGNATURES.items():
-            routine = getattr(lib, f"scipy_{name}_64_")
-            routine.argtypes, routine.restype = argtypes, None
-            setattr(self, "_" + name, routine)
 
-    def dpotrf(self, a, lower=0, clean=1):
-        c, lead = _matrix(a, copy=True)
-        info, n = ctypes.c_int64(), ctypes.c_int64(_order(c))
-        self._dpotrf(_UPLO[lower], n, _first(c), ctypes.c_int64(lead), info, 1)
-        if clean:
-            c[...] = np.tril(c) if lower else np.triu(c)
-        return c, info.value
+def dpotrs(c: np.ndarray, b: np.ndarray) -> int:
+    """Overwrite ``b`` with the solution X of M X = b, ``c`` M's lower factor."""
+    info, n = _int(0), _int(_order(c, b.shape[0]))
+    _openblas.dpotrs(b"L", n, _int(b.shape[1]), *_matrix(c), *_matrix(b), info, 1)
+    return info.value
 
-    def dpotrs(self, c, b, lower=0):
-        c, lead = _matrix(c, copy=False)
-        x, ldx = _matrix(b, copy=True)
-        n, nrhs = ctypes.c_int64(_order(c, x.shape[0])), ctypes.c_int64(x.shape[1])
-        info = ctypes.c_int64()
-        self._dpotrs(
-            _UPLO[lower], n, nrhs, _first(c), ctypes.c_int64(lead),
-            _first(x), ctypes.c_int64(ldx), info, 1,
-        )
-        return x.reshape(np.shape(b)), info.value
 
-    def dtrtri(self, c, lower=0, overwrite_c=0):
-        a, lead = _matrix(c, copy=not overwrite_c)
-        info, n = ctypes.c_int64(), ctypes.c_int64(_order(a))
-        self._dtrtri(_UPLO[lower], b"N", n, _first(a), ctypes.c_int64(lead), info, 1, 1)
-        return a, info.value
+def dtrtri(a: np.ndarray) -> int:
+    """Overwrite the lower triangle of ``a`` with that of its inverse."""
+    info = _int(0)
+    _openblas.dtrtri(b"L", b"N", _int(_order(a)), *_matrix(a), info, 1, 1)
+    return info.value
 
-    def dlauum(self, c, lower=0, overwrite_c=0):
-        a, lead = _matrix(c, copy=not overwrite_c)
-        info, n = ctypes.c_int64(), ctypes.c_int64(_order(a))
-        self._dlauum(_UPLO[lower], n, _first(a), ctypes.c_int64(lead), info, 1)
-        return a, info.value
 
-    def dtrmm(self, alpha, a, b, side=0, lower=0, overwrite_b=0):
-        a, lda = _matrix(a, copy=False)
-        b, ldb = _matrix(b, copy=not overwrite_b)
-        _order(a, b.shape[side])
-        m, n = ctypes.c_int64(b.shape[0]), ctypes.c_int64(b.shape[1])
-        self._dtrmm(
-            _SIDE[side], _UPLO[lower], b"N", b"N", m, n,
-            ctypes.c_double(alpha), _first(a), ctypes.c_int64(lda),
-            _first(b), ctypes.c_int64(ldb), 1, 1, 1, 1,
-        )
-        return b
+def dlauum(a: np.ndarray) -> int:
+    """Overwrite the lower triangle of ``a`` with that of aᵀa, ``a`` read as
+    lower triangular."""
+    info = _int(0)
+    _openblas.dlauum(b"L", _int(_order(a)), *_matrix(a), info, 1)
+    return info.value
+
+
+def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0) -> None:
+    """Overwrite ``b`` with alpha · a b (``side`` 0) or alpha · b a (``side``
+    1), ``a`` read as lower triangular; BLAS returns no info."""
+    _order(a, b.shape[side])
+    _openblas.dtrmm(
+        (b"L", b"R")[side], b"L", b"N", b"N", _int(b.shape[0]), _int(b.shape[1]),
+        ctypes.c_double(alpha), *_matrix(a), *_matrix(b), 1, 1, 1, 1,
+    )
 
 
 def _check_square(M: np.ndarray, what: str) -> None:
@@ -304,20 +244,22 @@ def factor(M: np.ndarray) -> np.ndarray:
     block of a stack, no jitter; :class:`FactorizationError` if any is not
     numerically positive definite.
 
-    ``M`` must be exactly symmetric, as every caller's matrix is: a
-    C-ordered matrix goes to ``potrf`` as its Fortran-ordered transpose,
-    which the wrapper copies as it is instead of transposing it.
+    ``M`` must be exactly symmetric, as every caller's matrix is: ``potrf``
+    factors a Fortran-ordered copy of a C-ordered matrix's transpose, a
+    plain copy of its memory, and leaves the copy's upper triangle in the
+    factor.
     """
     M = np.asarray(M)
     _check_square(M, "factored matrix")
-    if M.ndim == 3:
+    if M.ndim == 3 or _openblas is None:
         try:
             return np.linalg.cholesky(M)
         except np.linalg.LinAlgError as exc:
             raise FactorizationError(
-                f"stack of {M.shape[0]} matrices of size {M.shape[-1]} not positive definite"
+                f"matrix or stack of shape {M.shape} not positive definite"
             ) from exc
-    c, info = lapack().dpotrf(M.T if M.flags.c_contiguous else M, lower=1, clean=0)
+    c = np.array(M.T if M.flags.c_contiguous else M, dtype=np.float64, order="F")
+    info = dpotrf(c)
     if info > 0:
         raise FactorizationError(f"matrix of size {M.shape[0]} not positive definite")
     if info < 0:
@@ -358,19 +300,24 @@ def _vector(X: np.ndarray) -> np.ndarray:
 
 def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve M X = B from the lower Cholesky factor of M: LAPACK ``potrs`` for
-    one matrix, two triangular solves per block for a stack. On a stack B is
-    a PL state vector, or (L, P, k) right-hand sides per block."""
+    one matrix, two ``numpy.linalg`` solves with the factor's lower triangle
+    for a stack (per block) or where NumPy bundles no OpenBLAS. On a stack B
+    is a PL state vector, or (L, P, k) right-hand sides per block."""
     B = np.asarray(B)
     if c.ndim == 3:
         if B.shape == (c.shape[0] * c.shape[1],):
             return _vector(cho_solve(c, _columns(B, c.shape[0])))
         if B.shape[:2] != c.shape[:2] or B.ndim != 3:
             raise ValueError(f"right-hand side of shape {B.shape} for factors of shape {c.shape}")
+    else:
+        _check_square(c, "factor")
+        if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
+            raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
+    if c.ndim == 3 or _openblas is None:
+        c = np.tril(c)
         return np.linalg.solve(c.mT, np.linalg.solve(c, B))
-    _check_square(c, "factor")
-    if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
-        raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
-    X, info = lapack().dpotrs(c, B, lower=1)
+    X = np.array(B, dtype=np.float64, order="F")
+    info = dpotrs(np.asfortranarray(c), X if X.ndim == 2 else X[:, None])
     if info != 0:
         raise ValueError(f"potrs rejected argument {-info}")
     return X
@@ -415,22 +362,25 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     same values in C order. That is n^3 / 3 multiply-adds against n^3 for
     ``cho_solve(c, I)``, as in LAPACK ``potri``, but most of them in BLAS-3
     products. A 0 x 0 factor, which LAPACK would reject, has a 0 x 0 inverse.
-    A stack's inverse is R.T R per block, with R the inverse of the block's
-    factor.
+    A stack's inverse, and a dense one where NumPy bundles no OpenBLAS, is
+    R.T R (per block), with R the ``numpy.linalg`` inverse of the factor's
+    lower triangle.
     """
     _check_square(c, "factor")
-    if c.ndim == 3:
-        root = np.linalg.inv(c)
+    if c.shape[-1] == 0:
+        return np.zeros(c.shape)
+    if c.ndim == 3 or _openblas is None:
+        if not np.all(np.diagonal(c, axis1=-2, axis2=-1)):
+            raise FactorizationError(f"factor of shape {c.shape} has a zero pivot")
+        root = np.linalg.inv(np.tril(c))
         return _mirror_lower(root.mT @ root)
-    if c.shape[0] == 0:
-        return np.zeros((0, 0))
     root = np.array(c, order="F")
     _lower_inverse(root)
-    inv, info = lapack().dlauum(root, lower=1, overwrite_c=1)
+    info = dlauum(root)
     if info != 0:
         raise FactorizationError(f"lauum failed on a factor of size {c.shape[0]} (info={info})")
     # symmetric, so the C-ordered transpose holds the same values
-    return _mirror_lower(inv).T
+    return _mirror_lower(root).T
 
 
 def _lower_inverse(R: np.ndarray) -> None:
@@ -446,17 +396,15 @@ def _lower_inverse(R: np.ndarray) -> None:
     """
     n = R.shape[0]
     if n <= INVERSE_LEAF:
-        inv, info = lapack().dtrtri(R, lower=1, overwrite_c=1)
+        info = dtrtri(R)
         if info != 0:
             raise FactorizationError(f"trtri failed on a factor of size {n} (info={info})")
-        R[...] = inv
         return
     h = n // 2
     _lower_inverse(R[:h, :h])
     _lower_inverse(R[h:, h:])
-    trmm = blas().dtrmm
-    R21 = trmm(-1.0, R[h:, h:], R[h:, :h], lower=1, overwrite_b=1)
-    R[h:, :h] = trmm(1.0, R[:h, :h], R21, side=1, lower=1, overwrite_b=1)
+    dtrmm(-1.0, R[h:, h:], R[h:, :h])
+    dtrmm(1.0, R[:h, :h], R[h:, :h], side=1)
 
 
 def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -622,6 +622,62 @@ class TestUnmix:
             assert files == tree_bytes(single)
 
 
+class TestRerunIntoUsedOut:
+    """A command whose ``--out`` an earlier run wrote leaves none of that
+    run's frame, abundance, endmember or scaling-factor series."""
+
+    SERIES = ("frame_", "abund_", "endm_", "psi_")
+
+    def generate(self, capsys, out, T):
+        code, _, _ = run_cli(
+            capsys,
+            "generate", "--L", "20", "--N", "12", "--T", str(T), "--P", "3",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+
+    def unmix(self, capsys, data, out):
+        code, _, _ = run_cli(
+            capsys, "unmix", "--input", str(data), "--vca", "--iters", "1", "--out", str(out)
+        )
+        assert code == 0
+
+    def series(self, root):
+        files = tree_bytes(root)
+        return {name: data for name, data in files.items() if name.startswith(self.SERIES)}
+
+    def test_unmix_of_a_shorter_sequence(self, small_dataset, tmp_path, capsys):
+        data, _ = small_dataset
+        short = tmp_path / "short"
+        self.generate(capsys, short, T=2)
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        self.unmix(capsys, data, used)
+        assert "psi_0003.f64" in tree_bytes(used)
+        self.unmix(capsys, short, used)
+        self.unmix(capsys, short, fresh)
+        assert tree_bytes(used) == tree_bytes(fresh)
+        assert len(read_result_dir(used)["psis"]) == 2
+
+    def test_generate_of_a_shorter_sequence(self, small_dataset, tmp_path, capsys):
+        data, _ = small_dataset
+        fresh = tmp_path / "fresh"
+        self.generate(capsys, data, T=2)
+        self.generate(capsys, fresh, T=2)
+        assert tree_bytes(data) == tree_bytes(fresh)
+        assert "truth/frame_0002.f64" not in tree_bytes(data)
+
+    def test_fcls_into_an_unmix_directory(self, small_dataset, tmp_path, capsys):
+        data, _ = small_dataset
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        self.unmix(capsys, data, used)
+        m0 = ["--m0", str(data / "truth" / "m0.f64")]
+        for out in (used, fresh):
+            code, _, _ = run_cli(capsys, "fcls", "--input", str(data), *m0, "--out", str(out))
+            assert code == 0
+        assert "psis" not in read_result_dir(used)
+        assert self.series(used) == self.series(fresh)
+
+
 class TestReplicaFanOut:
     @pytest.mark.parametrize("mc", ["0", "-2"])
     @pytest.mark.parametrize("command", ["generate", "unmix"])
@@ -771,6 +827,26 @@ class TestVca:
             )
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("where", ["parent", "absolute"])
+    def test_frame_outside_the_directory_exit_3(self, small_dataset, tmp_path, capsys, where):
+        # a frame-sized file elsewhere must not be read as frame 0
+        data, _ = small_dataset
+        secret = tmp_path / "elsewhere" / "secret.f64"
+        secret.parent.mkdir()
+        secret.write_bytes((data / "frame_0000.f64").read_bytes())
+        name = "../elsewhere/secret.f64" if where == "parent" else str(secret)
+        data = data.rename(tmp_path / "data2")  # a sibling of elsewhere
+        mpath = data / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["frames"][0] = name
+        mpath.write_text(json.dumps(manifest))
+        code, stdout, err = run_cli(
+            capsys, "vca", "--input", str(data), "--p", "3", "--out", str(tmp_path / "m.f64")
+        )
+        assert code == 3
+        assert f"lists frame {name!r}, not a plain file name" in err
+        assert stdout == "" and not (tmp_path / "m.f64").exists()
 
     def test_rank_deficiency_exit_5(self, tmp_path, capsys):
         flat = np.outer(np.linspace(0.1, 1, 12), np.ones(9))

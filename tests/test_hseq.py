@@ -170,6 +170,28 @@ class TestSequenceIO:
             read_manifest(tmp_path / "seq")
 
 
+    @pytest.mark.parametrize("name", ["../secret.f64", "/secret.f64", "sub/f.f64", "..", "."])
+    def test_frame_entry_not_a_plain_file_name_rejected(self, tmp_path, name):
+        write_hseq(HsiSequence(frames=(np.ones((2, 2)),)), tmp_path / "seq")
+        mpath = tmp_path / "seq" / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        manifest["frames"] = [name]
+        mpath.write_text(json.dumps(manifest))
+        with pytest.raises(SequenceFormatError, match="not a plain file name"):
+            read_manifest(tmp_path / "seq")
+
+    def test_rewrite_removes_the_earlier_series(self, tmp_path):
+        out = tmp_path / "est"
+        four = [np.ones((2, 2))] * 4
+        write_result_dir(
+            out, L=2, N=2, T=4, P=2, abundances=four, endmembers=four, psis=four, frames=four
+        )
+        (out / "notes.txt").write_text("kept")
+        write_result_dir(out, L=2, N=2, T=2, P=2, abundances=four[:2])
+        assert sorted(p.name for p in out.iterdir()) == [
+            "abund_0000.f64", "abund_0001.f64", "manifest.json", "notes.txt",
+        ]
+
     def test_failed_result_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "est"
         A = [np.full((2, 3), 0.5)] * 2

@@ -1,11 +1,11 @@
-"""Where NumPy bundles OpenBLAS, no command imports SciPy: the
-factorizations call NumPy's own library through ctypes, and ``eval`` loads
-``scipy.optimize`` only to align more than EXHAUSTIVE_ALIGN_LIMIT endmembers.
-Those calls release the GIL and bind the library once, and SciPy's public
-wrappers, the fallback where NumPy has no such library, give the same
-output to rounding. The scripts run L = 60 bands and P = 2 materials, so
-PL = 120 is above ``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too.
-Every name the benchmark's tracer replaces exists."""
+"""No command imports SciPy: dense factorizations call NumPy's bundled
+OpenBLAS through ctypes, or ``numpy.linalg`` where NumPy bundles none, and
+``eval`` loads ``scipy.optimize`` only to align more than
+EXHAUSTIVE_ALIGN_LIMIT endmembers. The ctypes calls release the GIL, and the
+``numpy.linalg`` route gives the same output to rounding. The scripts run
+L = 60 bands and P = 2 materials, so PL = 120 is above
+``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too. Every name the
+benchmark's tracer replaces exists."""
 
 import importlib
 import json
@@ -69,11 +69,10 @@ def run_python(script: str, *args: str, env: dict | None = None) -> dict:
 
 
 bundled = pytest.mark.skipif(
-    kronops._numpy_openblas() is None, reason="NumPy bundles no OpenBLAS with the symbols"
+    kronops._openblas is None, reason="NumPy bundles no OpenBLAS with the symbols"
 )
 
 
-@bundled
 def test_no_command_loads_scipy(tmp_path):
     loaded = run_python(SCRIPT, str(tmp_path))
     for step, modules in loaded.items():
@@ -86,7 +85,7 @@ from mtunmix import cli, kronops
 
 out, fallback = sys.argv[1], sys.argv[2] == "fallback"
 if fallback:
-    kronops._numpy_openblas = lambda: None
+    kronops._openblas = None
 for argv in (
     ["generate", "--L", "60", "--N", "5", "--T", "3", "--P", "2", "--seed", "4",
      "--mc", "2", "--out", out + "/data"],
@@ -94,9 +93,7 @@ for argv in (
      "--mc", "2", "--out", out + "/unmix"],
 ):
     assert cli.main(argv) == 0, argv
-print(json.dumps({"scipy": "scipy" in sys.modules,
-                  "lapack": type(kronops.lapack()).__name__,
-                  "blas": type(kronops.blas()).__name__}))
+print(json.dumps({"scipy": "scipy" in sys.modules, "openblas": kronops._openblas is not None}))
 """
 
 
@@ -106,12 +103,13 @@ def tree_bytes(root: Path) -> dict[str, bytes]:
 
 @bundled
 def test_forced_fallback_matches_the_ctypes_run(tmp_path):
-    # SciPy bundles another OpenBLAS build than NumPy's, so the two runs
-    # agree to rounding, not byte for byte
+    # numpy.linalg inverts and solves through LU where the ctypes route
+    # takes LAPACK's triangular routines, so the two runs agree to rounding,
+    # not byte for byte
     direct = run_python(UNMIX_SCRIPT, str(tmp_path / "direct"), "direct")
     fallback = run_python(UNMIX_SCRIPT, str(tmp_path / "fallback"), "fallback")
-    assert direct == {"scipy": False, "lapack": "OpenBlas", "blas": "OpenBlas"}
-    assert fallback == {"scipy": True, "lapack": "module", "blas": "module"}
+    assert direct == {"scipy": False, "openblas": True}
+    assert fallback == {"scipy": False, "openblas": False}
     assert tree_bytes(tmp_path / "direct" / "data") == tree_bytes(tmp_path / "fallback" / "data")
     direct_files = tree_bytes(tmp_path / "direct" / "unmix")
     fallback_files = tree_bytes(tmp_path / "fallback" / "unmix")
@@ -136,7 +134,7 @@ def test_lapack_releases_the_gil():
     # dpotrf: none of its pauses spans a quarter of the call, where a call that
     # held the GIL would pause it for the whole factorization
     n = 2000
-    M = np.ones((n, n)) + n * np.eye(n)
+    M = np.asfortranarray(np.ones((n, n)) + n * np.eye(n))
     pauses, stop = [], threading.Event()
 
     def count():
@@ -153,7 +151,7 @@ def test_lapack_releases_the_gil():
     try:
         counter.start()
         start = time.perf_counter()
-        _, info = kronops.lapack().dpotrf(M, lower=1, clean=0)
+        info = kronops.dpotrf(M)
         end = time.perf_counter()
     finally:
         stop.set()
@@ -164,51 +162,9 @@ def test_lapack_releases_the_gil():
     assert longest < 0.25 * (end - start), (longest, end - start)
 
 
-def test_concurrent_first_calls_load_one_module():
-    found = run_python(r"""
-import json, sys, threading, time
-from mtunmix import kronops
-
-real, binds = kronops._bind, []
-
-def slow_bind():
-    binds.append(1)
-    time.sleep(0.05)  # widen the window in which other threads arrive
-    return real()
-
-kronops._bind = slow_bind
-barrier = threading.Barrier(6, timeout=30)
-got = {"lapack": [], "blas": []}
-lookups = [("lapack", kronops.lapack), ("blas", kronops.blas)]
-
-def first_calls(i):
-    barrier.wait()
-    # half the threads ask for BLAS first, so the two lookups cross
-    for name, lookup in lookups if i % 2 else lookups[::-1]:
-        got[name].append(lookup())
-
-threads = [threading.Thread(target=first_calls, args=(i,)) for i in range(6)]
-interval = sys.getswitchinterval()
-sys.setswitchinterval(1e-6)
-try:
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-finally:
-    sys.setswitchinterval(interval)
-assert not any(t.is_alive() for t in threads)
-print(json.dumps({"binds": len(binds),
-                  **{name: {"calls": len(found), "objects": len({id(r) for r in found})}
-                     for name, found in got.items()}}))
-""")
-    each = {"calls": 6, "objects": 1}
-    assert found == {"binds": 1, "lapack": each, "blas": each}
-
-
 def test_unmix_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # unmix runs with BLAS on one thread whatever OPENBLAS_NUM_THREADS says
-    if kronops._numpy_openblas() is None:
+    if kronops._openblas is None:
         pytest.skip("the thread budget needs NumPy's bundled OpenBLAS")
     if (os.cpu_count() or 1) < 2:
         pytest.skip("one CPU: the default thread count is already one")

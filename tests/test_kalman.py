@@ -1,6 +1,5 @@
 """Filter/smoother against dense textbook, batch-MAP, and joint-Gaussian oracles."""
 
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -208,17 +207,22 @@ class TestUpdate:
         pred = Belief(mean=rng.standard_normal(6), cov=cov)
         y = rng.standard_normal(N * L)
         outcomes = []
-        real = kronops.lapack()
 
-        def recording(M, **kwargs):
-            c, info = real.dpotrf(M, **kwargs)
-            outcomes.append("fail" if info > 0 else "ok")
-            return c, info
+        def recording(real, failed):
+            # the factorization of either route: LAPACK's info, or NumPy's error
+            def call(a):
+                try:
+                    out = real(a)
+                except np.linalg.LinAlgError:
+                    outcomes.append("fail")
+                    raise
+                outcomes.append("fail" if failed(out) else "ok")
+                return out
 
-        recorder = SimpleNamespace(
-            dpotrf=recording, dpotrs=real.dpotrs, dtrtri=real.dtrtri, dlauum=real.dlauum
-        )
-        monkeypatch.setattr(kronops, "lapack", lambda: recorder)
+            return call
+
+        monkeypatch.setattr(kronops, "dpotrf", recording(kronops.dpotrf, lambda info: info > 0))
+        monkeypatch.setattr(np.linalg, "cholesky", recording(np.linalg.cholesky, lambda c: False))
         post, ll, _ = update(pred, y, model)
         assert outcomes == ["fail", "ok"]
         mean_o, cov_o, ll_o = dense_update_oracle(
@@ -337,10 +341,12 @@ class TestSmoother:
         init = Belief(mean=np.ones(P * L), cov=np.eye(P * L))
         traj = run_filter([rng.standard_normal(N * L) for _ in range(T)], model, init)
 
-        def forbidden():
-            raise AssertionError("the smoother called LAPACK through kronops")
+        def forbidden(*args):
+            raise AssertionError("the smoother factored a matrix")
 
-        monkeypatch.setattr(kronops, "lapack", forbidden)
+        for name in ("dpotrf", "dpotrs", "dtrtri", "dlauum"):
+            monkeypatch.setattr(kronops, name, forbidden)
+        monkeypatch.setattr(np.linalg, "cholesky", forbidden)
         rts_smooth(traj)
         assert len(list(smoothed_covariances(traj, model.Q))) == T
 

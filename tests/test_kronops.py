@@ -1,7 +1,7 @@
 """Block traces, factor inverses and PSD flooring in both covariance layouts,
-plus the Kronecker, NKP and Woodbury test oracles."""
-
-from types import SimpleNamespace
+plus the Kronecker, NKP and Woodbury test oracles. The dense tests run on
+both routes a dense matrix can take: NumPy's bundled OpenBLAS through ctypes,
+and ``numpy.linalg`` with that binding off, as where NumPy bundles none."""
 
 import numpy as np
 import pytest
@@ -324,32 +324,33 @@ class TestChoInverse:
             factor_inverse(c)
 
     def test_empty_factor_has_empty_inverse_without_lapack(self, monkeypatch):
-        def forbidden():
+        def forbidden(*args):
             raise AssertionError("factor_inverse called LAPACK or BLAS on a 0 x 0 factor")
 
-        monkeypatch.setattr(kronops, "lapack", forbidden)
-        monkeypatch.setattr(kronops, "blas", forbidden)
+        for name in ("dtrtri", "dlauum", "dtrmm"):
+            monkeypatch.setattr(kronops, name, forbidden)
         inv = factor_inverse(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and inv.dtype == float
 
 
 class TestChoFactor:
-    """factor, cho_factor_jittered and cho_solve on a dense matrix (LAPACK)."""
+    """factor, cho_factor_jittered and cho_solve on a dense matrix."""
 
     SINGULAR = np.diag([1.0, 2.0, 0.0])
 
     def count_attempts(self, monkeypatch):
+        """Record the matrix of every factorization, on either route."""
         attempts = []
-        real = kronops.lapack()
 
-        def counting(M, **kwargs):
-            attempts.append(M.copy())
-            return real.dpotrf(M, **kwargs)
+        def counting(real):
+            def call(M):
+                attempts.append(M.copy())
+                return real(M)
 
-        patched = SimpleNamespace(
-            dpotrf=counting, dpotrs=real.dpotrs, dtrtri=real.dtrtri, dlauum=real.dlauum
-        )
-        monkeypatch.setattr(kronops, "lapack", lambda: patched)
+            return call
+
+        monkeypatch.setattr(kronops, "dpotrf", counting(kronops.dpotrf))
+        monkeypatch.setattr(np.linalg, "cholesky", counting(np.linalg.cholesky))
         return attempts
 
     def test_plain_factor_makes_one_attempt(self, monkeypatch):
@@ -370,6 +371,8 @@ class TestChoFactor:
             cho_factor_jittered(np.diag([1.0, -1.0]))
 
     def test_factor_and_solve_bit_identical_to_scipy_linalg(self):
+        if kronops._openblas is None:
+            pytest.skip("SciPy's LAPACK is compared with NumPy's bundled OpenBLAS")
         rng = np.random.default_rng(21)
         for n in (1, 6, 40):
             S = random_spd(rng, n)
@@ -379,6 +382,13 @@ class TestChoFactor:
             for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
                 assert np.array_equal(cho_solve(c, B), ref)
+
+    def test_solve_reads_only_below_the_diagonal(self):
+        rng = np.random.default_rng(25)
+        c = factor(random_spd(rng, 9))
+        poisoned = np.asfortranarray(np.where(np.tri(9, dtype=bool), c, np.nan))
+        for B in (rng.standard_normal(9), rng.standard_normal((9, 2))):
+            assert np.array_equal(cho_solve(poisoned, B), cho_solve(c, B))
 
     @pytest.mark.parametrize("n", [5, 90, 411])
     def test_factor_same_bits_in_either_memory_order(self, n):
@@ -463,12 +473,10 @@ class TestPsdHelpers:
             assert np.array_equal(symmetric(X), symmetrize(X))
 
 
-@pytest.mark.skipif(
-    kronops._numpy_openblas() is None, reason="NumPy bundles no OpenBLAS with the symbols"
-)
+@pytest.mark.skipif(kronops._openblas is None, reason="NumPy bundles no OpenBLAS with the symbols")
 class TestOpenBlas:
-    """The ctypes binding: strided blocks in place, other layouts copied, and
-    shapes LAPACK would read past rejected."""
+    """The ctypes helpers: a block of a Fortran-ordered array in place, and
+    layouts and shapes LAPACK would misread rejected."""
 
     def test_block_of_fortran_array_inverted_in_place(self):
         rng = np.random.default_rng(24)
@@ -477,26 +485,30 @@ class TestOpenBlas:
         root[2:11, 1:10] = c
         block = root[2:11, 1:10]
         outside = root.copy()
-        inv, info = kronops.lapack().dtrtri(block, lower=1, overwrite_c=1)
-        assert info == 0 and inv is block
+        assert kronops.dtrtri(block) == 0
         np.testing.assert_allclose(np.tril(block) @ np.tril(c), np.eye(9), atol=1e-12)
         outside[2:11, 1:10] = root[2:11, 1:10]
         assert np.array_equal(root, outside)  # nothing written outside the block
-        # a C-ordered copy of the factor is copied, not overwritten
+        # a C-ordered copy of the factor is refused, neither copied nor written
         c_rows = np.ascontiguousarray(c)
-        again, info = kronops.lapack().dtrtri(c_rows, lower=1, overwrite_c=1)
-        assert info == 0 and again is not c_rows and np.array_equal(c_rows, c)
-        assert np.array_equal(np.tril(again), np.tril(block))
+        with pytest.raises(ValueError, match="contiguous columns"):
+            kronops.dtrtri(c_rows)
+        assert np.array_equal(c_rows, c)
+        read_only = np.asfortranarray(c)
+        read_only.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            kronops.dtrtri(read_only)
 
     def test_mismatched_shapes_rejected(self):
-        lapack, blas = kronops.lapack(), kronops.blas()
         with pytest.raises(ValueError, match="not square"):
-            lapack.dpotrf(np.ones((2, 3)), lower=1, clean=0)
+            kronops.dpotrf(np.ones((2, 3), order="F"))
         with pytest.raises(ValueError, match="order 3"):
-            lapack.dpotrs(np.eye(3), np.ones(4), lower=1)
+            kronops.dpotrs(np.eye(3, order="F"), np.ones((4, 1)))
         with pytest.raises(ValueError, match="order 3"):
-            blas.dtrmm(1.0, np.eye(3), np.ones((4, 3)), lower=1)
-        assert blas.dtrmm(2.0, np.eye(3), np.ones((4, 3)), side=1, lower=1).shape == (4, 3)
+            kronops.dtrmm(1.0, np.eye(3, order="F"), np.ones((4, 3), order="F"))
+        b = np.ones((4, 3), order="F")
+        kronops.dtrmm(2.0, np.eye(3, order="F"), b, side=1)
+        assert np.array_equal(b, np.full((4, 3), 2.0))
 
 
 def random_band_stack(rng, L, P, scale=1.0):
@@ -598,3 +610,29 @@ class TestBandLayout:
         assert np.linalg.eigvalsh(floored).min() >= -1e-14
         S_pd = random_band_stack(rng, self.L, self.P)
         assert np.array_equal(psd_floor(S_pd)[0], symmetrize(S_pd))
+
+
+class NumpyLinalgRoute:
+    """Runs the tests of the class it is mixed into with the OpenBLAS binding
+    off, so dense matrices take ``numpy.linalg`` as where NumPy bundles no
+    OpenBLAS (its Accelerate and MKL builds)."""
+
+    @pytest.fixture(autouse=True)
+    def numpy_linalg_route(self, monkeypatch):
+        monkeypatch.setattr(kronops, "_openblas", None)
+
+
+class TestChoInverseNumpyLinalg(NumpyLinalgRoute, TestChoInverse):
+    pass
+
+
+class TestChoFactorNumpyLinalg(NumpyLinalgRoute, TestChoFactor):
+    pass
+
+
+class TestPsdHelpersNumpyLinalg(NumpyLinalgRoute, TestPsdHelpers):
+    pass
+
+
+class TestBandLayoutNumpyLinalg(NumpyLinalgRoute, TestBandLayout):
+    pass
