@@ -20,7 +20,8 @@ module loads (:data:`_openblas`): NumPy's products and these factorizations
 share one BLAS library, and each call releases the GIL, so threads that each
 run a replica factor at the same time. Where NumPy bundles no such library
 (builds on Accelerate or MKL), :data:`_openblas` is None and a dense matrix
-takes the ``numpy.linalg`` lines of a stack. :func:`one_blas_thread` sets the
+takes ``numpy.linalg`` too: the factor and solve lines of a stack, and an
+inverse in column panels of products. :func:`one_blas_thread` sets the
 bundled library to one thread for a block of work. A PL state vector keeps
 its order in both layouts, and :func:`cho_solve` and :func:`matvec` take and
 return it as it is.
@@ -42,6 +43,10 @@ JITTER_SCALE = 1e-10
 #: Order at and below which :func:`factor_inverse` inverts a factor with one
 #: LAPACK ``trtri`` call; larger factors are split in two.
 INVERSE_LEAF = 96
+
+#: Width of the column panels in which :func:`factor_inverse` inverts a
+#: dense factor where NumPy bundles no OpenBLAS.
+PANEL = 32
 
 #: Order of the diagonal blocks in which :func:`_mirror_lower` copies a
 #: triangle, and the strictly upper triangle of one such block.
@@ -127,22 +132,25 @@ def _order(a: np.ndarray, n: int | None = None) -> int:
     return rows
 
 
-def _matrix(a: np.ndarray) -> tuple:
-    """``a`` as LAPACK takes a matrix: a ctypes double at ``a[0, 0]``, which
-    ctypes passes as its address (None for an empty matrix, which LAPACK
-    does not read), and the leading dimension. ``a`` must be a writeable
-    float64 matrix with contiguous columns, as a block of a Fortran-ordered
-    array is; ValueError for any other layout, which LAPACK would misread."""
+def _matrix(a: np.ndarray, written: bool = True) -> tuple:
+    """``a`` as LAPACK takes a matrix: a ctypes double at ``a[0, 0]`` or a
+    pointer to it, either passed as its address, and the leading dimension.
+    ``a`` must be a float64 matrix with contiguous columns, as a block of a
+    Fortran-ordered array is, and writeable unless the routine only reads it
+    (``written`` False); ValueError for any other layout, which LAPACK would
+    misread, or a read-only matrix it would write."""
     rows, cols = a.shape
     step, lead = a.strides
     if not (
         a.dtype == np.float64
-        and a.flags.writeable
         and (step == 8 or rows <= 1)
         and (cols <= 1 or (lead % 8 == 0 and lead >= 8 * rows))
+        and (a.flags.writeable or not written)
     ):
-        raise ValueError("LAPACK takes a writeable float64 matrix with contiguous columns")
-    first = ctypes.c_double.from_buffer(a[:1, :1]) if a.size else None
+        raise ValueError("LAPACK takes float64 with contiguous columns, writeable if written")
+    # from_buffer costs a third of data_as but takes only a writeable, non-empty array
+    fast = a.flags.writeable and a.size
+    first = ctypes.c_double.from_buffer(a[:1, :1]) if fast else a.ctypes.data_as(_D)
     return first, _int(max(1, lead // 8 if cols > 1 else rows))
 
 
@@ -161,7 +169,7 @@ def dpotrf(a: np.ndarray) -> int:
 def dpotrs(c: np.ndarray, b: np.ndarray) -> int:
     """Overwrite ``b`` with the solution X of M X = b, ``c`` M's lower factor."""
     info, n = _int(0), _int(_order(c, b.shape[0]))
-    _openblas.dpotrs(b"L", n, _int(b.shape[1]), *_matrix(c), *_matrix(b), info, 1)
+    _openblas.dpotrs(b"L", n, _int(b.shape[1]), *_matrix(c, written=False), *_matrix(b), info, 1)
     return info.value
 
 
@@ -186,7 +194,7 @@ def dtrmm(alpha: float, a: np.ndarray, b: np.ndarray, side: int = 0) -> None:
     _order(a, b.shape[side])
     _openblas.dtrmm(
         (b"L", b"R")[side], b"L", b"N", b"N", _int(b.shape[0]), _int(b.shape[1]),
-        ctypes.c_double(alpha), *_matrix(a), *_matrix(b), 1, 1, 1, 1,
+        ctypes.c_double(alpha), *_matrix(a, written=False), *_matrix(b), 1, 1, 1, 1,
     )
 
 
@@ -317,7 +325,7 @@ def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
         c = np.tril(c)
         return np.linalg.solve(c.mT, np.linalg.solve(c, B))
     X = np.array(B, dtype=np.float64, order="F")
-    info = dpotrs(np.asfortranarray(c), X if X.ndim == 2 else X[:, None])
+    info = dpotrs(np.asfortranarray(c, dtype=np.float64), X if X.ndim == 2 else X[:, None])
     if info != 0:
         raise ValueError(f"potrs rejected argument {-info}")
     return X
@@ -362,9 +370,10 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     same values in C order. That is n^3 / 3 multiply-adds against n^3 for
     ``cho_solve(c, I)``, as in LAPACK ``potri``, but most of them in BLAS-3
     products. A 0 x 0 factor, which LAPACK would reject, has a 0 x 0 inverse.
-    A stack's inverse, and a dense one where NumPy bundles no OpenBLAS, is
-    R.T R (per block), with R the ``numpy.linalg`` inverse of the factor's
-    lower triangle.
+    A stack's inverse is R.T R per block, with R the ``numpy.linalg`` inverse
+    of the factor's lower triangle. Where NumPy bundles no OpenBLAS, a dense
+    inverse comes from :func:`_panel_inverse`, which like ``trtri`` and
+    ``lauum`` works in one copy of the factor.
     """
     _check_square(c, "factor")
     if c.shape[-1] == 0:
@@ -372,9 +381,11 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
     if c.ndim == 3 or _openblas is None:
         if not np.all(np.diagonal(c, axis1=-2, axis2=-1)):
             raise FactorizationError(f"factor of shape {c.shape} has a zero pivot")
+        if c.ndim == 2:
+            return _mirror_lower(_panel_inverse(c))
         root = np.linalg.inv(np.tril(c))
         return _mirror_lower(root.mT @ root)
-    root = np.array(c, order="F")
+    root = np.array(c, dtype=np.float64, order="F")
     _lower_inverse(root)
     info = dlauum(root)
     if info != 0:
@@ -405,6 +416,31 @@ def _lower_inverse(R: np.ndarray) -> None:
     _lower_inverse(R[h:, h:])
     dtrmm(-1.0, R[h:, h:], R[h:, :h])
     dtrmm(1.0, R[:h, :h], R[h:, :h], side=1)
+
+
+def _panel_inverse(c: np.ndarray) -> np.ndarray:
+    """The lower triangle of R.T R, R = C^-1, for a dense factor C, through
+    ``numpy.linalg`` in one copy of C's lower triangle; the rest of the copy
+    is not meaningful.
+
+    The copy becomes R, then R.T R, in column panels of :data:`PANEL`
+    columns. Right to left, panel [j, k) of R is -R[k:, k:] C[k:, j:k]
+    R[j:k, j:k], from the panels of R done and C's own panel; left to right,
+    that of R.T R is R[j:, j:].T R[j:, j:k], from panels of R not yet
+    overwritten. The copy's upper triangle stays zero, so the products read
+    R as triangular, and each holds one panel besides the copy.
+    """
+    R = np.tril(c).astype(np.float64, copy=False)
+    n = R.shape[0]
+    for j in reversed(range(0, n, PANEL)):
+        k = min(j + PANEL, n)
+        diagonal = np.tril(np.linalg.inv(R[j:k, j:k]))
+        np.matmul(R[k:, k:], R[k:, j:k] @ -diagonal, out=R[k:, j:k])
+        R[j:k, j:k] = diagonal
+    for j in range(0, n, PANEL):
+        k = min(j + PANEL, n)
+        R[j:, j:k] = R[j:, j:].T @ R[j:, j:k]
+    return R
 
 
 def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

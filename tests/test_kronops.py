@@ -3,6 +3,8 @@ plus the Kronecker, NKP and Woodbury test oracles. The dense tests run on
 both routes a dense matrix can take: NumPy's bundled OpenBLAS through ctypes,
 and ``numpy.linalg`` with that binding off, as where NumPy bundles none."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -256,7 +258,8 @@ class TestMirrorLower:
 
 class TestChoInverse:
     """factor_inverse of a dense factor (LAPACK trtri up to INVERSE_LEAF,
-    recursive blocks with BLAS trmm above it, then LAPACK lauum)."""
+    recursive blocks with BLAS trmm above it, then LAPACK lauum; on the
+    ``numpy.linalg`` route, column panels of PANEL columns)."""
 
     @pytest.mark.parametrize("n", INVERSE_SIZES)
     def test_matches_dense_inverse(self, n):
@@ -323,6 +326,31 @@ class TestChoInverse:
         with pytest.raises(FactorizationError):
             factor_inverse(c)
 
+    @pytest.mark.parametrize("n", [2 * kronops.INVERSE_LEAF + 1, 411])
+    def test_holds_one_copy_of_the_factor(self, n):
+        # LAPACK inverts one copy in place, and the numpy.linalg route's
+        # panels hold one panel each besides their copy; np.linalg.inv of
+        # the triangle, then a separate R.T R, holds 2.0 and fails
+        c = factor(random_spd(np.random.default_rng(29), n))
+        factor_inverse(c)  # first-call caches outside the count
+        tracemalloc.start()
+        try:
+            factor_inverse(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * n * n
+
+    def test_read_only_or_single_precision_factor_taken(self):
+        # either is copied to a writeable float64 matrix before LAPACK sees it
+        c = factor(random_spd(np.random.default_rng(26), 2 * kronops.INVERSE_LEAF + 1))
+        for layout in (c, np.ascontiguousarray(c), np.asfortranarray(c)):
+            read_only = layout.copy(order="K")
+            read_only.flags.writeable = False
+            assert np.array_equal(factor_inverse(read_only), factor_inverse(c))
+        single = c.astype(np.float32)
+        assert np.array_equal(factor_inverse(single), factor_inverse(single.astype(np.float64)))
+
     def test_empty_factor_has_empty_inverse_without_lapack(self, monkeypatch):
         def forbidden(*args):
             raise AssertionError("factor_inverse called LAPACK or BLAS on a 0 x 0 factor")
@@ -371,17 +399,37 @@ class TestChoFactor:
             cho_factor_jittered(np.diag([1.0, -1.0]))
 
     def test_factor_and_solve_bit_identical_to_scipy_linalg(self):
-        if kronops._openblas is None:
-            pytest.skip("SciPy's LAPACK is compared with NumPy's bundled OpenBLAS")
+        # bit for bit on the OpenBLAS route, which calls the routines SciPy
+        # calls; on the numpy.linalg route NumPy's LAPACK need not be
+        # SciPy's, its factor has a zero upper triangle, and a solve is two
+        # LU solves, so there the two agree to rounding
+        bitwise = kronops._openblas is not None
         rng = np.random.default_rng(21)
         for n in (1, 6, 40):
             S = random_spd(rng, n)
             c = factor(S)
             c_ref, _ = scipy.linalg.cho_factor(S, lower=True, check_finite=False)
-            assert np.array_equal(c, c_ref)
+            if bitwise:
+                assert np.array_equal(c, c_ref)
+            else:
+                np.testing.assert_allclose(np.tril(c), np.tril(c_ref), rtol=1e-14, atol=1e-14)
             for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 ref = scipy.linalg.cho_solve((c_ref, True), B, check_finite=False)
-                assert np.array_equal(cho_solve(c, B), ref)
+                if bitwise:
+                    assert np.array_equal(cho_solve(c, B), ref)
+                else:
+                    np.testing.assert_allclose(cho_solve(c, B), ref, rtol=1e-12, atol=1e-15)
+
+    def test_solve_takes_a_read_only_or_single_precision_factor(self):
+        rng = np.random.default_rng(27)
+        c = factor(random_spd(rng, 9))
+        B = rng.standard_normal((9, 2))
+        for layout in (c, np.ascontiguousarray(c), np.asfortranarray(c)):
+            read_only = layout.copy(order="K")
+            read_only.flags.writeable = False
+            assert np.array_equal(cho_solve(read_only, B), cho_solve(c, B))
+        single = c.astype(np.float32)
+        assert np.array_equal(cho_solve(single, B), cho_solve(single.astype(np.float64), B))
 
     def test_solve_reads_only_below_the_diagonal(self):
         rng = np.random.default_rng(25)
@@ -498,6 +546,20 @@ class TestOpenBlas:
         read_only.flags.writeable = False
         with pytest.raises(ValueError, match="writeable"):
             kronops.dtrtri(read_only)
+
+    def test_operand_only_read_may_be_read_only(self):
+        rng = np.random.default_rng(28)
+        c = factor(random_spd(rng, 5))
+        read_only = c.copy(order="F")
+        read_only.flags.writeable = False
+        b = np.asfortranarray(rng.standard_normal((5, 2)))
+        results = []
+        for a in (c, read_only):
+            x, y = b.copy(order="F"), b.copy(order="F")
+            assert kronops.dpotrs(a, x) == 0
+            kronops.dtrmm(1.0, a, y)
+            results.append((x, y))
+        assert all(np.array_equal(u, v) for u, v in zip(*results))
 
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError, match="not square"):
