@@ -16,7 +16,8 @@ Library layout:
                           on dense covariances or band stacks through the same lines
 - :mod:`mtunmix.em`       sufficient statistics streamed from that recursion,
                           closed-form M-steps, one finiteness check per iteration;
-                          a pass from band-diagonal P00 and Q runs on band stacks
+                          a pass runs in the layout EmParams holds P00 and Q in,
+                          band stacks as default_init returns them
 - :mod:`mtunmix.fcls`     column-wise simplex projection and one frame-wide
                           simplex-constrained least-squares solver
 - :mod:`mtunmix.vca`      endmember extraction

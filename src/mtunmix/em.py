@@ -18,11 +18,11 @@ from the M-step identities and the Cholesky factors of the new P00 and Q, with
 no inverse; :func:`q_function` is the reference evaluation.
 
 :class:`EmParams` holds P00 and Q dense or as (L, P, P) band stacks, as
-``default_init`` returns them. An iteration whose P00 and Q are both exactly
-zero between bands filters and smooths on band stacks (see
-:mod:`mtunmix.kalman`); any other pair runs dense. Only the rank-T outer
-products of the smoothed mean increments in D are not zero between bands, so
-D, S_0 and the M-steps stay dense.
+``default_init`` returns them, both in one layout, and an iteration filters
+and smooths in that layout (see :mod:`mtunmix.kalman`). Only the rank-T
+outer products of the smoothed mean increments in D are not zero between
+bands, so D, S_0 and the M-steps stay dense, and the iterations after a
+first on stacks run dense.
 
 The abundance update exploits the Kronecker structure of the observation
 matrix: only the L x L block traces of the scaled second-moment matrices
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FactorizationError, NumericalAbortError
+from .errors import NumericalAbortError
 from .kalman import (
     Belief,
     ModelMatrices,
@@ -48,17 +48,15 @@ from .kalman import (
     smoothed_covariances,
 )
 from .kronops import (
+    add_bands,
     band_blocks,
-    band_diagonal,
-    band_index,
+    check_layout,
     cho_factor_jittered,
     cho_logdet,
     cho_solve,
     dense_form,
-    factor,
     factor_inverse,
     psd_floor,
-    symmetric,
 )
 
 #: Lower bound applied to the observation-noise variance update.
@@ -69,8 +67,9 @@ SIGMA_R2_FLOOR = 1e-12
 class EmParams:
     """Latent parameter set: average abundances, initial belief, noise terms.
 
-    P00 and Q are each a dense PL x PL matrix or an (L, P, P) band stack
-    (:mod:`mtunmix.kronops`); the M-steps return them dense.
+    P00 and Q are both dense PL x PL matrices or both (L, P, P) band stacks
+    (:mod:`mtunmix.kronops`), and :func:`em_iterate` filters in that layout;
+    a mixed pair raises ValueError. The M-steps return them dense.
     """
 
     A: np.ndarray
@@ -85,9 +84,13 @@ class EmParams:
         object.__setattr__(self, "Q", np.ascontiguousarray(self.Q, dtype=float))
         object.__setattr__(self, "psi00", np.ascontiguousarray(self.psi00, dtype=float).reshape(-1))
         d, P = self.psi00.size, self.A.shape[0]
-        shapes = ((d, d), (d // P, P, P)) if d % P == 0 else ((d, d),)
-        if self.P00.shape not in shapes or self.Q.shape not in shapes:
-            raise ValueError("P00/Q shapes inconsistent with psi00 length")
+        check_layout(self.P00, d, "P00", P)
+        check_layout(self.Q, d, "Q", P)
+        if self.P00.ndim != self.Q.ndim:
+            raise ValueError(
+                f"P00 shape {self.P00.shape} and Q shape {self.Q.shape}: "
+                "both dense or both band stacks"
+            )
         if not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 must be positive")
 
@@ -134,15 +137,13 @@ def accumulate_stats(
     """
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
 
-    at, D = ..., None  # where a step's V goes in D; D is the first V
-    if model.Q.ndim == 3:
-        at, D = band_index(L, P), np.zeros((P * L, P * L))
+    D = np.zeros((P * L, P * L)) if model.Q.ndim == 3 else None
     band = np.zeros((L, P, P))
     for S_t, S_prev, V in smoothed_covariances(traj, model.Q):
         if D is None:
-            D = V
+            D = V  # dense: the first V, which the pass never reuses
         else:
-            D[at] += V
+            add_bands(D, V)
         band += band_blocks(S_t, L)
         S_0 = S_prev
     # the smoothed mean increments' outer products in one product, which
@@ -213,16 +214,13 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
 def m_step_p00(
     smoothed0: Belief, psi00_old: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """P00* = P_0^s + (psi_0^s - psi00)(psi_0^s - psi00).T, and its plain
-    Cholesky factor, None where it has none."""
+    """P00* = P_0^s + (psi_0^s - psi00)(psi_0^s - psi00).T, floored to the PSD
+    cone, and its plain Cholesky factor, None where it has none
+    (:func:`mtunmix.kronops.psd_floor`, as for Q)."""
     d = smoothed0.mean - np.asarray(psi00_old, dtype=float).reshape(-1)
     P00 = np.outer(d, d)
     P00 += smoothed0.cov
-    P00 = symmetric(P00)
-    try:
-        return P00, factor(P00)
-    except FactorizationError:
-        return P00, None
+    return psd_floor(P00)
 
 
 def m_step_psi00(smoothed0: Belief) -> np.ndarray:
@@ -287,8 +285,8 @@ def _updated_surrogate(
         tr(P00^-1 [P_0^s + d d.T]) = PL - e.T P00^-1 e   (d = 0),
         tr(Q^-1 D) = T PL,   tr_resid / sigma_r2 = T N L,
 
-    and no inverse is formed. The identities need Q unclipped and sigma_r2
-    above its floor.
+    and no inverse is formed. The identities need P00 and Q unclipped and
+    sigma_r2 above its floor.
     """
     PL, TNL = theta.psi00.size, stats.T * stats.N * stats.L
     e = theta.psi00 - psi00_old
@@ -310,25 +308,19 @@ def em_iterate(
     variance with the *new* abundances so the (A, sigma_r2) block is maximized
     jointly. A non-finite log-likelihood, smoothed mean or updated parameter
     raises :class:`NumericalAbortError` before the new parameters are built.
-    The pass runs on band stacks when P00 and Q, dense or stacks, are both
-    zero between bands, and dense otherwise; it writes into neither.
+    The pass runs in the layout of P00 and Q, band stacks or dense; it
+    writes into neither.
 
     The surrogate comes from :func:`_updated_surrogate`, or from
-    :func:`q_function` where a floor binds: Q clipped or without a plain
-    factor, sigma_r2 at ``SIGMA_R2_FLOOR``, or P00 without a plain factor.
+    :func:`q_function` where a floor binds: P00 or Q clipped or without a
+    plain factor, or sigma_r2 at ``SIGMA_R2_FLOOR``.
     Where the new P00 or Q is exactly zero, a point-mass state, it is
     ``math.inf``: log|P00| or log|Q| is -inf there, and the second moment it
     weighs is zero too (P_0^s + e e.T, or D, which has no positive
     eigenvalue), so its trace term vanishes.
     """
-    L = theta.psi00.size // theta.A.shape[0]
-    P00, Q = theta.P00, theta.Q
-    if band_diagonal(P00, L) and band_diagonal(Q, L):
-        P00, Q = band_blocks(P00, L), band_blocks(Q, L)
-    else:
-        P00, Q = dense_form(P00), dense_form(Q)
-    model = ModelMatrices(A=theta.A, m0=m0, Q=Q, sigma_r2=theta.sigma_r2)
-    traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=P00))
+    model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
+    traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))
     means = rts_smooth(traj)
     stats, smoothed0 = accumulate_stats(traj, means, ys, model)
     loglik = traj.loglik

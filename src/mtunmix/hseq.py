@@ -173,10 +173,6 @@ class Manifest:
         return d
 
 
-def frame_file_name(t: int) -> str:
-    return f"frame_{t:04d}.f64"
-
-
 def write_matrix(path: Path | str, X: np.ndarray) -> None:
     """Write a 2-D array as raw little-endian float64, column-major."""
     X = np.asarray(X, dtype=float)
@@ -274,65 +270,54 @@ def read_hseq(path: Path | str, manifest: Manifest | None = None) -> HsiSequence
     return HsiSequence(frames=tuple(frames))
 
 
-def abundance_file_name(t: int) -> str:
-    return f"abund_{t:04d}.f64"
+#: The per-frame series of a result directory: by the keyword that
+#: :func:`write_result_dir` takes and :func:`read_result_dir` returns, the
+#: file name prefix and the manifest dimensions of each matrix. Frames are
+#: L x N, abundances P x N, endmembers and scaling factors (the devectorized
+#: state) L x P.
+SERIES = {
+    "frames": ("frame", "L", "N"),
+    "abundances": ("abund", "P", "N"),
+    "endmembers": ("endm", "L", "P"),
+    "psis": ("psi", "L", "P"),
+}
 
 
-def endmember_file_name(t: int) -> str:
-    return f"endm_{t:04d}.f64"
-
-
-def psi_file_name(t: int) -> str:
-    return f"psi_{t:04d}.f64"
-
-
-#: The per-frame series of a result directory, by file name prefix.
-SERIES_PREFIXES = ("frame", "abund", "endm", "psi")
+def series_file_name(key: str, t: int) -> str:
+    """The file of frame ``t`` of the series ``key`` of :data:`SERIES`."""
+    return f"{SERIES[key][0]}_{t:04d}.f64"
 
 
 def write_result_dir(
-    path: Path | str,
-    L: int,
-    N: int,
-    T: int,
-    P: int | None,
-    abundances=None,
-    endmembers=None,
-    psis=None,
-    frames=None,
-    seed: int | None = None,
+    path: Path | str, L: int, N: int, T: int, P: int | None, seed: int | None = None, **series
 ) -> None:
     """Write an estimate/truth directory in the shared raw-matrix layout.
 
-    Abundances are P x N per frame, endmembers L x P, scaling factors L x P
-    (the devectorized state), frames L x N. All arrays are optional; a
-    manifest records dimensions and whichever frame files exist. Any earlier
-    manifest and series of frame, abundance, endmember and scaling-factor
-    files are removed first, so a rerun leaves none of an earlier run's
-    frames; the manifest is written last, so a directory whose writing
-    failed part way has none.
+    ``series`` maps keys of :data:`SERIES` to T matrices each; every series
+    is optional, and a manifest records dimensions and whichever frame files
+    exist. Any earlier manifest and series files are removed first, so a
+    rerun leaves none of an earlier run's frames; the manifest is written
+    last, so a directory whose writing failed part way has none.
     """
+    unknown = sorted(set(series) - set(SERIES))
+    if unknown:
+        raise TypeError(f"unknown series {unknown}")
     root = Path(path)
     try:
         root.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise SequenceFormatError(f"cannot create directory {root}: {exc}") from exc
     (root / MANIFEST_NAME).unlink(missing_ok=True)
-    for prefix in SERIES_PREFIXES:
+    for prefix, _, _ in SERIES.values():
         for old in root.glob(f"{prefix}_[0-9]*.f64"):
             old.unlink()
+    for key, matrices in series.items():
+        if matrices is not None:
+            for t in range(T):
+                write_matrix(root / series_file_name(key, t), matrices[t])
     frame_names: tuple[str, ...] = ()
-    if frames is not None:
-        frame_names = tuple(frame_file_name(t) for t in range(T))
-        for t, name in enumerate(frame_names):
-            write_matrix(root / name, frames[t])
-    for t in range(T):
-        if abundances is not None:
-            write_matrix(root / abundance_file_name(t), abundances[t])
-        if endmembers is not None:
-            write_matrix(root / endmember_file_name(t), endmembers[t])
-        if psis is not None:
-            write_matrix(root / psi_file_name(t), psis[t])
+    if series.get("frames") is not None:
+        frame_names = tuple(series_file_name("frames", t) for t in range(T))
     manifest = Manifest(L=L, N=N, T=T, P=P, frame_files=frame_names, seed=seed)
     (root / MANIFEST_NAME).write_text(json.dumps(manifest.to_dict(), indent=2, sort_keys=True))
 
@@ -344,16 +329,14 @@ def read_result_dir(path: Path | str) -> dict:
     if manifest.P is None:
         raise SequenceFormatError(f"manifest in {root} lacks the endmember count P")
     out: dict = {"manifest": manifest}
-    if manifest.frame_files:
-        out["frames"] = [
-            read_matrix(root / name, manifest.L, manifest.N) for name in manifest.frame_files
-        ]
-    kinds = (
-        ("abundances", abundance_file_name, manifest.P, manifest.N),
-        ("endmembers", endmember_file_name, manifest.L, manifest.P),
-        ("psis", psi_file_name, manifest.L, manifest.P),
-    )
-    for key, namer, rows, cols in kinds:
-        if (root / namer(0)).is_file():
-            out[key] = [read_matrix(root / namer(t), rows, cols) for t in range(manifest.T)]
+    for key, (_, rows, cols) in SERIES.items():
+        if key == "frames":  # the files the manifest lists
+            names = manifest.frame_files
+        elif (root / series_file_name(key, 0)).is_file():
+            names = tuple(series_file_name(key, t) for t in range(manifest.T))
+        else:
+            continue
+        if names:
+            shape = getattr(manifest, rows), getattr(manifest, cols)
+            out[key] = [read_matrix(root / name, *shape) for name in names]
     return out

@@ -35,8 +35,9 @@ that step, so the pass allocates two matrices whatever T is. A spent
 trajectory takes no second pass of either kind.
 
 Covariances take the model's Q's layout (:mod:`mtunmix.kronops`): dense, or
-an (L, P, P) band stack when Q and the initial covariance are zero between
-bands. B.T B is too, so the filter and smoother then run as L independent
+(L, P, P) band stacks when Q and the initial covariance are stacks, as
+:class:`mtunmix.em.EmParams` holds them where ``default_init`` returns them.
+B.T B is then a stack too, so the filter and smoother run as L independent
 P x P problems through the same lines, at O(T L P^3) in place of O(T (PL)^3).
 Means are PL vectors in both layouts.
 """
@@ -52,7 +53,8 @@ import numpy as np
 
 from .errors import FactorizationError
 from .kronops import (
-    band_index,
+    add_bands,
+    check_layout,
     cho_factor_jittered,
     cho_logdet,
     cho_solve,
@@ -98,8 +100,7 @@ class ModelMatrices:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "m0", m0)
         Q = np.asarray(self.Q, dtype=float)
-        if Q.shape not in ((m0.size, m0.size), (m0.size // A.shape[0], A.shape[0], A.shape[0])):
-            raise ValueError(f"Q shape {Q.shape} vs state dim {m0.size}")
+        check_layout(Q, m0.size, "Q", A.shape[0])
         object.__setattr__(self, "Q", symmetric(Q))
         if not self.sigma_r2 > 0:
             raise ValueError("sigma_r2 must be positive")
@@ -134,12 +135,6 @@ class ModelMatrices:
         return symmetrize((self.A @ self.A.T) * M0[:, :, None] * M0[:, None, :])
 
     @cached_property
-    def btb_index(self):
-        """Where :attr:`btb_blocks` sit in an array of Q's layout: the band
-        entries of a dense matrix, or the whole of a stack."""
-        return ... if self.Q.ndim == 3 else band_index(self.L, self.P)
-
-    @cached_property
     def btb(self) -> np.ndarray:
         """B.T @ B in Q's layout: the band blocks, or their dense form."""
         return self.btb_blocks if self.Q.ndim == 3 else dense_form(self.btb_blocks)
@@ -165,10 +160,7 @@ class Belief:
     def __post_init__(self):
         object.__setattr__(self, "mean", np.ascontiguousarray(self.mean, dtype=float).reshape(-1))
         object.__setattr__(self, "cov", np.ascontiguousarray(self.cov, dtype=float))
-        n, shape = self.mean.size, self.cov.shape
-        stack = len(shape) == 3 and shape[1] == shape[2] and shape[0] * shape[1] == n
-        if shape != (n, n) and not stack:
-            raise ValueError(f"cov shape {shape} vs mean length {n}")
+        check_layout(self.cov, self.mean.size, "cov")
 
 
 def _norm1(X: np.ndarray) -> float:
@@ -272,7 +264,7 @@ def update(
         # P^-1 + s2i B.T B, added only where B.T B is not zero; exactly
         # symmetric, as both terms are
         inner = pred_precision.copy()
-        inner[model.btb_index] += s2i * model.btb_blocks
+        add_bands(inner, s2i * model.btb_blocks)
         c_inner = cho_factor_jittered(inner)
         del inner
         logdet_S = model.obs_dim * math.log(s2) + logdet_P + cho_logdet(c_inner)

@@ -11,20 +11,23 @@ comes from the Cholesky factor at hand.
 
 A covariance is dense, one PL x PL array whose entry p * L + l is material p
 in band l, or a band stack, an (L, P, P) array whose block l holds entries
-(p * L + l, q * L + l) of a covariance zero between bands. The factors,
-solves, products, inverses, log-determinants and PSD floor take either, one
-name per job. A stack goes to NumPy's batched ``linalg``. A dense matrix goes
-to LAPACK ``dpotrf``, ``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS
-``dtrmm`` of the OpenBLAS that NumPy bundles, bound through ctypes when this
-module loads (:data:`_openblas`): NumPy's products and these factorizations
-share one BLAS library, and each call releases the GIL, so threads that each
-run a replica factor at the same time. Where NumPy bundles no such library
-(builds on Accelerate or MKL), :data:`_openblas` is None and a dense matrix
-takes ``numpy.linalg`` too: the factor and solve lines of a stack, and an
-inverse in column panels of products. :func:`one_blas_thread` sets the
-bundled library to one thread for a block of work. A PL state vector keeps
-its order in both layouts, and :func:`cho_solve` and :func:`matvec` take and
-return it as it is.
+(p * L + l, q * L + l) of a covariance zero between bands;
+:func:`check_layout` is the shape rule of both. This module alone knows where
+the band entries of a dense matrix sit: :func:`band_blocks` and
+:func:`dense_form` convert between the layouts, and :func:`add_bands` adds
+band blocks into a matrix of either. The factors, solves, products, inverses,
+log-determinants and PSD floor take either, one name per job. A stack goes to
+NumPy's batched ``linalg``. A dense matrix goes to LAPACK ``dpotrf``,
+``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS ``dtrmm`` of the OpenBLAS that
+NumPy bundles, bound through ctypes when this module loads
+(:data:`_openblas`): NumPy's products and these factorizations share one BLAS
+library, and each call releases the GIL, so threads that each run a replica
+factor at the same time. Where NumPy bundles no such library (builds on
+Accelerate or MKL), :data:`_openblas` is None and a dense matrix takes
+``numpy.linalg`` too: the factor and solve lines of a stack, and an inverse in
+column panels of products. :func:`one_blas_thread` sets the bundled library to
+one thread for a block of work. A PL state vector keeps its order in both
+layouts, and :func:`cho_solve` and :func:`matvec` take and return it as it is.
 """
 
 from __future__ import annotations
@@ -203,7 +206,18 @@ def _check_square(M: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be a square matrix or a stack of them, got shape {M.shape}")
 
 
-def band_index(L: int, P: int) -> tuple[np.ndarray, np.ndarray]:
+def check_layout(S: np.ndarray, n: int, name: str, P: int | None = None) -> None:
+    """Raise ValueError unless ``S`` (called ``name`` in the message) is the
+    covariance of an n-vector in one of the two layouts: dense n x n, or a
+    band stack of shape (n / P, P, P). ``P`` defaults to a stack's own block
+    order."""
+    if P is None and S.ndim == 3:
+        P = S.shape[-1]
+    if S.shape != (n, n) and not (P and n % P == 0 and S.shape == (n // P, P, P)):
+        raise ValueError(f"{name} shape {S.shape} vs state dim {n}")
+
+
+def _band_index(L: int, P: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the band blocks in a dense PL x PL matrix;
     they broadcast to (L, P, P), block l taking the entries (p * L + l, q * L + l)."""
     state = np.arange(P) * L + np.arange(L)[:, None]
@@ -214,7 +228,7 @@ def band_blocks(S: np.ndarray, L: int) -> np.ndarray:
     """The (L, P, P) band blocks of a dense PL x PL matrix; a stack as it is."""
     if S.ndim == 3:
         return S
-    return S[band_index(L, S.shape[-1] // L)]
+    return S[_band_index(L, S.shape[-1] // L)]
 
 
 def dense_form(S: np.ndarray) -> np.ndarray:
@@ -224,13 +238,17 @@ def dense_form(S: np.ndarray) -> np.ndarray:
         return S
     L, P, _ = S.shape
     out = np.zeros((L * P, L * P))
-    out[band_index(L, P)] = S
+    out[_band_index(L, P)] = S
     return out
 
 
-def band_diagonal(S: np.ndarray, L: int) -> bool:
-    """Whether every entry of a dense PL x PL matrix between bands is exactly 0.0."""
-    return np.count_nonzero(S) == np.count_nonzero(band_blocks(S, L))
+def add_bands(X: np.ndarray, S: np.ndarray) -> None:
+    """X += S in place, ``S`` in X's layout or a band stack; a stack goes
+    into the band entries of a dense X."""
+    if X.ndim == 2 and S.ndim == 3:
+        X[_band_index(S.shape[0], S.shape[1])] += S
+    else:
+        X += S
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:

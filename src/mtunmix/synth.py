@@ -42,8 +42,10 @@ class SynthConfig:
             if not is_json_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         for name in ("snr_db", "F_scale", "q_var", "abundance_jitter_std"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            # bool is a numbers.Real, but JSON true/false is no setting
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
         if math.isnan(self.snr_db) or self.snr_db == -math.inf:
             raise ValueError("snr_db must not be NaN or -inf")
         if self.q_var < 0:

@@ -132,6 +132,11 @@ class TestGenerate:
             ("snr_db", "x"),
             ("dirichlet_alpha", 5),
             ("dirichlet_alpha", [{}, 1]),
+            # JSON true and false, though Python's bool is a numbers.Real
+            ("F_scale", True),
+            ("snr_db", False),
+            ("q_var", True),
+            ("abundance_jitter_std", False),
         ],
     )
     def test_config_value_of_wrong_type_exit_2(self, tmp_path, capsys, key, value):
@@ -142,6 +147,7 @@ class TestGenerate:
         )
         assert code == 2
         assert key in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("content", ["5", "null", "[{}]", '"L"'])
     def test_config_not_an_object_exit_2(self, tmp_path, capsys, content):
@@ -432,6 +438,33 @@ class TestUnmix:
         ]
         assert caught == [] and stdout == ""
         assert not (out / "manifest.json").exists()
+
+    def test_all_zero_frames_with_m0_exit_0(self, tmp_path, capsys):
+        # no signal at all: the noise variance sits at its floor in every
+        # iteration, and the abundances, endmembers and scaling factors
+        # written stay finite
+        data, m0 = scaled_scene(tmp_path, 0.0)
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(data), "--m0", str(m0), "--out", str(out)
+        )
+        assert code == 0 and err == ""
+        assert json_out(stdout)["sigma_r2_final"] == em.SIGMA_R2_FLOOR
+        diagnostics = json.loads((out / "diagnostics.json").read_text())
+        assert diagnostics["sigma_r2"] == [em.SIGMA_R2_FLOOR] * diagnostics["K_max"]
+        est = read_result_dir(out)
+        for key in ("abundances", "endmembers", "psis"):
+            assert len(est[key]) == 3 and all(np.all(np.isfinite(X)) for X in est[key])
+
+    def test_all_zero_frames_with_vca_exit_5(self, tmp_path, capsys):
+        data, _ = scaled_scene(tmp_path, 0.0)
+        out = tmp_path / "x"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(data), "--vca", "--out", str(out)
+        )
+        assert code == 5
+        assert "numerical rank 0" in err and stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_filtered_mean_exit_4(self, tmp_path, capsys, monkeypatch, value):

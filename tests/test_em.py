@@ -29,7 +29,7 @@ from mtunmix.kalman import (
     run_filter,
     smoothed_covariances,
 )
-from mtunmix.kronops import band_blocks, dense_form, symmetrize
+from mtunmix.kronops import band_blocks, dense_form, psd_floor, symmetrize
 from mtunmix.pipeline import default_init
 from oracles import (
     block_trace_cross,
@@ -486,6 +486,18 @@ class TestMStepClosedForms:
         np.testing.assert_array_equal(out, np.outer(e1, e1))
         assert factor is None  # rank one: no plain Cholesky factor
 
+    def test_p00_floored_like_q(self):
+        # an S_0 + d d.T that rounding leaves indefinite is floored to the PSD
+        # cone, by the same psd_floor as Q
+        rng = np.random.default_rng(7)
+        V, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        cov = (V * np.array([-1e-12, 0.5, 1.0, 2.0])) @ V.T
+        mean = rng.standard_normal(4)
+        out, factor = m_step_p00(Belief(mean=mean, cov=cov), mean)
+        floored, floored_factor = psd_floor(cov)
+        assert np.array_equal(out, floored) and factor is floored_factor is None
+        assert np.linalg.eigvalsh(out).min() >= -1e-15
+
     def test_p00_rank_one_update(self):
         rng = np.random.default_rng(5)
         cov = random_spd(rng, 4)
@@ -837,6 +849,28 @@ def test_band_stack_pass_matches_dense_pass(seed, L, N, P, T, default):
     close(stats_s.cross_block_trace, stats_d.cross_block_trace)
 
 
+@pytest.mark.parametrize(
+    "shape", [(1,), (8,), (8, 4), (4, 8), (9, 9), (4, 2, 3), (5, 2, 2), (8, 2, 2), (4, 2, 2, 1)]
+)
+def test_covariance_shapes_checked_alike(shape):
+    # a state of L * P = 4 * 2 entries: Belief, ModelMatrices and EmParams
+    # share one shape rule, and each refuses a covariance of any other shape
+    L, P = 4, 2
+    bad, A = np.zeros(shape), np.ones((P, 3))
+    with pytest.raises(ValueError, match="cov shape"):
+        Belief(mean=np.zeros(L * P), cov=bad)
+    with pytest.raises(ValueError, match="Q shape"):
+        ModelMatrices(A=A, m0=np.ones(L * P), Q=bad, sigma_r2=1.0)
+    for name in ("P00", "Q"):
+        covariances = {"P00": np.eye(L * P), "Q": np.eye(L * P), name: bad}
+        with pytest.raises(ValueError, match=f"{name} shape"):
+            EmParams(A=A, **covariances, sigma_r2=1.0, psi00=np.zeros(L * P))
+    for good in (np.eye(L * P), np.zeros((L, P, P))):
+        Belief(mean=np.zeros(L * P), cov=good)
+        ModelMatrices(A=A, m0=np.ones(L * P), Q=good, sigma_r2=1.0)
+        EmParams(A=A, P00=good, Q=good, sigma_r2=1.0, psi00=np.zeros(L * P))
+
+
 class TestBandPass:
     """em_iterate's choice of layout and the iteration it returns."""
 
@@ -864,20 +898,25 @@ class TestBandPass:
         assert shapes == [(6, 3, 3), (18, 18), (18, 18)]
         assert theta.Q.shape == theta.P00.shape == (18, 18)
 
-    def test_one_off_band_entry_runs_dense(self, monkeypatch):
+    def dense_twin(self, theta, **changes):
+        fields = dict(theta.__dict__, P00=dense_form(theta.P00), Q=dense_form(theta.Q))
+        return EmParams(**(fields | changes))
+
+    def test_dense_pair_runs_dense_and_mixed_pair_refused(self, monkeypatch):
+        # the layout is the one EmParams holds, even for dense matrices zero
+        # between bands; a stack beside a dense matrix is refused
         shapes = self.record_layouts(monkeypatch)
         ys, m0, theta = self.instance()
-        Q = dense_form(theta.Q).copy()
-        Q[0, 1] = Q[1, 0] = 1e-300  # bands 0 and 1 of material 0
-        em_iterate(ys, m0, EmParams(A=theta.A, P00=theta.P00, Q=Q, sigma_r2=theta.sigma_r2,
-                                    psi00=theta.psi00))
+        em_iterate(ys, m0, self.dense_twin(theta))
         assert shapes == [(18, 18)]
+        for mixed in ({"P00": theta.P00}, {"Q": theta.Q}):
+            with pytest.raises(ValueError, match="both dense or both band stacks"):
+                self.dense_twin(theta, **mixed)
 
-    def test_stack_iteration_matches_dense_iteration(self, monkeypatch):
+    def test_stack_iteration_matches_dense_iteration(self):
         ys, m0, theta = self.instance()
         on_stacks = em_iterate(ys, m0, theta)
-        monkeypatch.setattr(em, "band_diagonal", lambda S, L: False)
-        dense = em_iterate(ys, m0, theta)
+        dense = em_iterate(ys, m0, self.dense_twin(theta))
         for a, b in zip(on_stacks[0].__dict__.values(), dense[0].__dict__.values()):
             np.testing.assert_allclose(a, b, rtol=0, atol=BAND_PASS_TOL * np.abs(b).max())
         np.testing.assert_allclose(on_stacks[1], dense[1], rtol=BAND_PASS_TOL)

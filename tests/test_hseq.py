@@ -18,10 +18,10 @@ from mtunmix.hseq import (
     GlmmModel,
     HsiSequence,
     devectorize_frame,
-    frame_file_name,
     read_hseq,
     read_manifest,
     read_matrix,
+    series_file_name,
     vectorize_frame,
     write_hseq,
     write_matrix,
@@ -77,7 +77,7 @@ class TestSequenceIO:
     def test_single_element_file_bytes(self, tmp_path):
         seq = HsiSequence(frames=(np.array([[0.5]]),))
         write_hseq(seq, tmp_path / "d")
-        raw = (tmp_path / "d" / frame_file_name(0)).read_bytes()
+        raw = (tmp_path / "d" / series_file_name("frames", 0)).read_bytes()
         assert raw == struct.pack("<d", 0.5)
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -101,7 +101,7 @@ class TestSequenceIO:
         L, N = 3, 2
         Y = np.arange(L * N, dtype=float).reshape(L, N)
         write_hseq(HsiSequence(frames=(Y,)), tmp_path / "seq")
-        raw = (tmp_path / "seq" / frame_file_name(0)).read_bytes()
+        raw = (tmp_path / "seq" / series_file_name("frames", 0)).read_bytes()
         for n in range(N):
             for l in range(L):
                 (value,) = struct.unpack_from("<d", raw, 8 * (n * L + l))
@@ -111,7 +111,7 @@ class TestSequenceIO:
         rng = np.random.default_rng(6)
         frames = tuple(rng.random((4, 3)) for _ in range(3))
         write_hseq(HsiSequence(frames=frames), tmp_path / "seq")
-        (tmp_path / "seq" / frame_file_name(2)).unlink()
+        (tmp_path / "seq" / series_file_name("frames", 2)).unlink()
         with pytest.raises(SequenceFormatError, match="frame_0002"):
             read_hseq(tmp_path / "seq")
 
@@ -128,7 +128,7 @@ class TestSequenceIO:
     def test_truncated_frame_reports_byte_counts(self, tmp_path):
         rng = np.random.default_rng(8)
         write_hseq(HsiSequence(frames=(rng.random((4, 3)),)), tmp_path / "seq")
-        fpath = tmp_path / "seq" / frame_file_name(0)
+        fpath = tmp_path / "seq" / series_file_name("frames", 0)
         fpath.write_bytes(fpath.read_bytes()[:-8])
         with pytest.raises(SequenceFormatError, match="88.*expected 96"):
             read_hseq(tmp_path / "seq")
@@ -191,6 +191,13 @@ class TestSequenceIO:
         assert sorted(p.name for p in out.iterdir()) == [
             "abund_0000.f64", "abund_0001.f64", "manifest.json", "notes.txt",
         ]
+
+    def test_series_file_names(self, tmp_path):
+        names = [series_file_name(key, 12) for key in hseq.SERIES]
+        assert names == ["frame_0012.f64", "abund_0012.f64", "endm_0012.f64", "psi_0012.f64"]
+        with pytest.raises(TypeError, match="unknown series"):
+            write_result_dir(tmp_path / "est", L=2, N=2, T=1, P=2, abundance=[np.ones((2, 2))])
+        assert not (tmp_path / "est").exists()
 
     def test_failed_result_write_leaves_no_manifest(self, tmp_path, monkeypatch):
         out = tmp_path / "est"

@@ -5,8 +5,10 @@ EXHAUSTIVE_ALIGN_LIMIT endmembers. The ctypes calls release the GIL, and the
 ``numpy.linalg`` route gives the same output to rounding. The scripts run
 L = 60 bands and P = 2 materials, so PL = 120 is above
 ``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too. Every name the
-benchmark's tracer replaces exists."""
+benchmark's tracer replaces exists, and every name a module of the package
+imports is used."""
 
+import ast
 import importlib
 import json
 import os
@@ -200,3 +202,26 @@ def test_every_cli_name_the_tracer_binds_resolves():
     extra = [("mtunmix.fcls", "warnings", None, None)]
     for module_name, attr, _, _ in LIBRARY_TARGETS + CLI_TARGETS + extra:
         assert hasattr(importlib.import_module(module_name), attr), (module_name, attr)
+
+
+def test_every_imported_name_is_used():
+    # a name a module imports and never reads is dead code; the names in a
+    # module's __all__ are its exports, and count as read
+    unused = {}
+    for path in sorted(Path(mtunmix.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported, read = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names if a.name != "*")
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read.update(ast.literal_eval(node.value))
+        if imported - read:
+            unused[path.name] = sorted(imported - read)
+    assert unused == {}

@@ -12,8 +12,8 @@ import scipy.linalg
 from mtunmix import kronops
 from mtunmix.errors import FactorizationError
 from mtunmix.kronops import (
+    add_bands,
     band_blocks,
-    band_diagonal,
     cho_factor_jittered,
     cho_logdet,
     cho_solve,
@@ -595,13 +595,22 @@ class TestBandLayout:
         assert np.array_equal(band_blocks(dense, self.L), S)
         assert band_blocks(S, self.L) is S and dense_form(dense) is dense
 
-    def test_band_diagonal_sees_one_off_band_entry(self):
+    def test_add_bands_into_either_layout(self):
+        # a stack goes into a dense matrix's band entries, bit for bit as
+        # adding its dense form; into a stack, and a dense matrix into a
+        # dense one, it is the plain in-place sum
         rng = np.random.default_rng(41)
-        dense = dense_form(random_band_stack(rng, self.L, self.P))
-        assert band_diagonal(dense, self.L) and band_diagonal(np.eye(15), self.L)
-        dense[0, 1] = 1e-300  # bands 0 and 1 of material 0
-        assert not band_diagonal(dense, self.L)
-        assert band_diagonal(np.ones((3, 3)), 1)
+        S, X = random_band_stack(rng, self.L, self.P), random_band_stack(rng, self.L, self.P)
+        dense = rng.standard_normal((self.L * self.P,) * 2)
+        expected = dense + dense_form(S)
+        add_bands(dense, S)
+        assert np.array_equal(dense, expected)
+        expected = X + S
+        add_bands(X, S)
+        assert np.array_equal(X, expected)
+        expected = dense + dense_form(S)
+        add_bands(dense, dense_form(S))
+        assert np.array_equal(dense, expected)
 
     def test_factor_inverse_solve_logdet_match_dense(self):
         rng = np.random.default_rng(42)
