@@ -1,11 +1,11 @@
-"""Command-line front end: generate, unmix, fcls, vca, eval.
+"""The ``mtunmix`` command: generate, unmix, fcls, vca, eval.
 
-Conventions: machine-readable JSON goes to stdout, human-readable messages to
-stderr. Exit codes: 0 success, 2 bad flags or validation failure, 3 I/O
-failure, 4 numerical abort (NaN during estimation, or a covariance that
-stays indefinite after the jitter retry), 5 rank deficiency in endmember
-extraction. Every command is deterministic given its flags; seeds
-default to 0 rather than being time-derived.
+JSON goes to stdout and messages to stderr, one line on failure and no
+traceback. Exit codes: 0 success, 2 bad flags or settings, 3 I/O failure or a
+malformed input directory, 4 numerical abort (a non-finite state, or a
+covariance still indefinite after the jitter retry), 5 rank deficiency in
+endmember extraction. Every command is deterministic given its flags; seeds
+default to 0.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .errors import (
 from .fcls import fcls_refine_frame
 from .hseq import (
     GlmmModel,
+    Manifest,
     is_json_int,
     read_hseq,
     read_manifest,
@@ -49,9 +50,9 @@ from .pipeline import (
     check_run_settings,
     default_init,
     run_kalman_em,
-    vca_extract,
 )
 from .synth import SynthConfig, empirical_snr_db, generate, synthetic_endmembers
+from .vca import vca_extract
 
 REPLICA_DIR_FMT = "rep_{:04d}"
 M0_SEED_OFFSET = 1000003  # decorrelates auto-generated spectra from the scene draw
@@ -93,24 +94,29 @@ def _check_seed(seed: int) -> None:
 
 
 def _fan_out(args, run_one, *inputs: Path) -> int:
-    """Print the summary of ``run_one(seed, *inputs, out)`` with ``--seed``
-    and ``--out``, or under ``--mc R`` the summaries of R replicas, replica
-    i with seed ``seed + i`` and the ``rep_<i>`` subdirectory of each input
-    and of the output; either way through :func:`_run_replicas`, so BLAS
-    runs on one thread. Every input replica is checked for before any
-    replica runs."""
+    """Print the summary of ``run_one(seed, *inputs, *manifests, out)`` with
+    ``--seed`` and ``--out``, or under ``--mc R`` the summaries of R replicas,
+    replica i with seed ``seed + i`` and the ``rep_<i>`` subdirectory of each
+    input and of the output, through :func:`_run_replicas`. ``manifests`` are
+    the inputs' parsed manifests. Every input replica directory and manifest is
+    checked before any replica runs."""
     if args.mc < 1:
         raise ValueError(f"--mc must be >= 1, got {args.mc}")
     _check_seed(args.seed)
     dirs = [*inputs, Path(args.out)]
     if args.mc == 1:
-        _emit(_run_replicas(run_one, [(args.seed, *dirs)])[0])
-        return 0
-    jobs = [(args.seed + i, *(d / REPLICA_DIR_FMT.format(i) for d in dirs)) for i in range(args.mc)]
-    absent = [replica for job in jobs for replica in job[1:-1] if not replica.is_dir()]
-    if absent:
-        raise SequenceFormatError(f"missing replica directory {absent[0]}")
-    _emit({"replicas": _run_replicas(run_one, jobs)})
+        jobs = [(args.seed, *dirs)]
+    else:
+        jobs = [
+            (args.seed + i, *(d / REPLICA_DIR_FMT.format(i) for d in dirs)) for i in range(args.mc)
+        ]
+        absent = [replica for job in jobs for replica in job[1:-1] if not replica.is_dir()]
+        if absent:
+            raise SequenceFormatError(f"missing replica directory {absent[0]}")
+    # every input manifest is parsed before any replica runs
+    jobs = [(seed, *ins, *map(read_manifest, ins), out) for seed, *ins, out in jobs]
+    results = _run_replicas(run_one, jobs)
+    _emit(results[0] if args.mc == 1 else {"replicas": results})
     return 0
 
 
@@ -175,6 +181,10 @@ def _generate_one(config: SynthConfig, M0: np.ndarray | None, seed: int, out: Pa
 
 
 def cmd_generate(args) -> int:
+    """``mtunmix generate``: write a synthetic sequence, its ``truth/``
+    directory and ``config.json`` to ``--out`` (R replicas under ``--mc R``),
+    mixed from ``--m0`` or from synthetic spectra; print the summary and
+    return 0."""
     config = _synth_config(args)
     M0 = _load_m0(args, config.L, config.P) if args.m0 is not None else None
     return _fan_out(args, functools.partial(_generate_one, config, M0))
@@ -184,7 +194,9 @@ def cmd_generate(args) -> int:
 
 
 def _load_m0(args, L: int, P_hint: int | None):
-    """Reference endmembers from a raw matrix file, sidecar-aware."""
+    """The reference endmembers (L x P) in the raw matrix file ``--m0``;
+    ValueError where its ``.json`` sidecar declares another L, an entry is not
+    finite, or P is not ``P_hint`` where that is given."""
     path = Path(args.m0)
     sidecar = Path(str(path) + ".json")
     if sidecar.is_file():
@@ -202,8 +214,7 @@ def _load_m0(args, L: int, P_hint: int | None):
     return M0
 
 
-def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
-    manifest = read_manifest(input_dir)
+def _unmix_one(args, seed: int, input_dir: Path, manifest: Manifest, out: Path) -> dict:
     seq = read_hseq(input_dir, manifest)
     if args.m0 is not None:
         # an explicit endmember file defines P; --p is only a cross-check
@@ -251,6 +262,10 @@ def _unmix_one(args, seed: int, input_dir: Path, out: Path) -> dict:
 
 
 def cmd_unmix(args) -> int:
+    """``mtunmix unmix``: unmix ``--input`` from the ``--m0`` endmembers or
+    from VCA's (``--vca``), and write the estimate, ``m0.f64`` and
+    ``diagnostics.json`` to ``--out`` (R replicas under ``--mc R``); print the
+    summary and return 0."""
     check_run_settings(args.iters, args.lam, names={"K_max": "--iters", "lam": "--lambda"})
     if args.m0 is None and not args.vca:
         raise ValueError("either --m0 or --vca is required")
@@ -261,6 +276,9 @@ def cmd_unmix(args) -> int:
 
 
 def cmd_fcls(args) -> int:
+    """``mtunmix fcls``: per-frame FCLS of ``--input`` against ``--m0``,
+    written to ``--out`` as an estimate directory; print the summary and
+    return 0."""
     seq = read_hseq(args.input)
     M0 = _load_m0(args, seq.L, None)
     maps = [fcls_refine_frame(frame, M0, None, 0.0) for frame in seq.frames]
@@ -283,6 +301,9 @@ def cmd_fcls(args) -> int:
 
 
 def cmd_vca(args) -> int:
+    """``mtunmix vca``: the VCA endmembers of the first frame of ``--input``,
+    written to ``--out`` with a ``.json`` sidecar (L, P, seed); print it and
+    return 0."""
     _check_seed(args.seed)
     seq = read_hseq(args.input)
     M0 = vca_extract(seq.frames[0], args.p, seed=args.seed)
@@ -298,6 +319,9 @@ def cmd_vca(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """``mtunmix eval``: the NRMSE of abundances, endmembers and reconstruction
+    and the spectral angle of ``--est`` against ``--truth`` after permutation
+    alignment, each also times 100, written to ``--out`` and printed; return 0."""
     est = read_result_dir(args.est)
     truth = read_result_dir(args.truth)
     for key in ("abundances", "endmembers"):
@@ -332,6 +356,7 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``mtunmix`` argument parser, one subcommand per ``cmd_*``."""
     parser = argparse.ArgumentParser(
         prog="mtunmix",
         description="Multitemporal hyperspectral unmixing toolkit",
@@ -391,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run the command ``argv`` names and return its exit code; a failure
+    prints one line on stderr."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

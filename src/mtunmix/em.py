@@ -1,34 +1,19 @@
-"""EM parameter learning on top of the smoother: statistics, surrogate, M-steps.
+"""EM for the state-space model of :mod:`mtunmix.kalman` (Shumway & Stoffer,
+J. Time Series Anal. 3(4), 1982): sufficient statistics from the smoother, the
+expected complete-data log-likelihood (the surrogate), and its closed-form
+maximizers.
 
-One EM iteration runs the filter and the smoothed-mean pass under the current
-parameters, then one backward pass of the smoothed-covariance recursion whose
-every step is reduced to the sufficient statistics as it comes (Shumway &
-Stoffer 1982): the increment moment D in one PL x PL array, which adds each
-step's smoothed increment covariance V_t, and the same-band entries the block
-traces read. That pass writes into the trajectory's own arrays (see
-:func:`mtunmix.kalman.smoothed_covariances`), and a dense D is the first V it
-yields, so the E-step holds the trajectory's 2T matrices plus two. It then
-applies closed-form maximizers for the initial belief, the process noise, the
-observation noise variance, and the average abundance matrix. Before the new
-parameters are built, one finiteness check covers them, the log-likelihood
-and the smoothed means.
+:func:`em_iterate` filters and smooths under the current :class:`EmParams`,
+reduces the smoothed trajectory to :class:`SufficientStats`, and returns the
+maximizing parameters with the surrogate at them. It runs in the layout that
+EmParams holds P00 and Q in (:mod:`mtunmix.kronops`); the M-steps return them
+dense. The observation matrix enters only through L x L block traces, so the
+abundance update is a P x P solve.
 
-The surrogate at the new parameters, which the iteration also returns, comes
-from the M-step identities and the Cholesky factors of the new P00 and Q, with
-no inverse; :func:`q_function` is the reference evaluation.
-
-:class:`EmParams` holds P00 and Q dense or as (L, P, P) band stacks, as
-``default_init`` returns them, both in one layout, and an iteration filters
-and smooths in that layout (see :mod:`mtunmix.kalman`). Only the rank-T
-outer products of the smoothed mean increments in D are not zero between
-bands, so D, S_0 and the M-steps stay dense, and the iterations after a
-first on stacks run dense.
-
-The abundance update exploits the Kronecker structure of the observation
-matrix: only the L x L block traces of the scaled second-moment matrices
-enter the normal equations, so the solve is P x P instead of PL x PL. The
-observation/state cross moment enters only through its N x P block traces,
-contracted frame by frame, so the dense NL x PL matrix is never formed.
+Only :func:`accumulate_stats` writes into an argument: it spends the
+trajectory. A non-finite log-likelihood, smoothed mean or new parameter raises
+:class:`~mtunmix.errors.NumericalAbortError`, and a failed factorization
+:class:`~mtunmix.errors.FactorizationError`.
 """
 
 from __future__ import annotations
@@ -65,11 +50,12 @@ SIGMA_R2_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class EmParams:
-    """Latent parameter set: average abundances, initial belief, noise terms.
+    """The parameters EM learns: average abundances A (P x N), the initial
+    belief (psi00, P00), the process noise Q and the observation-noise variance
+    sigma_r2.
 
-    P00 and Q are both dense PL x PL matrices or both (L, P, P) band stacks
-    (:mod:`mtunmix.kronops`), and :func:`em_iterate` filters in that layout;
-    a mixed pair raises ValueError. The M-steps return them dense.
+    P00 and Q are both dense PL x PL matrices or both (L, P, P) band stacks;
+    ValueError on a mixed pair, a wrong shape or sigma_r2 <= 0.
     """
 
     A: np.ndarray
@@ -123,17 +109,11 @@ def accumulate_stats(
 ) -> tuple[SufficientStats, Belief]:
     """Reduce a trajectory filtered under ``model`` and its smoothed means
     (t = 0..T, from :func:`rts_smooth`) to the M-step statistics and the
-    smoothed t = 0 belief (mean and covariance S_0).
+    smoothed t = 0 belief (psi_0^s, S_0), both dense.
 
-    The smoothed covariances come from :func:`smoothed_covariances`, which
-    spends the trajectory, and are reduced as each backward step yields them:
-    the increment covariance V_t added into D, and the same-band entries
-    S_t[(p, l), (q, l)] (the only ones the block traces of
-    diag(m0) S1 diag(m0) read) into an L x P x P array; S1 itself is never
-    formed. On a dense trajectory D is the first V, which the pass writes
-    into that step's spent precision and never reuses; on band stacks D is a
-    new dense array. D and S_0 are dense in both layouts, and they are the
-    only PL x PL arrays of the trajectory's pass that outlive it.
+    The trajectory is spent (:func:`smoothed_covariances`). Each smoothed S_t
+    is read at its band blocks only, the entries that the block traces of
+    diag(m0) S1 diag(m0) read, so S1 is never formed.
     """
     T, L, N, P, m0_mat = traj.T, model.L, model.N, model.P, model.m0_mat
 
@@ -174,26 +154,27 @@ def accumulate_stats(
 
 
 def _obs_residual_trace(stats: SufficientStats, A: np.ndarray) -> float:
-    """tr(S5 - 2 B S3.T + B S1 B.T) through the block-trace contractions."""
+    """tr_resid = sum_t E||y_t - B psi_t||^2 = tr(S5 - 2 B S3.T + B S1 B.T),
+    with S5 = sum_t y_t y_t.T and S3 = sum_t y_t psi_t^s.T, through the block
+    traces: tr(B S1 B.T) = tr(A A.T gram_block_trace) and
+    tr(B S3.T) = sum_{n,p} A[p, n] cross_block_trace[n, p]."""
     fit = float(np.sum(A * stats.cross_block_trace.T))
     gram = float(np.einsum("ij,ji->", A @ A.T, stats.gram_block_trace))
     return stats.obs_energy - 2.0 * fit + gram
 
 
 def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> float:
-    """Expected complete-data log-likelihood surrogate (constant dropped).
+    """The surrogate: the expected complete-data log-likelihood, constant
+    dropped,
 
-    Evaluates, with B = kron(A.T, I_L) diag(m0) folded into the observation
-    terms and R = sigma_r2 * I:
-
-        -1/2 ( tr(P00^-1 [P_0^s + d d.T]) + log|P00|
+        -1/2 ( tr(P00^-1 [S_0 + d d.T]) + log|P00|
              + tr(Q^-1 D) + T log|Q|
              + tr_resid / sigma_r2 + T N L log sigma_r2 )
 
-    where d = psi_0^s - psi00 and D = ``stats.increment_second_moment``. Each
-    trace tr(X^-1 S) with X symmetric is the inner product of X^-1 and S, X^-1
-    from X's factor; the rank-one part of the first is d.T P00^-1 d. P00 and
-    Q may be band stacks, read as their dense forms.
+    with d = psi_0^s - psi00, D = ``stats.increment_second_moment`` and
+    tr_resid from the block traces. Each tr(X^-1 S) is the inner product of S
+    and X^-1, formed from X's factor. Band stacks are read as their dense
+    forms.
     """
     d = smoothed0.mean - theta.psi00
     c_p00 = cho_factor_jittered(dense_form(theta.P00))
@@ -214,9 +195,9 @@ def q_function(theta: EmParams, stats: SufficientStats, smoothed0: Belief) -> fl
 def m_step_p00(
     smoothed0: Belief, psi00_old: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """P00* = P_0^s + (psi_0^s - psi00)(psi_0^s - psi00).T, floored to the PSD
+    """P00* = S_0 + (psi_0^s - psi00)(psi_0^s - psi00).T floored to the PSD
     cone, and its plain Cholesky factor, None where it has none
-    (:func:`mtunmix.kronops.psd_floor`, as for Q)."""
+    (:func:`mtunmix.kronops.psd_floor`)."""
     d = smoothed0.mean - np.asarray(psi00_old, dtype=float).reshape(-1)
     P00 = np.outer(d, d)
     P00 += smoothed0.cov
@@ -229,34 +210,25 @@ def m_step_psi00(smoothed0: Belief) -> np.ndarray:
 
 
 def m_step_q(stats: SufficientStats) -> tuple[np.ndarray, np.ndarray | None]:
-    """Q* = D / T, floored to the PSD cone, and its plain Cholesky factor,
-    None where it has none (:func:`mtunmix.kronops.psd_floor`).
-
-    The 1/T factor makes this the exact maximizer of the surrogate's Q block;
-    tiny negative eigenvalues from smoother round-off are clipped at zero.
-    """
+    """Q* = D / T, the exact maximizer of the surrogate's Q terms, floored to
+    the PSD cone (round-off can leave tiny negative eigenvalues), and its plain
+    Cholesky factor, None where it has none
+    (:func:`mtunmix.kronops.psd_floor`)."""
     return psd_floor(stats.increment_second_moment / stats.T)
 
 
 def m_step_sigma(stats: SufficientStats, A: np.ndarray) -> float:
-    """sigma_r2* = tr(S5 - 2 B S3.T + B S1 B.T) / (T L N), floored at 1e-12.
-
-    The traces contract through the block-trace statistics:
-    tr(B S1 B.T) = tr(A A.T @ gram_block_trace) and
-    tr(B S3.T) = sum_{n,p} A[p,n] cross_block_trace[n,p].
-    """
+    """sigma_r2* = tr_resid / (T L N) at the new A, floored at
+    ``SIGMA_R2_FLOOR``."""
     value = _obs_residual_trace(stats, np.asarray(A, dtype=float))
     return max(value / (stats.T * stats.L * stats.N), SIGMA_R2_FLOOR)
 
 
 def m_step_abundance(stats: SufficientStats) -> np.ndarray:
-    """Closed-form unconstrained minimizer of the abundance block.
-
-    A* = (Tb + Tb.T)^-1 (2 U.T) with Tb, U the block traces of the scaled
-    second/cross moments; identical to the solution obtained from any exact
-    Kronecker expansion of those matrices. Simplex constraints are deferred
-    to the later per-frame refinement.
-    """
+    """A* = (Tb + Tb.T)^-1 (2 U.T), the unconstrained maximizer of the
+    abundance terms, with Tb and U the block traces of the scaled state second
+    moment and of the observation/state cross moment. The simplex constraints
+    are left to the final per-frame refinement."""
     Tb = stats.gram_block_trace
     rhs = 2.0 * stats.cross_block_trace.T
     return cho_solve(cho_factor_jittered(Tb + Tb.T), rhs)
@@ -277,16 +249,15 @@ def _updated_surrogate(
     c_q: np.ndarray,
 ) -> float:
     """:func:`q_function` at the M-step's own parameters, from the factors of
-    their P00 and Q alone.
+    their P00 and Q and no inverse.
 
-    There psi00 = psi_0^s, P00 = P_0^s + e e.T with e = psi_0^s - psi00_old,
+    There psi00 = psi_0^s, P00 = S_0 + e e.T with e = psi_0^s - psi00_old,
     Q = D / T and sigma_r2 = tr_resid / (T N L), so the traces reduce to
 
-        tr(P00^-1 [P_0^s + d d.T]) = PL - e.T P00^-1 e   (d = 0),
-        tr(Q^-1 D) = T PL,   tr_resid / sigma_r2 = T N L,
+        tr(P00^-1 [S_0 + d d.T]) = PL - e.T P00^-1 e   (d = 0),
+        tr(Q^-1 D) = T PL,   tr_resid / sigma_r2 = T N L.
 
-    and no inverse is formed. The identities need P00 and Q unclipped and
-    sigma_r2 above its floor.
+    The identities need P00 and Q unclipped and sigma_r2 above its floor.
     """
     PL, TNL = theta.psi00.size, stats.T * stats.N * stats.L
     e = theta.psi00 - psi00_old
@@ -299,25 +270,20 @@ def _updated_surrogate(
 def em_iterate(
     ys: list[np.ndarray], m0: np.ndarray, theta: EmParams
 ) -> tuple[EmParams, float, list[np.ndarray], float]:
-    """One full EM iteration; returns the updated parameters, the marginal
-    log-likelihood and the smoothed means (t = 0..T) under the *input*
-    parameters, and the surrogate value at the updated parameters.
+    """One EM iteration from ``theta``; returns the new parameters, the
+    marginal log-likelihood and the smoothed means (t = 0..T) under ``theta``,
+    and the surrogate at the new parameters.
 
-    Order of the closed-form updates: initial covariance (which uses the old
-    initial mean), initial mean, process noise, abundances, then observation
-    variance with the *new* abundances so the (A, sigma_r2) block is maximized
-    jointly. A non-finite log-likelihood, smoothed mean or updated parameter
-    raises :class:`NumericalAbortError` before the new parameters are built.
-    The pass runs in the layout of P00 and Q, band stacks or dense; it
-    writes into neither.
+    The updates run in this order: P00 (from the old psi00), psi00, Q, A, then
+    sigma_r2 from the new A, so (A, sigma_r2) is maximized jointly. The
+    surrogate comes from :func:`_updated_surrogate`, or from :func:`q_function`
+    where a floor binds (P00 or Q clipped or without a plain factor, or
+    sigma_r2 at ``SIGMA_R2_FLOOR``). It is ``math.inf`` where the new P00 or Q
+    is exactly zero, a point-mass state: the log-determinant is -inf there and
+    the moment it weighs is zero.
 
-    The surrogate comes from :func:`_updated_surrogate`, or from
-    :func:`q_function` where a floor binds: P00 or Q clipped or without a
-    plain factor, or sigma_r2 at ``SIGMA_R2_FLOOR``.
-    Where the new P00 or Q is exactly zero, a point-mass state, it is
-    ``math.inf``: log|P00| or log|Q| is -inf there, and the second moment it
-    weighs is zero too (P_0^s + e e.T, or D, which has no positive
-    eigenvalue), so its trace term vanishes.
+    :class:`NumericalAbortError` before the new parameters are built if any
+    output is not finite. ``theta`` is only read.
     """
     model = ModelMatrices(A=theta.A, m0=m0, Q=theta.Q, sigma_r2=theta.sigma_r2)
     traj = run_filter(ys, model, Belief(mean=theta.psi00, cov=theta.P00))

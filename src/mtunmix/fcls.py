@@ -1,25 +1,24 @@
 """Simplex-constrained least squares: plain FCLS and the regularized variant.
 
-Solves, for every column y of a frame,
+For every column y of a frame, solve
 
     min_a  ||y - M a||^2 + lambda ||a - a_ref||^2
-    s.t.   a >= 0,  1.T a = 1
+    s.t.   a >= 0,  1.T a = 1,
 
-With G = M.T M + lambda I and b = M.T y + lambda a_ref this is the QP
-min a.T G a - 2 b.T a over the simplex, solved exactly (to rounding) for every
-P by the primal active-set method: the FCLS of Heinz & Chang (2001) in the
-form of Lawson-Hanson NNLS (1974), with the sum-to-one row in the KKT system.
-Each column starts at its best vertex and keeps a support S and a feasible
-point a. A step solves [[G_S, 1], [1.T, 0]] [z_S; mu] = [b_S; 1]. If some
-z_i <= 0, a moves toward z until the first entry reaches zero, and that index
-leaves S. Otherwise a = z, and the index with the most negative dual
-w_i = (G a - b)_i + mu joins S; with none negative, a is the minimizer. All
-unfinished columns of a frame step together through one stacked solve, whose
-rows and columns outside each column's support are the identity.
+that is, with G = M.T M + lambda I and b = M.T y + lambda a_ref, minimize
+a.T G a - 2 b.T a over the simplex. The primal active-set method solves it
+exactly, to rounding, for every P: the FCLS of Heinz & Chang (IEEE TGRS 39(3),
+2001) in the form of Lawson & Hanson's NNLS (1974), with the sum-to-one row in
+the KKT system. From its best vertex, each column solves
+[[G_S, 1], [1.T, 0]] [z_S; mu] = [b_S; 1] on its support S; where some z_i <= 0
+it steps toward z until an entry reaches zero and drops it, and otherwise the
+index with the most negative dual (G z - b)_i + mu joins S.
 
-:func:`fcls_refine_frame` is the one solver; :func:`fcls_solve` calls it on a
-one-column frame. Each column's products and KKT solve involve that column
-only, so its result is bit-identical whether it is solved alone or in a frame.
+:func:`fcls_refine_frame` is the one solver and :func:`fcls_solve` its
+one-column form. A column's result is bit-identical alone or in a frame.
+Invalid input raises ValueError; a column still unsolved after
+``ITERATIONS_PER_MATERIAL * P`` steps stops at its last feasible point, with a
+RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -144,13 +143,11 @@ def fcls_solve(
 def fcls_refine_frame(
     Y: np.ndarray, M: np.ndarray, A_ref: np.ndarray | None, lam: float
 ) -> np.ndarray:
-    """Column-wise constrained solve of one frame against a fixed design.
-
-    With lam = 0 this is the per-pixel FCLS of Y against M; with lam > 0 each
-    column is pulled toward the corresponding column of ``A_ref``, which is
-    then required. Each column of the result is bit-identical to
-    :func:`fcls_solve` on that column.
-    """
+    """The simplex-constrained solution (P x N) of every column of the frame
+    ``Y`` against the design ``M``: plain FCLS with ``lam`` = 0, and with
+    ``lam`` > 0 pulled toward the matching column of ``A_ref``, which is then
+    required. ValueError on mismatched shapes, non-finite entries, a negative
+    or infinite ``lam`` or an all-zero design."""
     Y = np.asarray(Y, dtype=float)
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:

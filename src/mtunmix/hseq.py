@@ -1,23 +1,24 @@
-"""Core array types, vectorization conventions, and the HSEQ on-disk format.
+"""Array types, the vectorization convention, and the HSEQ on-disk format.
 
-An HSEQ directory stores a hyperspectral image sequence as::
+An HSEQ directory holds a sequence as::
 
-    manifest.json          metadata (dimensions, frame files, format tags)
-    frame_0000.f64         one raw binary file per frame, zero-based index
-    frame_0001.f64         zero-padded to 4 digits
+    manifest.json          dimensions, frame files, format tags
+    frame_0000.f64         one raw file per frame, zero-based, 4 digits
+    frame_0001.f64
     ...
 
-Every binary file holds 64-bit IEEE-754 floats, little-endian, column-major:
-for an L x N frame, element (l, n) sits at byte offset ``8 * (n * L + l)``.
-The same raw layout is reused for standalone matrix files, e.g. endmember
-files (``m0.f64``, L x P) and abundance files (``abund_<t>.f64``, P x N).
+Every raw file holds little-endian float64, column-major: element (l, n) of an
+L x N matrix sits at byte offset ``8 * (n * L + l)``. Result directories use
+the same layout for their per-frame series (:data:`SERIES`) and for matrix
+files such as ``m0.f64`` (L x P).
 
-Vectorization is column stacking throughout the package: ``vectorize_frame``
-maps element (l, n) of an L x N matrix to index ``n * L + l``, which is the
-ordering that makes ``vec(M * Psi) == diag(vec(M)) @ vec(Psi)`` hold for the
-Hadamard product and ``vec(X @ A) == kron(A.T, I_L) @ vec(X)``.
+Vectorization stacks columns: :func:`vectorize_frame` maps element (l, n) to
+index ``n * L + l``, so ``vec(M * Psi) == diag(vec(M)) @ vec(Psi)`` and
+``vec(X @ A) == kron(A.T, I_L) @ vec(X)``.
 
-All types are plain immutable containers; file operations are single-writer.
+The types are immutable, and a directory has one writer at a time. A missing,
+malformed or inconsistent file raises
+:class:`~mtunmix.errors.SequenceFormatError`, and a bad array ValueError.
 """
 
 from __future__ import annotations
@@ -159,6 +160,8 @@ class Manifest:
     seed: int | None = None
 
     def to_dict(self) -> dict:
+        """The manifest as written: dimensions, format tags, frame files, and P
+        and seed where set."""
         d = {
             "L": self.L,
             "N": self.N,
@@ -207,11 +210,8 @@ def read_matrix(path: Path | str, rows: int, cols: int | None = None) -> np.ndar
 def write_hseq(
     seq: HsiSequence, path: Path | str, seed: int | None = None, P: int | None = None
 ) -> None:
-    """Write a sequence to an HSEQ directory (manifest + one file per frame).
-
-    The directory is a result directory holding frames only, written by
-    :func:`write_result_dir`, so its manifest too is written last.
-    """
+    """Write a sequence to an HSEQ directory through :func:`write_result_dir`,
+    as a result directory that holds frames only."""
     write_result_dir(path, L=seq.L, N=seq.N, T=seq.T, P=P, frames=seq.frames, seed=seed)
 
 
@@ -323,7 +323,9 @@ def write_result_dir(
 
 
 def read_result_dir(path: Path | str) -> dict:
-    """Load whatever a result directory holds; keys absent when files are."""
+    """Load a result directory: ``"manifest"`` and each series of
+    :data:`SERIES` it holds (frames as its manifest lists them);
+    SequenceFormatError if the manifest lacks P."""
     root = Path(path)
     manifest = read_manifest(root)
     if manifest.P is None:

@@ -1,45 +1,23 @@
-"""Kalman filter and RTS smoother for the scaling-factor model.
+"""Kalman filter and RTS smoother for the scaling factors psi_t (the state).
 
-State model: random walk ``psi_t = psi_{t-1} + q_t`` with ``q_t ~ N(0, Q)``.
-Observation model: ``y_t = B psi_t + r_t`` with ``B = kron(A.T, I_L) diag(m0)``
-and ``r_t ~ N(0, sigma_r2 * I_NL)``.
+State model: the random walk ``psi_t = psi_{t-1} + q_t``, q_t ~ N(0, Q).
+Observation model: ``y_t = B psi_t + r_t``, r_t ~ N(0, sigma_r2 I_NL), with
+``B = kron(A.T, I_L) diag(m0)``. B is never formed: B.T B has L band blocks of
+size P x P, and the update works in PL x PL matrices through the Woodbury
+identity.
 
-The update step never forms the NL x NL innovation covariance ``S_t``: gains
-and likelihood terms go through the Woodbury identity
+:func:`run_filter` returns a :class:`Trajectory`: the filtered beliefs for
+t = 0..T, the inverses of the predicted covariances, and the log-likelihood.
+:func:`rts_smooth` returns the smoothed means. :func:`smoothed_covariances`
+yields the smoothed and increment covariances one backward step at a time; it
+overwrites the trajectory's covariances and precisions and marks it spent, and
+a spent trajectory takes neither pass again (ValueError).
 
-    B.T S_t^-1 = s2i B.T - s2i^2 B.T B (P^-1 + s2i B.T B)^-1 B.T,   s2i = 1/sigma_r2
-
-using only PL x PL factorizations, and ``B.T B = diag(m0) (A A.T (x) I_L) diag(m0)``
-is assembled analytically from its L blocks of size P x P: it couples only
-the P entries of one band. The posterior covariance ``P - P B.T S^-1 B P``
-is formed as ``C^-1`` with ``C = P^-1 + s2i B.T B``, and both inverses come
-from their Cholesky factors (``kronops.factor_inverse``), exactly symmetric.
-A singular or nearly singular P takes the same formulas through its PSD
-square root H, with ``C^-1 = H (I + s2i H B.T B H)^-1 H``; no explicit gain
-is formed on either path.
-
-The update also returns the inverse of the predicted covariance it forms on
-the way, and the filter keeps it per frame, so the smoother's gains
-``G_t = P_{t|t} P_{t+1|t}^-1`` need no factorization of their own.
-
-A :class:`Trajectory` is the filter's output: per frame the filtered belief
-and that inverse, 2T + 1 PL x PL matrices of which the trajectory owns all
-but the initial covariance, and the log-likelihood. :func:`rts_smooth`
-returns the smoothed means, two matrix-vector products per step.
-:func:`smoothed_covariances` then spends the trajectory, as a textbook RTS
-pass does: it yields each smoothed covariance S_t and the covariance V_{t+1}
-of the smoothed increment psi_{t+1} - psi_t as the backward pass reaches
-them, three PL x PL products per step, and writes them into the arrays the
-trajectory owns, S_t over P_{t|t} and V_{t+1} over the spent precision of
-that step, so the pass allocates two matrices whatever T is. A spent
-trajectory takes no second pass of either kind.
-
-Covariances take the model's Q's layout (:mod:`mtunmix.kronops`): dense, or
-(L, P, P) band stacks when Q and the initial covariance are stacks, as
-:class:`mtunmix.em.EmParams` holds them where ``default_init`` returns them.
-B.T B is then a stack too, so the filter and smoother run as L independent
-P x P problems through the same lines, at O(T L P^3) in place of O(T (PL)^3).
-Means are PL vectors in both layouts.
+Covariances are dense or (L, P, P) band stacks, in the layout of the model's Q
+(:mod:`mtunmix.kronops`); on stacks the filter and smoother run as L
+independent P x P problems through the same lines. Means are PL vectors in both
+layouts. No other function writes into its arguments, and a failed
+factorization raises :class:`~mtunmix.errors.FactorizationError`.
 """
 
 from __future__ import annotations
@@ -77,14 +55,13 @@ MAX_PRED_COND = 1e8
 
 @dataclass(frozen=True)
 class ModelMatrices:
-    """Observation/noise matrices for one parameter setting.
+    """The model at one parameter setting: average abundances ``A`` (P x N),
+    vectorized reference endmembers ``m0`` (length PL), process noise ``Q`` and
+    observation-noise variance ``sigma_r2``.
 
-    ``B`` is defined by construction from the average abundances ``A`` (P x N)
-    and the vectorized reference endmembers ``m0`` (length LP); the dense
-    NL x PL matrix is never formed. ``Q``, dense or a band stack, sets the
-    layout of the covariances; it is stored symmetrized (as it is where it is
-    exactly symmetric already), so the predictions built from it stay exactly
-    symmetric.
+    ``Q``, dense or a band stack, sets the layout of the covariances, and is
+    stored as ``kronops.symmetric(Q)``. ValueError where the shapes disagree or
+    sigma_r2 is not positive.
     """
 
     A: np.ndarray
@@ -119,6 +96,7 @@ class ModelMatrices:
 
     @property
     def obs_dim(self) -> int:
+        """NL, the length of an observation vector."""
         return self.L * self.N
 
     @cached_property
@@ -128,8 +106,8 @@ class ModelMatrices:
 
     @cached_property
     def btb_blocks(self) -> np.ndarray:
-        """The (L, P, P) band blocks of B.T @ B = diag(m0) (A A.T (x) I_L) diag(m0):
-        band l's block is diag(M0[l]) A A.T diag(M0[l]), and B.T B is zero
+        """The (L, P, P) band blocks of B.T B = diag(m0) (A A.T (x) I_L)
+        diag(m0): block l is diag(M0[l]) A A.T diag(M0[l]), and B.T B is zero
         between bands."""
         M0 = self.m0_mat
         return symmetrize((self.A @ self.A.T) * M0[:, :, None] * M0[:, None, :])
@@ -171,22 +149,19 @@ def _norm1(X: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Filter output over a window t = 1..T plus the initial belief.
+    """Filter output over frames t = 1..T plus the initial belief.
 
-    ``beliefs[t]`` is the filtered belief of frame t, with the symmetrized
-    initial belief at t = 0. ``pred_precisions[i]`` is the inverse of the
-    predicted covariance P_{i+1|i} that the update formed (a pseudo-inverse if
-    that covariance is singular or nearly so); the predicted belief itself is
-    the prediction of the belief before it under the process noise Q.
-    ``loglik`` is the marginal log-likelihood, the sum of the frames'
-    innovation log-densities in frame order.
+    ``beliefs[t]`` is the filtered belief of frame t, and ``beliefs[0]`` the
+    initial belief with its covariance symmetrized. ``pred_precisions[t]`` is
+    the inverse of the predicted covariance P_{t+1|t} (a pseudo-inverse where
+    that is singular or nearly so). ``loglik`` is the marginal log-likelihood,
+    the sum of the frames' innovation log-densities in frame order.
 
     The trajectory owns the filtered covariances of frames 1..T and the
-    precisions, 2T PL x PL matrices, and :func:`smoothed_covariances`
-    overwrites them; the initial covariance is the caller's and is only read.
-    ``spent`` is set when that pass starts, and a spent trajectory's
-    covariances and precisions no longer hold the filter's values; its
-    means and ``loglik`` do.
+    precisions; the initial covariance is the caller's.
+    :func:`smoothed_covariances` overwrites what the trajectory owns and sets
+    ``spent``, after which only the means and ``loglik`` hold the filter's
+    values.
     """
 
     beliefs: tuple[Belief, ...]
@@ -205,45 +180,34 @@ class Trajectory:
 
 
 def predict(prior: Belief, Q: np.ndarray) -> Belief:
-    """Prediction step of the random-walk state: mean kept, covariance grown by Q.
-
-    The sum is exactly symmetric when both terms are, as they are in the filter
-    and smoother: ``ModelMatrices`` symmetrizes Q, ``run_filter`` the initial
-    covariance, and every posterior covariance comes out exactly symmetric.
-    """
+    """The random-walk prediction: mean kept, covariance prior.cov + Q, exactly
+    symmetric where both terms are."""
     return Belief(mean=prior.mean, cov=prior.cov + Q)
 
 
 def update(
     pred: Belief, y: np.ndarray, model: ModelMatrices
 ) -> tuple[Belief, float, np.ndarray]:
-    """Measurement update; returns (posterior, loglik increment, P^-1).
+    """Measurement update; returns (posterior, loglik increment, P^-1) for the
+    predicted belief (psi, P) and the observation y.
 
-    The gain is applied through the Woodbury identity: with C = P^-1 + s2i B.T B
-    and s2i = 1/sigma_r2, the posterior covariance P - P B.T S^-1 B P collapses
-    to C^-1 and the posterior mean to psi + s2i C^-1 B.T v, so the step costs
-    only PL x PL factorizations. C is a copy of P^-1 with s2i B.T B added at
-    its band entries, the only ones where B.T B is not zero. The likelihood
-    increment log N(v_t; 0, S_t) uses the matrix determinant lemma
-    log|S| = NL log sigma_r2 + log|P| + log|C|.
+    With v = y - B psi, s2i = 1/sigma_r2 and C = P^-1 + s2i B.T B, the Woodbury
+    identity reduces the posterior covariance P - P B.T S^-1 B P to C^-1 and
+    the mean to psi + s2i C^-1 B.T v, where S = B P B.T + sigma_r2 I is the
+    innovation covariance. The likelihood increment log N(v; 0, S) takes
+    v.T S^-1 v from Woodbury and log|S| = NL log sigma_r2 + log|P| + log|C|
+    from the matrix determinant lemma.
 
-    If P has no Cholesky factor (it is singular: an exactly known state), or
-    its condition number exceeds ``MAX_PRED_COND`` (a nearly known state), the
-    step falls back to the PSD square root P = H H with H symmetric:
+    Where P has no Cholesky factor, or its 1-norm condition number exceeds
+    ``MAX_PRED_COND``, the step uses the PSD square root P = H H instead:
 
         C^-1 -> H Chat^-1 H,   Chat = I + s2i H B.T B H,
-        log|S| -> NL log sigma_r2 + log|Chat|
+        log|S| -> NL log sigma_r2 + log|Chat|,
 
-    which equals C^-1 for positive-definite P (Woodbury) and stays valid for
-    merely positive-semidefinite P (continuous at the boundary). Both paths
-    then form the mean from C^-1 B.T v in one place.
-
-    The returned P^-1 is the inverse the Woodbury form needs anyway, or, on the
-    fallback path, the pseudo-inverse of P from the same eigendecomposition.
-
-    On a band stack both decisions are those of the dense matrix: the
-    condition number is the product of the largest blocks' 1-norms, and the
-    pseudo-inverse cuts eigenvalues against the largest of all blocks.
+    equal to the Woodbury form for positive-definite P and valid for
+    semidefinite P; the returned P^-1 is then the pseudo-inverse that treats
+    eigenvalues below largest / ``MAX_PRED_COND`` as zero. On a band stack both
+    decisions are those of its dense matrix.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     if y.size != model.obs_dim:
@@ -289,8 +253,8 @@ def update(
 
 
 def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Trajectory:
-    """Forward pass over the window; beliefs indexed t = 0..T, init at t = 0,
-    whose covariance is in the layout of the model's Q."""
+    """Forward pass over the frames ``ys`` from the belief ``init`` at t = 0,
+    whose covariance must be in the layout of the model's Q."""
     if init.cov.shape != model.Q.shape:
         raise ValueError(f"initial covariance shape {init.cov.shape} vs Q shape {model.Q.shape}")
     beliefs = [Belief(mean=init.mean, cov=symmetric(init.cov))]
@@ -306,15 +270,13 @@ def run_filter(ys: list[np.ndarray], model: ModelMatrices, init: Belief) -> Traj
 
 
 def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
-    """Backward pass for the smoothed means psi_t^s, t = 0..T.
+    """The smoothed means psi_t^s for t = 0..T, by the backward pass
 
-        psi_t^s = psi_{t|t} + P_{t|t} (P_{t+1|t}^-1 (psi_{t+1}^s - psi_{t|t}))
+        psi_t^s = psi_{t|t} + P_{t|t} P_{t+1|t}^-1 (psi_{t+1}^s - psi_{t|t})
 
-    The random walk predicts psi_{t+1|t} = psi_{t|t}, and P_{t+1|t}^-1 is the
-    inverse the filter's update stored, so a step is two matrix-vector
-    products and nothing is factored. The last smoothed mean is the last
-    filtered mean, the same array. Raises ValueError on a spent trajectory,
-    whose covariances and precisions the covariance pass has overwritten.
+    (Rauch, Tung & Striebel, AIAA J. 3(8), 1965), from the precisions the
+    filter stored; psi_T^s is the last filtered mean, the same array.
+    ValueError on a spent trajectory.
     """
     traj.check_unspent()
     means = [b.mean for b in traj.beliefs]
@@ -328,36 +290,26 @@ def rts_smooth(traj: Trajectory) -> list[np.ndarray]:
 def smoothed_covariances(
     traj: Trajectory, Q: np.ndarray
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Backward covariance recursion under process noise ``Q`` (the filter's):
-    yields (S_{t+1}, S_t, V_{t+1}) for t = T-1, ..., 0, one step at a time,
-    and spends the trajectory.
+    """Backward covariance recursion under the filter's process noise ``Q``:
+    yields (S_{t+1}, S_t, V_{t+1}) for t = T-1, ..., 0 and spends the
+    trajectory.
 
     S_t is the smoothed covariance of psi_t and V_{t+1} that of the increment
-    psi_{t+1} - psi_t under the smoothed posterior. With
-    W = S_{t+1} - P_{t+1|t}, three products make a step:
+    psi_{t+1} - psi_t. From S_T = P_{T|T}, with W = S_{t+1} - P_{t+1|t}:
 
         G_t = P_{t|t} P_{t+1|t}^-1,   Z = G_t W,
         S_t = P_{t|t} + Z G_t^T,
         V_{t+1} = S_{t+1} + S_t - U - U^T,   U = Z + P_{t|t},
 
-    starting from S_T = P_{T|T}. U.T is the lag-one covariance
-    Cov(psi_{t+1}, psi_t) = S_{t+1} G_t^T, rewritten with
-    G_t P_{t+1|t} = P_{t|t}, so it costs no fourth product; V_{t+1} is the
-    smoothed disturbance variance of the disturbance smoother (Durbin &
-    Koopman, Time Series Analysis by State Space Methods, 2nd ed., 4.5), and
-    it is exactly symmetric. The S_t recursion itself subtracts the predicted
-    covariance explicitly rather than using that identity, which holds only
-    as far as the stored inverse is exact.
+    where U^T = S_{t+1} G_t^T is the lag-one covariance Cov(psi_{t+1}, psi_t),
+    since G_t P_{t+1|t} = P_{t|t}. V_{t+1} is the smoothed disturbance variance
+    (Durbin & Koopman, Time Series Analysis by State Space Methods, 2nd ed.,
+    section 4.5); S_t and V_{t+1} are exactly symmetric.
 
-    The pass works in place. Once G_t is formed, the step's predicted
-    precision is spent and holds W and then V_{t+1}; S_t overwrites P_{t|t}
-    for t >= 1, and S_0 goes into the Z buffer, as P_{0|0} is the caller's
-    initial covariance. G and Z, allocated once, are the pass's only
-    matrices, so what is yielded stays valid after the pass: read it, do not
-    write into it. The first S_{t+1} yielded is P_{T|T} itself.
-
-    The trajectory is marked spent when this is called; calling it or
-    :func:`rts_smooth` on a spent trajectory raises ValueError.
+    The pass overwrites the trajectory's covariances P_{t|t} (t >= 1) and its
+    precisions; the caller's initial covariance is only read. What it yields is
+    not written again by the pass: read it, do not write into it. ValueError on
+    a spent trajectory.
     """
     traj.check_unspent()
     object.__setattr__(traj, "spent", True)

@@ -1,33 +1,26 @@
-"""Cholesky factors (plain, or with one jitter retry), solves and inverses
-from a factor, and PSD flooring with a positive-definite fast test. A factor
-is a lower-triangular array, read below the diagonal only.
+"""The covariance layer: Cholesky factors, solves, products, inverses,
+log-determinants and PSD flooring of symmetric PL x PL matrices, one name per
+job for both layouts.
 
-These primitives back the state-space machinery: the observation matrix has
-the structure ``B = kron(A.T, I_L) @ diag(m0)``, so every heavy contraction
-reduces to block traces or PL x PL factorizations instead of operations on
-NL x NL matrices. Where an explicit inverse is needed (the filter's predicted
-precision and posterior covariance, P00^-1 and Q^-1 in the EM surrogate) it
-comes from the Cholesky factor at hand.
+A covariance is dense, a PL x PL array whose entry p * L + l is material p in
+band l, or a band stack, an (L, P, P) array whose block l holds the entries
+(p * L + l, q * L + l) of a covariance that is zero between bands.
+:func:`check_layout` is the shape rule. Only this module reads band entries:
+:func:`band_blocks` and :func:`dense_form` convert between the layouts and
+:func:`add_bands` adds band blocks into either. A PL state vector has the same
+order in both layouts. A factor is lower triangular and read below its diagonal
+only.
 
-A covariance is dense, one PL x PL array whose entry p * L + l is material p
-in band l, or a band stack, an (L, P, P) array whose block l holds entries
-(p * L + l, q * L + l) of a covariance zero between bands;
-:func:`check_layout` is the shape rule of both. This module alone knows where
-the band entries of a dense matrix sit: :func:`band_blocks` and
-:func:`dense_form` convert between the layouts, and :func:`add_bands` adds
-band blocks into a matrix of either. The factors, solves, products, inverses,
-log-determinants and PSD floor take either, one name per job. A stack goes to
-NumPy's batched ``linalg``. A dense matrix goes to LAPACK ``dpotrf``,
-``dpotrs``, ``dtrtri`` and ``dlauum`` and BLAS ``dtrmm`` of the OpenBLAS that
-NumPy bundles, bound through ctypes when this module loads
-(:data:`_openblas`): NumPy's products and these factorizations share one BLAS
-library, and each call releases the GIL, so threads that each run a replica
-factor at the same time. Where NumPy bundles no such library (builds on
-Accelerate or MKL), :data:`_openblas` is None and a dense matrix takes
-``numpy.linalg`` too: the factor and solve lines of a stack, and an inverse in
-column panels of products. :func:`one_blas_thread` sets the bundled library to
-one thread for a block of work. A PL state vector keeps its order in both
-layouts, and :func:`cho_solve` and :func:`matvec` take and return it as it is.
+A stack goes to NumPy's batched ``linalg``. A dense matrix goes to LAPACK and
+BLAS of the OpenBLAS that NumPy bundles, bound when the module loads
+(:data:`_openblas`); every call releases the GIL. Where NumPy bundles none
+(Accelerate, MKL), :data:`_openblas` is None and a dense matrix takes
+``numpy.linalg``; the two routes agree to rounding.
+
+Only :func:`add_bands` and the LAPACK wrappers (:func:`dpotrf` to
+:func:`dtrmm`) write into an argument. A matrix that is not numerically
+positive definite raises :class:`~mtunmix.errors.FactorizationError`, a wrong
+shape ValueError.
 """
 
 from __future__ import annotations
@@ -104,14 +97,9 @@ _openblas = _numpy_openblas()
 
 @contextlib.contextmanager
 def one_blas_thread():
-    """Run the body with NumPy's OpenBLAS on one thread, then restore its
-    thread count.
-
-    The count is the whole process's, so the body's results do not depend on
-    the machine's core count, and threads that each run a replica do not
-    share cores with BLAS threads. Where NumPy bundles no OpenBLAS, this does
-    nothing, and results may depend on the thread count.
-    """
+    """Run the body with NumPy's OpenBLAS on one thread, then restore the
+    process's thread count, so the body's results do not depend on the core
+    count. Where NumPy bundles no OpenBLAS this does nothing."""
     lib = _openblas
     if lib is None:
         yield
@@ -136,12 +124,10 @@ def _order(a: np.ndarray, n: int | None = None) -> int:
 
 
 def _matrix(a: np.ndarray, written: bool = True) -> tuple:
-    """``a`` as LAPACK takes a matrix: a ctypes double at ``a[0, 0]`` or a
-    pointer to it, either passed as its address, and the leading dimension.
-    ``a`` must be a float64 matrix with contiguous columns, as a block of a
-    Fortran-ordered array is, and writeable unless the routine only reads it
-    (``written`` False); ValueError for any other layout, which LAPACK would
-    misread, or a read-only matrix it would write."""
+    """``a`` as LAPACK takes a matrix: the address of ``a[0, 0]`` and the
+    leading dimension. ``a`` must be float64 with contiguous columns, and
+    writeable unless the routine only reads it (``written`` False); ValueError
+    otherwise."""
     rows, cols = a.shape
     step, lead = a.strides
     if not (
@@ -252,8 +238,7 @@ def add_bands(X: np.ndarray, S: np.ndarray) -> None:
 
 
 def symmetrize(X: np.ndarray) -> np.ndarray:
-    """(X + X^T) / 2 over the last two axes, suppressing asymmetry drift after
-    updates/inversions."""
+    """(X + X^T) / 2 over the last two axes, as a new array."""
     out = X + X.mT
     out /= 2.0
     return out
@@ -266,15 +251,10 @@ def symmetric(X: np.ndarray) -> np.ndarray:
 
 
 def factor(M: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a dense matrix (LAPACK ``potrf``) or of every
-    block of a stack, no jitter; :class:`FactorizationError` if any is not
-    numerically positive definite.
-
-    ``M`` must be exactly symmetric, as every caller's matrix is: ``potrf``
-    factors a Fortran-ordered copy of a C-ordered matrix's transpose, a
-    plain copy of its memory, and leaves the copy's upper triangle in the
-    factor.
-    """
+    """Lower Cholesky factor of a dense matrix or of every block of a stack,
+    with no jitter; :class:`FactorizationError` where one is not numerically
+    positive definite. ``M`` must be exactly symmetric: the dense route may
+    factor its transpose."""
     M = np.asarray(M)
     _check_square(M, "factored matrix")
     if M.ndim == 3 or _openblas is None:
@@ -294,13 +274,9 @@ def factor(M: np.ndarray) -> np.ndarray:
 
 
 def cho_factor_jittered(M: np.ndarray) -> np.ndarray:
-    """Cholesky of a symmetric positive-definite matrix or stack with one
-    jitter retry.
-
-    The retry adds ``1e-10`` times the mean diagonal entry to the diagonal
-    (of every block of a stack). Raises :class:`FactorizationError` if both
-    attempts fail.
-    """
+    """:func:`factor` of M, or where that fails, of M + j I with
+    j = ``JITTER_SCALE`` * mean(diag M), the mean over every block of a stack;
+    :class:`FactorizationError` if both fail."""
     try:
         return factor(M)
     except FactorizationError:
@@ -325,10 +301,9 @@ def _vector(X: np.ndarray) -> np.ndarray:
 
 
 def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Solve M X = B from the lower Cholesky factor of M: LAPACK ``potrs`` for
-    one matrix, two ``numpy.linalg`` solves with the factor's lower triangle
-    for a stack (per block) or where NumPy bundles no OpenBLAS. On a stack B
-    is a PL state vector, or (L, P, k) right-hand sides per block."""
+    """X with M X = B, from M's lower factor ``c``. For a dense factor, B is a
+    vector or a matrix; for a stack, a PL state vector or (L, P, k) right-hand
+    sides per block. ValueError on mismatched shapes."""
     B = np.asarray(B)
     if c.ndim == 3:
         if B.shape == (c.shape[0] * c.shape[1],):
@@ -357,18 +332,14 @@ def matvec(C: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def cho_logdet(c: np.ndarray) -> float:
-    """log-determinant from a Cholesky factor; for a stack, of the block-diagonal matrix."""
+    """log|M| = 2 sum log diag(c) from M's factor ``c``; for a stack, of the
+    block-diagonal matrix."""
     return 2.0 * float(np.sum(np.log(np.diagonal(c, axis1=-2, axis2=-1))))
 
 
 def _mirror_lower(X: np.ndarray) -> np.ndarray:
-    """X's lower triangle mirrored into its upper one in place, over the last
-    two axes; returns X.
-
-    The copy runs in square blocks of :data:`MIRROR_BLOCK` along the
-    diagonal: each diagonal block takes its own lower triangle, and the rows
-    right of it the transpose of the columns below it.
-    """
+    """Copy X's lower triangle into its upper one in place, over the last two
+    axes, by diagonal blocks of :data:`MIRROR_BLOCK`; returns X."""
     n = X.shape[-1]
     for a in range(0, n, MIRROR_BLOCK):
         b = min(a + MIRROR_BLOCK, n)
@@ -379,20 +350,9 @@ def _mirror_lower(X: np.ndarray) -> np.ndarray:
 
 
 def factor_inverse(c: np.ndarray) -> np.ndarray:
-    """Inverse of the factored matrix, exactly symmetric; the factor is left
-    as it is.
-
-    A dense factor C is inverted to R = C^-1 by :func:`_lower_inverse`, and
-    LAPACK ``lauum`` forms the lower triangle of R.T R in Fortran order,
-    mirrored into the upper one in place and returned as its transpose, the
-    same values in C order. That is n^3 / 3 multiply-adds against n^3 for
-    ``cho_solve(c, I)``, as in LAPACK ``potri``, but most of them in BLAS-3
-    products. A 0 x 0 factor, which LAPACK would reject, has a 0 x 0 inverse.
-    A stack's inverse is R.T R per block, with R the ``numpy.linalg`` inverse
-    of the factor's lower triangle. Where NumPy bundles no OpenBLAS, a dense
-    inverse comes from :func:`_panel_inverse`, which like ``trtri`` and
-    ``lauum`` works in one copy of the factor.
-    """
+    """M^-1 = R^T R, R = c^-1, from M's lower factor ``c``, exactly symmetric
+    (LAPACK ``potri``'s formula); ``c`` is left as it is. A 0 x 0 factor has a
+    0 x 0 inverse. :class:`FactorizationError` on a zero pivot."""
     _check_square(c, "factor")
     if c.shape[-1] == 0:
         return np.zeros(c.shape)
@@ -413,15 +373,14 @@ def factor_inverse(c: np.ndarray) -> np.ndarray:
 
 
 def _lower_inverse(R: np.ndarray) -> None:
-    """Overwrite the lower triangle of R, a lower triangular factor, with that
-    of its inverse; the upper triangle is not read, and left as it is.
+    """Overwrite the lower triangle of the lower triangular R with that of
+    R^-1; the upper triangle is neither read nor written.
 
     Recursive blocked inversion (Elmroth, Gustavson, Jonsson & Kagstrom, SIAM
-    Review 46(1), 2004): with C = [[C11, 0], [C21, C22]] split at n // 2, the
-    inverse is [[R11, 0], [-R22 C21 R11, R22]], R11 and R22 the inverses of
-    the diagonal blocks, and the off-diagonal block takes two BLAS ``trmm``
-    calls. An order up to :data:`INVERSE_LEAF` takes one LAPACK ``trtri``
-    call, which runs at a fraction of a matrix product's speed on larger ones.
+    Review 46(1), 2004): with C = [[C11, 0], [C21, C22]] split at n // 2,
+    C^-1 = [[R11, 0], [-R22 C21 R11, R22]], R11 and R22 the inverses of the
+    diagonal blocks; an order up to :data:`INVERSE_LEAF` takes LAPACK
+    ``trtri``.
     """
     n = R.shape[0]
     if n <= INVERSE_LEAF:
@@ -437,16 +396,13 @@ def _lower_inverse(R: np.ndarray) -> None:
 
 
 def _panel_inverse(c: np.ndarray) -> np.ndarray:
-    """The lower triangle of R.T R, R = C^-1, for a dense factor C, through
-    ``numpy.linalg`` in one copy of C's lower triangle; the rest of the copy
-    is not meaningful.
+    """The lower triangle of R^T R, R = C^-1, for a dense factor C, in one copy
+    of C's lower triangle through ``numpy.linalg``; the rest of the array is
+    not meaningful.
 
-    The copy becomes R, then R.T R, in column panels of :data:`PANEL`
-    columns. Right to left, panel [j, k) of R is -R[k:, k:] C[k:, j:k]
-    R[j:k, j:k], from the panels of R done and C's own panel; left to right,
-    that of R.T R is R[j:, j:].T R[j:, j:k], from panels of R not yet
-    overwritten. The copy's upper triangle stays zero, so the products read
-    R as triangular, and each holds one panel besides the copy.
+    In column panels [j, k) of :data:`PANEL`, right to left,
+    R[k:, j:k] = -R[k:, k:] C[k:, j:k] R[j:k, j:k]; then left to right the
+    panel of R^T R is R[j:, j:]^T R[j:, j:k].
     """
     R = np.tril(c).astype(np.float64, copy=False)
     n = R.shape[0]
@@ -462,16 +418,14 @@ def _panel_inverse(c: np.ndarray) -> np.ndarray:
 
 
 def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Nearest PSD matrix (or stack) by clipping negative eigenvalues of
-    symmetrize(X) at 0, and the plain Cholesky factor of the result, None
-    where it has none.
+    """The nearest PSD matrix (or stack) to S = symmetric(X), its negative
+    eigenvalues clipped at 0 (Higham, Linear Algebra Appl. 103, 1988), and its
+    plain Cholesky factor, None where it has none.
 
-    A plain Cholesky (no jitter, which would pass slightly indefinite input)
-    first tests symmetrize(X) for positive definiteness, and its factor is
-    the one returned; only a matrix that fails it is eigendecomposed, and
-    then no factor is returned, whether an eigenvalue was clipped or not.
-    An exactly symmetric X is not copied: where it passes the test, X itself
-    is returned.
+    An S that passes the plain Cholesky test (no jitter, which would pass a
+    slightly indefinite matrix) is returned with that factor, X itself where X
+    is exactly symmetric. Any other S is eigendecomposed, and no factor is
+    returned, whether an eigenvalue was clipped or not.
     """
     S = symmetric(X)
     try:

@@ -1,11 +1,17 @@
-"""End-to-end unmixing: init, EM loop, endmember reconstruction, refinement.
+"""End-to-end unmixing of one sequence: EM, endmember reconstruction and the
+constrained abundance refinement.
 
-The driver alternates filter/smoother passes with closed-form parameter
-updates for a fixed number of iterations, reconstructs per-frame endmembers
-from the smoothed scaling factors (L x P, kept in the result) as
-``M_t = M0 * Psi_t``, and finally re-solves each frame's abundances under
-simplex constraints with a pull toward the learned average abundances. It
-draws no random numbers, so it takes no seed.
+:func:`run_kalman_em` runs ``K_max`` EM iterations
+(:func:`mtunmix.em.em_iterate`) from the given initial parameters, then one
+filter and smoother pass under the final ones. Frame t's endmembers are
+``M_t = M0 * Psi_t``, Psi_t the smoothed scaling factors (L x P), and its
+abundances solve the simplex-constrained least squares of the frame against
+M_t, pulled toward the learned average abundances by ``lam``
+(:func:`mtunmix.fcls.fcls_refine_frame`). A run draws no random numbers and
+writes into no argument. A factorization or non-finite failure raises
+:class:`~mtunmix.errors.FactorizationError` or
+:class:`~mtunmix.errors.NumericalAbortError` naming the EM iteration, the final
+pass counting as ``K_max + 1``.
 """
 
 from __future__ import annotations
@@ -20,9 +26,8 @@ from .errors import FactorizationError, NumericalAbortError
 from .fcls import fcls_refine_frame
 from .hseq import AbundanceSequence, GlmmModel, HsiSequence, devectorize_frame, vectorize_frame
 from .kalman import Belief, ModelMatrices, rts_smooth, run_filter
-from .vca import vca_extract
 
-__all__ = ["PipelineConfig", "UnmixResult", "default_init", "run_kalman_em", "vca_extract"]
+__all__ = ["PipelineConfig", "UnmixResult", "default_init", "run_kalman_em"]
 
 DEFAULT_EM_ITERS = 5
 DEFAULT_LAMBDA = 1e-8
@@ -41,8 +46,9 @@ def check_run_settings(K_max: int, lam: float, names: dict[str, str] | None = No
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Run settings: iteration count, refinement weight, initial parameters;
-    see :func:`check_run_settings`."""
+    """Run settings: the initial parameters, the EM iteration count ``K_max``,
+    the refinement weight ``lam``, and whether the endmembers use
+    max(Psi_t, 0); ValueError as :func:`check_run_settings` raises it."""
 
     init: EmParams
     K_max: int = DEFAULT_EM_ITERS
@@ -55,8 +61,10 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class UnmixResult:
-    """Per-frame abundances and endmembers, the smoothed scaling factors
-    (L x P per frame, before any clamping) and the fitted parameters."""
+    """The answer: per-frame abundances and endmembers, the smoothed scaling
+    factors (L x P per frame, before any clamping), the final parameters, and
+    ``diagnostics`` (per-iteration log-likelihood, surrogate and sigma_r2, the
+    clamped-entry count, ``K_max`` and ``lambda``)."""
 
     abundances: AbundanceSequence
     endmembers: tuple[np.ndarray, ...]
@@ -66,14 +74,10 @@ class UnmixResult:
 
 
 def default_init(L: int, N: int, P: int, A0: np.ndarray) -> EmParams:
-    """Standard initialization: psi00 all-ones, Q = 0.1 I, sigma_r = 0.01, P00 = I.
-
-    P00 and Q are (L, P, P) band stacks of P x P blocks, the layout the first
-    EM iteration filters in (:mod:`mtunmix.em`), so a run keeps no dense
-    PL x PL identity; ``kronops.dense_form`` gives the matrices.
-    sigma_r = 0.01 is a standard deviation, so the stored variance is 1e-4;
-    misreading it as a variance would change the initial gain magnitudes.
-    """
+    """The standard initial parameters: psi00 all ones, P00 = I, Q = 0.1 I and
+    sigma_r = 0.01, a standard deviation, so sigma_r2 = 1e-4; A is a copy of
+    ``A0`` (P x N). P00 and Q are (L, P, P) band stacks, so the first EM
+    iteration runs as L problems of size P."""
     A0 = np.asarray(A0, dtype=float)
     if A0.shape != (P, N):
         raise ValueError(f"A0 shape {A0.shape}, expected {(P, N)}")
@@ -98,13 +102,9 @@ def _em_iteration(iteration: int):
 
 
 def run_kalman_em(seq: HsiSequence, model: GlmmModel, config: PipelineConfig) -> UnmixResult:
-    """Full unmixing run over one sequence.
-
-    Executes ``K_max`` EM iterations, then one last filter + smoother pass
-    under the final parameters to obtain the smoothed scaling factors and
-    the reconstructed endmembers; per-frame abundances come from the
-    regularized constrained refinement. Deterministic for fixed inputs.
-    """
+    """Unmix ``seq`` under the reference endmembers of ``model`` as the module
+    describes; ValueError where the band counts or the initial A's shape
+    disagree with the sequence. Deterministic for fixed inputs."""
     if seq.L != model.L:
         raise ValueError(f"sequence has L={seq.L} bands, model has L={model.L}")
     ys = [vectorize_frame(f) for f in seq.frames]

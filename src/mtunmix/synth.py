@@ -1,10 +1,9 @@
-"""Synthetic multitemporal benchmark generator.
+"""Synthetic multitemporal scenes for the benchmark.
 
-Scenes follow the multiplicative-variability mixing model: per-pixel base
-abundances drawn from a Dirichlet, small Gaussian temporal jitter re-projected
-onto the simplex, band-wise endmember scaling factors evolving as a scalar-AR
-random walk from all-ones, and white Gaussian noise scaled to a target SNR
-over the whole sequence.
+Frame t is ``Y_t = (M0 * Psi_t) A_t + E_t``: per-pixel base abundances from a
+Dirichlet, plus Gaussian jitter projected back onto the simplex; scaling
+factors ``psi_t = F_scale psi_{t-1} + q_t``, q_t ~ N(0, q_var I), from all
+ones; and white Gaussian noise scaled to ``snr_db`` over the whole sequence.
 """
 
 from __future__ import annotations
@@ -23,7 +22,11 @@ N_BUMPS = 4  # Gaussian bumps per synthetic spectrum
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; defaults match the benchmark protocol."""
+    """The generator's settings and their defaults, the benchmark protocol's;
+    ValueError on a non-integer or nonpositive size, a non-real setting, a NaN
+    or -inf ``snr_db``, ``q_var`` or ``abundance_jitter_std`` below 0,
+    ``F_scale`` outside (0, 1], or a ``dirichlet_alpha`` that is not P positive
+    reals."""
 
     L: int
     N: int
@@ -62,6 +65,7 @@ class SynthConfig:
 
     @property
     def alpha(self) -> np.ndarray:
+        """The Dirichlet concentration, all ones by default."""
         if self.dirichlet_alpha is None:
             return np.ones(self.P)
         return np.asarray(self.dirichlet_alpha, dtype=float)
@@ -88,7 +92,8 @@ def empirical_snr_db(clean_frames, noisy_frames) -> float:
 
 
 def generate(config: SynthConfig, M0: np.ndarray) -> tuple[HsiSequence, GroundTruth]:
-    """Draw one synthetic sequence; fully deterministic given the config seed."""
+    """Draw one sequence mixed from ``M0`` (L x P) and its ground truth;
+    deterministic given ``config.rng_seed``. ValueError on M0's shape."""
     M0 = np.asarray(M0, dtype=float)
     if M0.shape != (config.L, config.P):
         raise ValueError(f"M0 shape {M0.shape}, expected {(config.L, config.P)}")

@@ -1,9 +1,10 @@
-"""Vertex component analysis for pure-pixel endmember extraction.
+"""Vertex component analysis (Nascimento & Bioucas-Dias, IEEE TGRS 43(4), 2005)
+for pure-pixel endmember extraction.
 
-Classic Nascimento & Bioucas-Dias scheme: project the pixel cloud onto a
-low-dimensional subspace chosen by an SNR estimate, then repeatedly pick the
-pixel with the largest projection onto a random direction orthogonal to the
-span of the endmembers found so far. Returns actual observed pixel spectra.
+The pixels are projected onto a P-dimensional subspace chosen by an SNR
+estimate; then, P times, the pixel with the largest projection onto a random
+direction orthogonal to the endmembers found so far is taken. The result is P
+observed pixel spectra.
 """
 
 from __future__ import annotations
@@ -28,11 +29,9 @@ def _estimate_snr_db(Y: np.ndarray, y_mean: np.ndarray, x_proj: np.ndarray) -> f
 
 
 def vca_extract(Y: np.ndarray, P: int, seed: int = 0) -> np.ndarray:
-    """Extract P endmember spectra (columns) from an L x N frame.
-
-    Deterministic given ``seed``. Raises :class:`RankDeficiencyError` when the
-    frame's numerical rank is below P.
-    """
+    """P endmember spectra (L x P columns) picked from the pixels of an L x N
+    frame; deterministic given ``seed``. ValueError unless 1 <= P <= min(L, N);
+    :class:`RankDeficiencyError` when the frame's numerical rank is below P."""
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("frame must be 2-D (bands x pixels)")

@@ -8,11 +8,13 @@ states by dense conditioning, the textbook Woodbury gain factor, the block
 traces of a state or cross moment, the nearest-Kronecker-product (Van Loan)
 expansion, the EM surrogate with its traces taken as traces of solves, and
 one vector's simplex projection with the KKT residual of one
-simplex-constrained least-squares problem built on it.
+simplex-constrained least-squares problem built on it, and that problem's
+exact solution by enumerating every support.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,3 +279,40 @@ def projected_gradient_norm(M, y, a, lam=0.0, a_ref=None) -> float:
     if lam > 0:
         g = g + lam * (a - a_ref)
     return float(np.linalg.norm(a - project_simplex_vector(a - g)))
+
+
+def active_set_oracle(M, y, lam=0.0, a_ref=None):
+    """Exhaustive KKT solve over all nonempty support patterns.
+
+    For each support S, solve the equality-constrained least squares restricted
+    to S, and keep the best support whose solution is primal feasible; this is
+    the global optimum of the convex QP.
+    """
+    P = M.shape[1]
+    G = M.T @ M + lam * np.eye(P)
+    b = M.T @ y + (lam * a_ref if lam > 0 and a_ref is not None else 0.0)
+    best, best_obj = None, np.inf
+    for r in range(1, P + 1):
+        for support in itertools.combinations(range(P), r):
+            idx = list(support)
+            Gs = G[np.ix_(idx, idx)]
+            bs = b[idx]
+            # KKT of min 1/2 a^T G a - b^T a  s.t. sum(a)=1 on the support
+            k = len(idx)
+            kkt = np.zeros((k + 1, k + 1))
+            kkt[:k, :k] = Gs
+            kkt[:k, k] = 1.0
+            kkt[k, :k] = 1.0
+            rhs = np.concatenate([bs, [1.0]])
+            try:
+                sol = np.linalg.solve(kkt, rhs)
+            except np.linalg.LinAlgError:
+                continue
+            a = np.zeros(P)
+            a[idx] = sol[:k]
+            if np.any(a[idx] < -1e-12):
+                continue
+            obj = float(a @ G @ a - 2 * b @ a)
+            if obj < best_obj - 1e-14:
+                best, best_obj = np.maximum(a, 0.0), obj
+    return best

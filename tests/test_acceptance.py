@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v`` (add ``-s`` to watch the
 per-criterion lines stream).
 """
 
-import itertools
 import sys
 import time
 
@@ -18,9 +17,11 @@ from mtunmix.fcls import fcls_refine_frame, fcls_solve
 from mtunmix.hseq import GlmmModel
 from mtunmix.kalman import Belief, ModelMatrices, rts_smooth, run_filter, update
 from mtunmix.metrics import align_endmember_sequences, apply_permutation, nrmse, sam
-from mtunmix.pipeline import PipelineConfig, default_init, run_kalman_em, vca_extract
+from mtunmix.pipeline import PipelineConfig, default_init, run_kalman_em
 from mtunmix.synth import SynthConfig, empirical_snr_db, generate, synthetic_endmembers
+from mtunmix.vca import vca_extract
 from oracles import (
+    active_set_oracle,
     dense_B,
     literal_stats_oracle,
     marginal_loglik,
@@ -226,34 +227,6 @@ def test_criterion_5_nkp_decomposition():
     )
 
 
-def _fcls_active_set_oracle(M, y):
-    P = M.shape[1]
-    G = M.T @ M
-    b = M.T @ y
-    best, best_obj = None, np.inf
-    for r in range(1, P + 1):
-        for support in itertools.combinations(range(P), r):
-            idx = list(support)
-            k = len(idx)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = G[np.ix_(idx, idx)]
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.concatenate([b[idx], [1.0]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            a = np.zeros(P)
-            a[idx] = sol[:k]
-            if np.any(a[idx] < -1e-12):
-                continue
-            obj = float(a @ G @ a - 2 * b @ a)
-            if obj < best_obj - 1e-14:
-                best, best_obj = np.maximum(a, 0.0), obj
-    return best
-
-
 def test_criterion_6_fcls_correctness():
     rng = np.random.default_rng(106)
     worst_kkt = worst_agree = worst_feas = 0.0
@@ -268,7 +241,7 @@ def test_criterion_6_fcls_correctness():
         a = fcls_solve(M, y)
         worst_kkt = max(worst_kkt, projected_gradient_norm(M, y, a))
         worst_agree = max(
-            worst_agree, float(np.max(np.abs(a - _fcls_active_set_oracle(M, y))))
+            worst_agree, float(np.max(np.abs(a - active_set_oracle(M, y))))
         )
         worst_feas = max(worst_feas, abs(a.sum() - 1.0), max(0.0, -a.min()))
     report(

@@ -15,6 +15,7 @@ from mtunmix.errors import FactorizationError
 from mtunmix.fcls import fcls_solve, project_simplex
 from mtunmix.hseq import (
     HsiSequence,
+    read_hseq,
     read_matrix,
     read_result_dir,
     write_hseq,
@@ -586,6 +587,32 @@ class TestUnmix:
         assert code == 0
         return data, data / "truth" / "m0.f64"
 
+    def test_pixel_permuted_input_permutes_the_estimate(self, small_dataset, tmp_path, capsys):
+        # to rounding: over 20 permutations the largest gaps, relative to the
+        # largest entry, were 5.1e-15 (abundances), 2.9e-14 (scaling factors)
+        # and 1.2e-14 (log-likelihoods)
+        data, _ = small_dataset
+        m0 = data / "truth" / "m0.f64"
+        seq = read_hseq(data)
+        perm = np.random.default_rng(7).permutation(seq.N)
+        write_hseq(HsiSequence(frames=tuple(Y[:, perm] for Y in seq.frames)), tmp_path / "perm")
+        est = {}
+        for name in ("data", "perm"):
+            out = tmp_path / f"est_{name}"
+            code, _, _ = run_cli(
+                capsys, "unmix", "--input", str(tmp_path / name), "--m0", str(m0),
+                "--out", str(out),
+            )
+            assert code == 0
+            est[name] = read_result_dir(out)
+            est[name]["loglik"] = json.loads((out / "diagnostics.json").read_text())["loglik"]
+        base, permuted = est["data"], est["perm"]
+        for key, relabel in (("abundances", lambda A: A[:, perm]), ("psis", lambda X: X)):
+            for got, want in zip(permuted[key], base[key]):
+                atol = 1e-10 * np.abs(want).max()
+                np.testing.assert_allclose(got, relabel(want), rtol=0, atol=atol)
+        np.testing.assert_allclose(permuted["loglik"], base["loglik"], rtol=1e-11)
+
     def test_one_pixel(self, tmp_path, capsys):
         data, m0 = self.generated(tmp_path, capsys, N=1, P=3)
         out = tmp_path / "x"
@@ -601,28 +628,31 @@ class TestUnmix:
         assert est["abundances"][0].shape == (3, 1)
 
     def test_one_material_end_to_end(self, tmp_path, capsys):
-        data, m0 = self.generated(tmp_path, capsys, N=8, P=1)
-        runs = {
-            "m0": ["unmix", "--input", str(data), "--m0", str(m0), "--iters", "3"],
-            "vca": ["unmix", "--input", str(data), "--vca", "--p", "1", "--iters", "3"],
-            "fcls": ["fcls", "--input", str(data), "--m0", str(m0)],
-        }
-        for name, argv in runs.items():
-            out = tmp_path / name
-            code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
-            assert code == 0 and err == "", name
-            assert json_out(stdout)["P"] == 1
-            est = read_result_dir(out)
-            for key in ("abundances", "endmembers"):
-                assert all(np.all(np.isfinite(a)) for a in est[key]), (name, key)
-            for A in est["abundances"]:
-                np.testing.assert_allclose(A, np.ones((1, 8)), rtol=0, atol=1e-9)
-            code, stdout, _ = run_cli(
-                capsys, "eval", "--est", str(out), "--truth", str(data / "truth"),
-                "--out", str(tmp_path / f"{name}.json"),
-            )
-            assert code == 0
-            assert all(np.isfinite(v) for v in json_out(stdout).values())
+        # also at one pixel, where VCA can take no other P
+        for N in (8, 1):
+            root = tmp_path / f"N{N}"
+            data, m0 = self.generated(root, capsys, N=N, P=1)
+            runs = {
+                "m0": ["unmix", "--input", str(data), "--m0", str(m0), "--iters", "3"],
+                "vca": ["unmix", "--input", str(data), "--vca", "--p", "1", "--iters", "3"],
+                "fcls": ["fcls", "--input", str(data), "--m0", str(m0)],
+            }
+            for name, argv in runs.items():
+                out = root / name
+                code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+                assert code == 0 and err == "", (N, name)
+                assert json_out(stdout)["P"] == 1
+                est = read_result_dir(out)
+                for key in ("abundances", "endmembers"):
+                    assert all(np.all(np.isfinite(a)) for a in est[key]), (N, name, key)
+                for A in est["abundances"]:
+                    np.testing.assert_allclose(A, np.ones((1, N)), rtol=0, atol=1e-9)
+                code, stdout, _ = run_cli(
+                    capsys, "eval", "--est", str(out), "--truth", str(data / "truth"),
+                    "--out", str(root / f"{name}.json"),
+                )
+                assert code == 0
+                assert all(np.isfinite(v) for v in json_out(stdout).values())
 
     def test_mc_replicas(self, tmp_path, capsys):
         gen = tmp_path / "gdata"
@@ -763,6 +793,47 @@ class TestReplicaFanOut:
             f"i/o failure: missing replica directory {gen / 'rep_0002'}"
         ]
         assert stdout == "" and not out.exists()
+
+    def generated_replicas(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        code, _, _ = run_cli(
+            capsys,
+            "generate", "--L", "20", "--N", "6", "--T", "3", "--P", "2",
+            "--mc", "2", "--seed", "1", "--out", str(gen),
+        )
+        assert code == 0
+        return gen
+
+    def test_malformed_input_replica_exit_3_before_any_runs(self, tmp_path, capsys):
+        gen = self.generated_replicas(tmp_path, capsys)
+        manifest = gen / "rep_0001" / "manifest.json"
+        declared = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps(dict(declared, L=2.9)))
+        out = tmp_path / "um"
+        code, stdout, err = run_cli(
+            capsys, "unmix", "--input", str(gen), "--vca", "--p", "2", "--mc", "2",
+            "--out", str(out),
+        )
+        assert code == 3
+        assert err.splitlines() == [f"i/o failure: {manifest} declares L=2.9, not an integer"]
+        assert stdout == "" and not out.exists()
+
+    def test_each_replica_manifest_parsed_once(self, tmp_path, capsys, monkeypatch):
+        gen = self.generated_replicas(tmp_path, capsys)
+        real, reads = Path.read_text, []
+
+        def counting(path, *args, **kwargs):
+            if path.name == "manifest.json":
+                reads.append(path)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        code, _, _ = run_cli(
+            capsys, "unmix", "--input", str(gen), "--vca", "--iters", "1", "--mc", "2",
+            "--out", str(tmp_path / "um"),
+        )
+        assert code == 0
+        assert sorted(reads) == [gen / f"rep_000{i}" / "manifest.json" for i in range(2)]
 
 
 class TestReplicaPool:

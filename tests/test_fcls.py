@@ -1,6 +1,5 @@
 """Simplex projection and constrained least squares against exhaustive oracles."""
 
-import itertools
 import warnings
 
 import numpy as np
@@ -10,44 +9,7 @@ from hypothesis import strategies as st
 
 from mtunmix import fcls
 from mtunmix.fcls import fcls_refine_frame, fcls_solve, project_simplex
-from oracles import project_simplex_vector, projected_gradient_norm
-
-
-def active_set_oracle(M, y, lam=0.0, a_ref=None):
-    """Exhaustive KKT solve over all nonempty support patterns.
-
-    For each support S, solve the equality-constrained least squares restricted
-    to S, and keep the best support whose solution is primal feasible; this is
-    the global optimum of the convex QP.
-    """
-    P = M.shape[1]
-    G = M.T @ M + lam * np.eye(P)
-    b = M.T @ y + (lam * a_ref if lam > 0 and a_ref is not None else 0.0)
-    best, best_obj = None, np.inf
-    for r in range(1, P + 1):
-        for support in itertools.combinations(range(P), r):
-            idx = list(support)
-            Gs = G[np.ix_(idx, idx)]
-            bs = b[idx]
-            # KKT of min 1/2 a^T G a - b^T a  s.t. sum(a)=1 on the support
-            k = len(idx)
-            kkt = np.zeros((k + 1, k + 1))
-            kkt[:k, :k] = Gs
-            kkt[:k, k] = 1.0
-            kkt[k, :k] = 1.0
-            rhs = np.concatenate([bs, [1.0]])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                continue
-            a = np.zeros(P)
-            a[idx] = sol[:k]
-            if np.any(a[idx] < -1e-12):
-                continue
-            obj = float(a @ G @ a - 2 * b @ a)
-            if obj < best_obj - 1e-14:
-                best, best_obj = np.maximum(a, 0.0), obj
-    return best
+from oracles import active_set_oracle, project_simplex_vector, projected_gradient_norm
 
 
 def objective(M, y, a, lam=0.0, a_ref=None):

@@ -4,9 +4,9 @@ OpenBLAS through ctypes, or ``numpy.linalg`` where NumPy bundles none, and
 EXHAUSTIVE_ALIGN_LIMIT endmembers. The ctypes calls release the GIL, and the
 ``numpy.linalg`` route gives the same output to rounding. The scripts run
 L = 60 bands and P = 2 materials, so PL = 120 is above
-``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too. Every name the
-benchmark's tracer replaces exists, and every name a module of the package
-imports is used."""
+``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too. Importing the
+package loads none of its modules. Every name the benchmark's tracer replaces
+exists, and every name a module of the package imports is used."""
 
 import ast
 import importlib
@@ -79,6 +79,32 @@ def test_no_command_loads_scipy(tmp_path):
     loaded = run_python(SCRIPT, str(tmp_path))
     for step, modules in loaded.items():
         assert modules == [], step
+
+
+IMPORT_GRAPH_SCRIPT = r"""
+import json, sys
+
+def submodules():
+    return sorted(m for m in sys.modules if m.startswith("mtunmix."))
+
+loaded = {}
+import mtunmix
+loaded["import mtunmix"] = submodules()
+from mtunmix import synth
+loaded["from mtunmix import synth"] = submodules()
+print(json.dumps(loaded))
+"""
+
+
+def test_package_loads_only_the_modules_imported():
+    # the package re-exports nothing, so the generator loads no Kalman code
+    # and no LAPACK binding
+    assert run_python(IMPORT_GRAPH_SCRIPT) == {
+        "import mtunmix": [],
+        "from mtunmix import synth": [
+            "mtunmix.errors", "mtunmix.fcls", "mtunmix.hseq", "mtunmix.synth"
+        ],
+    }
 
 
 UNMIX_SCRIPT = r"""

@@ -5,11 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtunmix.em import EmParams, check_finite
 from mtunmix import em, pipeline
 from mtunmix.errors import FactorizationError, NumericalAbortError
-from mtunmix.hseq import GlmmModel, devectorize_frame
+from mtunmix.fcls import fcls_refine_frame
+from mtunmix.hseq import GlmmModel, HsiSequence, devectorize_frame
 from mtunmix.kronops import dense_form
 from mtunmix.metrics import nrmse
 from mtunmix.pipeline import PipelineConfig, _em_iteration, default_init, run_kalman_em
@@ -261,3 +264,72 @@ class TestFiniteGuard:
         with pytest.raises(FactorizationError, match="at EM iteration 2") as err:
             run_kalman_em(seq, model, config)
         assert err.value.iteration == 2
+
+
+def unmix_from_m0(frames, M0, K_max=3):
+    """run_kalman_em from frame 0's FCLS abundances under M0, as ``unmix --m0``
+    starts it. The first iteration runs on band stacks, the others dense."""
+    seq = HsiSequence(frames=tuple(frames))
+    A0 = fcls_refine_frame(seq.frames[0], M0, None, 0.0)
+    config = PipelineConfig(init=default_init(seq.L, seq.N, M0.shape[1], A0), K_max=K_max)
+    return run_kalman_em(seq, GlmmModel(M0=M0), config)
+
+
+def relative_gap(got, want):
+    """The largest ||got_t - want_t|| / ||want_t|| over the frames."""
+    return max(float(np.linalg.norm(g - w) / np.linalg.norm(w)) for g, w in zip(got, want))
+
+
+@st.composite
+def scenes(draw):
+    """A noisy scene of 1-4 materials, more bands than materials, 1-8 pixels
+    and 1-4 frames, and the endmembers it was mixed from."""
+    P = draw(st.integers(1, 4))
+    L, N, T = draw(st.integers(P + 2, 12)), draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**16))
+    M0 = synthetic_endmembers(L, P, seed=seed)
+    seq, _ = generate(SynthConfig(L=L, N=N, T=T, P=P, rng_seed=seed), M0)
+    return seq.frames, M0
+
+
+#: Relative gaps allowed between a relabelled run and the relabelled base
+#: run: abundances and scaling factors, and the final log-likelihood. Over
+#: 1,000 drawn scenes per relabelling the largest were 2.2e-13 (abundances),
+#: 3.0e-12 (scaling factors) and 3.2e-13 (log-likelihood).
+RELABEL_RTOL, LOGLIK_RTOL = 1e-10, 1e-11
+
+
+class TestRelabelling:
+    """Permuting the pixels, the materials or the bands of the input permutes
+    the answer the same way, to rounding."""
+
+    def check(self, base, run, abund, psi):
+        maps = [abund(A) for A in base.abundances.maps]
+        assert relative_gap(run.abundances.maps, maps) <= RELABEL_RTOL
+        assert relative_gap(run.psis, [psi(X) for X in base.psis]) <= RELABEL_RTOL
+        loglik = base.diagnostics["loglik"][-1]
+        assert abs(run.diagnostics["loglik"][-1] - loglik) <= LOGLIK_RTOL * abs(loglik)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(scene=scenes(), data=st.data())
+    def test_pixels(self, scene, data):
+        frames, M0 = scene
+        perm = data.draw(st.permutations(range(frames[0].shape[1])))
+        run = unmix_from_m0([Y[:, perm] for Y in frames], M0)
+        self.check(unmix_from_m0(frames, M0), run, lambda A: A[:, perm], lambda X: X)
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(scene=scenes(), data=st.data())
+    def test_materials(self, scene, data):
+        frames, M0 = scene
+        perm = data.draw(st.permutations(range(M0.shape[1])))
+        run = unmix_from_m0(frames, M0[:, perm])
+        self.check(unmix_from_m0(frames, M0), run, lambda A: A[perm], lambda X: X[:, perm])
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(scene=scenes(), data=st.data())
+    def test_bands(self, scene, data):
+        frames, M0 = scene
+        perm = data.draw(st.permutations(range(M0.shape[0])))
+        run = unmix_from_m0([Y[perm] for Y in frames], M0[perm])
+        self.check(unmix_from_m0(frames, M0), run, lambda A: A, lambda X: X[perm])

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtunmix.errors import RankDeficiencyError
-from mtunmix.synth import synthetic_endmembers
+from mtunmix.synth import SynthConfig, generate, synthetic_endmembers
 from mtunmix.vca import vca_extract
 
 
@@ -94,3 +96,50 @@ class TestContracts:
             vca_extract(np.ones((4, 6)), 0)
         with pytest.raises(ValueError):
             vca_extract(np.ones((4, 6)), 5)
+
+
+@st.composite
+def pure_pixel_scenes(draw):
+    """A noise-free frame of 2-4 materials whose pixels are Dirichlet mixtures
+    plus one pure pixel per material, in drawn order; its P and seed."""
+    P = draw(st.integers(2, 4))
+    L, N = draw(st.integers(P + 2, 30)), draw(st.integers(P, 40))
+    seed = draw(st.integers(0, 2**16))
+    rng = np.random.default_rng(seed)
+    A = rng.dirichlet(np.ones(P), size=N).T
+    A[:, :P] = np.eye(P)
+    return (synthetic_endmembers(L, P, seed=seed) @ A)[:, rng.permutation(N)], P, seed
+
+
+def column_set(X):
+    return sorted(column.tobytes() for column in X.T)
+
+
+class TestRelabelling:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        size=st.tuples(st.integers(1, 4), st.integers(0, 25), st.integers(0, 36)),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_pixel_permutation_gives_the_same_endmembers(self, size, seed, data):
+        # a noisy generated frame: VCA returns pixels, and picks the same ones
+        P, extra_bands, extra_pixels = size
+        config = SynthConfig(L=P + 2 + extra_bands, N=P + extra_pixels, T=1, P=P, rng_seed=seed)
+        seq, _ = generate(config, synthetic_endmembers(config.L, P, seed=seed))
+        Y = seq.frames[0]
+        perm = data.draw(st.permutations(range(config.N)))
+        found = vca_extract(Y[:, perm], P, seed=seed)
+        assert found.tobytes() == vca_extract(Y, P, seed=seed).tobytes()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scene=pure_pixel_scenes(), data=st.data())
+    def test_band_permutation_permutes_the_endmembers(self, scene, data):
+        # the same pure pixels with their bands permuted, maybe in another
+        # column order: VCA draws its directions as coordinates in an SVD
+        # basis whose signs a band permutation can flip (so on a noisy frame
+        # with no pure pixel, other pixels may win)
+        Y, P, seed = scene
+        perm = data.draw(st.permutations(range(Y.shape[0])))
+        found = vca_extract(Y[perm], P, seed=seed)[np.argsort(perm)]
+        assert column_set(found) == column_set(vca_extract(Y, P, seed=seed))
