@@ -223,7 +223,7 @@ def _unmix_one(args, seed: int, input_dir: Path, manifest: Manifest, out: Path) 
         P = args.p if args.p is not None else manifest.P
         if P is None:
             raise ValueError("--vca needs --p (or a P entry in the input manifest)")
-        M0 = np.maximum(vca_extract(seq.frames[0], P, seed=seed), 0.0)
+        M0 = _vca_endmembers(seq.frames[0], P, seed)
     model = GlmmModel(M0=M0)
     A0 = fcls_refine_frame(seq.frames[0], M0, None, 0.0)
     config = PipelineConfig(
@@ -300,13 +300,19 @@ def cmd_fcls(args) -> int:
 # --------------------------------------------------------------------- vca
 
 
+def _vca_endmembers(frame: np.ndarray, P: int, seed: int) -> np.ndarray:
+    """VCA's P endmembers of ``frame`` with negative entries set to 0, since
+    reference endmembers must be nonnegative."""
+    return np.maximum(vca_extract(frame, P, seed=seed), 0.0)
+
+
 def cmd_vca(args) -> int:
     """``mtunmix vca``: the VCA endmembers of the first frame of ``--input``,
-    written to ``--out`` with a ``.json`` sidecar (L, P, seed); print it and
-    return 0."""
+    negative entries set to 0 as ``unmix --vca`` sets them, written to
+    ``--out`` with a ``.json`` sidecar (L, P, seed); print it and return 0."""
     _check_seed(args.seed)
     seq = read_hseq(args.input)
-    M0 = vca_extract(seq.frames[0], args.p, seed=args.seed)
+    M0 = _vca_endmembers(seq.frames[0], args.p, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_matrix(out, M0)

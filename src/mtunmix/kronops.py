@@ -40,8 +40,8 @@ JITTER_SCALE = 1e-10
 #: LAPACK ``trtri`` call; larger factors are split in two.
 INVERSE_LEAF = 96
 
-#: Width of the column panels in which :func:`factor_inverse` inverts a
-#: dense factor where NumPy bundles no OpenBLAS.
+#: Width of the panels in which :func:`factor_inverse` inverts and
+#: :func:`cho_solve` solves with a dense factor where NumPy bundles no OpenBLAS.
 PANEL = 32
 
 #: Order of the diagonal blocks in which :func:`_mirror_lower` copies a
@@ -314,9 +314,11 @@ def cho_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
         _check_square(c, "factor")
         if B.ndim not in (1, 2) or B.shape[0] != c.shape[0]:
             raise ValueError(f"right-hand side of shape {B.shape} for a factor of shape {c.shape}")
-    if c.ndim == 3 or _openblas is None:
+    if c.ndim == 3:
         c = np.tril(c)
         return np.linalg.solve(c.mT, np.linalg.solve(c, B))
+    if _openblas is None:
+        return _panel_solve(c, B)
     X = np.array(B, dtype=np.float64, order="F")
     info = dpotrs(np.asfortranarray(c, dtype=np.float64), X if X.ndim == 2 else X[:, None])
     if info != 0:
@@ -415,6 +417,27 @@ def _panel_inverse(c: np.ndarray) -> np.ndarray:
         k = min(j + PANEL, n)
         R[j:, j:k] = R[j:, j:].T @ R[j:, j:k]
     return R
+
+
+def _panel_solve(c: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with C C^T X = B for a dense factor C, through ``numpy.linalg``, as a
+    new array.
+
+    Forward substitution C Y = B and then backward substitution C^T X = Y, by
+    row panels [j, k) of :data:`PANEL`: each panel solves its diagonal block
+    of C after the panels already solved are subtracted with one product.
+    """
+    X = np.array(B, dtype=np.float64)
+    n = c.shape[0]
+    for j in range(0, n, PANEL):
+        k = min(j + PANEL, n)
+        X[j:k] -= c[j:k, :j] @ X[:j]
+        X[j:k] = np.linalg.solve(np.tril(c[j:k, j:k]), X[j:k])
+    for j in reversed(range(0, n, PANEL)):
+        k = min(j + PANEL, n)
+        X[j:k] -= c[k:, j:k].T @ X[k:]
+        X[j:k] = np.linalg.solve(np.tril(c[j:k, j:k]).T, X[j:k])
+    return X
 
 
 def psd_floor(X: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:

@@ -1,12 +1,13 @@
-"""Evaluation metrics and permutation alignment for endmember estimates."""
+"""Evaluation metrics and permutation alignment for endmember estimates.
+
+Alignment solves the linear assignment problem exactly, in O(P^3), by the
+Hungarian method (Kuhn, Naval Res. Logist. Q. 2, 1955; Munkres, J. SIAM 5,
+1957) in its shortest-augmenting-path form with row and column potentials.
+"""
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
-
-EXHAUSTIVE_ALIGN_LIMIT = 8
 
 
 def _paired_frames(truth, estimate) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -64,31 +65,51 @@ def sam(truth, estimate) -> float:
 
 
 def _best_permutation(cost: np.ndarray) -> tuple[int, ...]:
-    P = cost.shape[0]
-    if P <= EXHAUSTIVE_ALIGN_LIMIT:
-        best, best_total = None, np.inf
-        for perm in itertools.permutations(range(P)):
-            total = sum(cost[k, perm[k]] for k in range(P))
-            if total < best_total:
-                best, best_total = perm, total
-        return tuple(best)
-    from scipy.optimize import linear_sum_assignment
+    """The permutation ``perm`` minimizing sum_k cost[k, perm[k]].
 
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(P, dtype=int)
-    perm[rows] = cols
-    return tuple(int(j) for j in perm)
+    Rows are added one at a time. Each is matched along the shortest path of
+    reduced costs cost[r, j] - u[r] - v[j] to a free column, found Dijkstra
+    style, and the potentials u, v are moved by the path lengths so reduced
+    costs stay nonnegative and zero on matched pairs. Column P is the root of
+    each search.
+    """
+    P = cost.shape[0]
+    row_of = np.full(P + 1, -1)
+    u, v = np.zeros(P), np.zeros(P + 1)
+    for i in range(P):
+        j, row_of[P] = P, i
+        dist, prev = np.full(P, np.inf), np.full(P, P)
+        done = np.zeros(P + 1, dtype=bool)
+        while row_of[j] != -1:
+            done[j] = True
+            r, free = row_of[j], ~done[:P]
+            reduced = cost[r] - u[r] - v[:P]
+            closer = free & (reduced < dist)
+            dist[closer], prev[closer] = reduced[closer], j
+            nearest = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[nearest]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[free] -= delta
+            j = nearest
+        while j != P:
+            row_of[j] = row_of[prev[j]]
+            j = prev[j]
+    return tuple(np.argsort(row_of[:P]).tolist())
 
 
 def align_endmember_sequences(truth_seq, est_seq) -> tuple[int, ...]:
     """Permutation ``perm`` minimizing the spectral angle summed over all
-    frames, so that ``est[:, perm]`` matches ``truth`` column for column."""
+    frames, so that ``est[:, perm]`` matches ``truth`` column for column;
+    ValueError where an angle is not finite."""
     pairs = _paired_frames(truth_seq, est_seq)
     P = pairs[0][0].shape[1]
     cost = np.zeros((P, P))
     for X, Xe in pairs:
         for j in range(P):
             cost[:, j] += _angles(X, np.tile(Xe[:, j : j + 1], (1, P)))
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("non-finite spectral angle between endmember sequences")
     return _best_permutation(cost)
 
 

@@ -932,6 +932,29 @@ class TestVca:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_noisy_pick_feeds_unmix_m0(self, tmp_path, capsys):
+        # at 5 dB VCA picks a spectrum with negative entries; `vca` clamps
+        # them as `unmix --vca` does, so its file is a valid --m0 for the
+        # same estimate
+        data, m0 = tmp_path / "data", tmp_path / "m0.f64"
+        steps = [
+            ["generate", "--L", "30", "--N", "16", "--T", "3", "--P", "3", "--snr-db", "5",
+             "--seed", "3", "--out", str(data)],
+            ["vca", "--input", str(data), "--p", "3", "--seed", "2", "--out", str(m0)],
+            ["unmix", "--input", str(data), "--m0", str(m0), "--seed", "2",
+             "--out", str(tmp_path / "from_file")],
+            ["unmix", "--input", str(data), "--vca", "--seed", "2",
+             "--out", str(tmp_path / "from_vca")],
+        ]
+        for argv in steps:
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+        frame0 = read_matrix(data / "frame_0000.f64", 30, 16)
+        assert cli.vca_extract(frame0, 3, seed=2).min() < 0.0
+        assert read_matrix(m0, 30, 3).min() >= 0.0
+        from_file = tree_bytes(tmp_path / "from_file")
+        assert len(from_file) > 10 and from_file == tree_bytes(tmp_path / "from_vca")
+
     @pytest.mark.parametrize("where", ["parent", "absolute"])
     def test_frame_outside_the_directory_exit_3(self, small_dataset, tmp_path, capsys, where):
         # a frame-sized file elsewhere must not be read as frame 0

@@ -1,9 +1,9 @@
-"""No command imports SciPy: dense factorizations call NumPy's bundled
-OpenBLAS through ctypes, or ``numpy.linalg`` where NumPy bundles none, and
-``eval`` loads ``scipy.optimize`` only to align more than
-EXHAUSTIVE_ALIGN_LIMIT endmembers. The ctypes calls release the GIL, and the
-``numpy.linalg`` route gives the same output to rounding. The scripts run
-L = 60 bands and P = 2 materials, so PL = 120 is above
+"""No command imports SciPy, which only the tests use: dense factorizations
+call NumPy's bundled OpenBLAS through ctypes, or ``numpy.linalg`` where NumPy
+bundles none, and ``eval`` aligns any number of endmembers in NumPy. The
+ctypes calls release the GIL, and the ``numpy.linalg`` route gives the same
+output to rounding. The scripts run L = 60 bands and P = 2 materials, and
+P = 9 for one ``eval``; PL = 120 is above
 ``kronops.INVERSE_LEAF`` and inverses use ``dtrmm`` too. Importing the
 package loads none of its modules. Every name the benchmark's tracer replaces
 exists, and every name a module of the package imports is used."""
@@ -40,10 +40,10 @@ loaded["import mtunmix"] = scipy_modules()
 from mtunmix import cli
 loaded["import mtunmix.cli"] = scipy_modules()
 
-def run(*argv):
+def run(*argv, step=None):
     code = cli.main(list(argv))
     assert code == 0, (argv, code)
-    loaded[argv[0]] = scipy_modules()
+    loaded[step or argv[0]] = scipy_modules()
 
 run("generate", "--L", "60", "--N", "5", "--T", "2", "--P", "2", "--seed", "3",
     "--out", out + "/data")
@@ -53,6 +53,14 @@ run("eval", "--est", out + "/fcls", "--truth", out + "/data/truth",
     "--out", out + "/eval.json")
 run("unmix", "--input", out + "/data", "--vca", "--p", "2", "--iters", "1",
     "--out", out + "/unmix")
+run("generate", "--L", "60", "--N", "20", "--T", "2", "--P", "9", "--seed", "3",
+    "--out", out + "/data9", step="generate P=9")
+run("vca", "--input", out + "/data9", "--p", "9", "--seed", "1", "--out", out + "/m9.f64",
+    step="vca P=9")
+run("fcls", "--input", out + "/data9", "--m0", out + "/m9.f64", "--out", out + "/fcls9",
+    step="fcls P=9")
+run("eval", "--est", out + "/fcls9", "--truth", out + "/data9/truth",
+    "--out", out + "/eval9.json", step="eval P=9")
 print(json.dumps(loaded))
 """
 
@@ -77,6 +85,7 @@ bundled = pytest.mark.skipif(
 
 def test_no_command_loads_scipy(tmp_path):
     loaded = run_python(SCRIPT, str(tmp_path))
+    assert "eval P=9" in loaded
     for step, modules in loaded.items():
         assert modules == [], step
 

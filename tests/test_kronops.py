@@ -438,6 +438,20 @@ class TestChoFactor:
         for B in (rng.standard_normal(9), rng.standard_normal((9, 2))):
             assert np.array_equal(cho_solve(poisoned, B), cho_solve(c, B))
 
+    @pytest.mark.parametrize("n", [kronops.PANEL + 1, 2 * kronops.PANEL, 411])
+    def test_solve_across_panels_matches_dense_solve(self, n):
+        # the numpy.linalg route substitutes by panels of PANEL rows, whose
+        # off-diagonal products must also read only below the diagonal
+        rng = np.random.default_rng(28)
+        S = random_spd(rng, n)
+        c = factor(S)
+        poisoned = np.where(np.tri(n, dtype=bool), c, np.nan)
+        for B in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            X = cho_solve(c, B)
+            assert X.shape == B.shape
+            np.testing.assert_allclose(X, np.linalg.solve(S, B), rtol=1e-12, atol=1e-14)
+            assert np.array_equal(cho_solve(poisoned, B), X)
+
     @pytest.mark.parametrize("n", [5, 90, 411])
     def test_factor_same_bits_in_either_memory_order(self, n):
         # a C-ordered matrix goes to potrf as its transpose, which equals it

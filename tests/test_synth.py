@@ -1,10 +1,15 @@
 """Generator fidelity and evaluation metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mtunmix import metrics
 from mtunmix.metrics import (
-    EXHAUSTIVE_ALIGN_LIMIT,
     align_endmember_sequences,
     apply_permutation,
     nrmse,
@@ -174,8 +179,6 @@ class TestAlignment:
             np.testing.assert_allclose(Af, A, rtol=1e-12)
 
     def test_aligned_score_is_minimal(self):
-        import itertools
-
         rng = np.random.default_rng(7)
         M = synthetic_endmembers(25, 3, seed=3)
         est = np.abs(M[:, [1, 2, 0]] * (1 + 0.05 * rng.standard_normal((25, 3))))
@@ -190,10 +193,9 @@ class TestAlignment:
             align_endmember_sequences([M, M], [M, M[:, :2]])
 
     def test_planted_permutation_past_exhaustive_limit(self):
-        # P = 10 takes the Hungarian branch
+        # ten materials, more than an exhaustive search could try in a test
         rng = np.random.default_rng(8)
         P = 10
-        assert P > EXHAUSTIVE_ALIGN_LIMIT
         M = synthetic_endmembers(60, P, seed=4)
         planted = rng.permutation(P)
         noisy = M[:, planted] * (1 + 0.02 * rng.standard_normal((60, P)))
@@ -201,11 +203,8 @@ class TestAlignment:
         np.testing.assert_array_equal(planted[list(perm)], np.arange(P))
 
     def test_hungarian_total_equals_exhaustive_optimum(self):
-        import itertools
-
         rng = np.random.default_rng(9)
         P = 9
-        assert P > EXHAUSTIVE_ALIGN_LIMIT
         M = np.abs(rng.standard_normal((40, P))) + 0.1
         est = np.abs(rng.standard_normal((40, P))) + 0.1
         perm = align_endmember_sequences([M], [est])
@@ -216,3 +215,48 @@ class TestAlignment:
         every = np.array(list(itertools.permutations(range(P))))
         best = cost[np.arange(P), every].sum(axis=1).min()
         np.testing.assert_allclose(cost[np.arange(P), list(perm)].sum(), best, rtol=1e-12)
+
+    def test_non_finite_angle_rejected(self):
+        M = synthetic_endmembers(10, 3, seed=5)
+        est = M.copy()
+        est[4, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite spectral angle"):
+            align_endmember_sequences([M], [est])
+
+
+def assignment_total(cost, perm):
+    return cost[np.arange(len(perm)), list(perm)].sum()
+
+
+square_costs = st.integers(1, 7).flatmap(
+    lambda P: hnp.arrays(
+        np.float64, (P, P),
+        elements=st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0)),
+    )
+)
+
+
+class TestAssignment:
+    @settings(max_examples=300, deadline=None)
+    @given(square_costs)
+    def test_matches_every_permutation(self, cost):
+        # the three listed values make ties, where any optimal permutation will do
+        P = cost.shape[0]
+        perm = metrics._best_permutation(cost)
+        assert sorted(perm) == list(range(P))
+        every = np.array(list(itertools.permutations(range(P))))
+        best = cost[np.arange(P), every].sum(axis=1).min()
+        assert assignment_total(cost, perm) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_total_equals_scipy_up_to_forty(self):
+        from scipy.optimize import linear_sum_assignment
+
+        rng = np.random.default_rng(10)
+        for P in range(1, 41):
+            for cost in (rng.random((P, P)), np.round(np.pi * rng.random((P, P)), 1)):
+                perm = metrics._best_permutation(cost)
+                assert sorted(perm) == list(range(P))
+                rows, cols = linear_sum_assignment(cost)
+                np.testing.assert_allclose(
+                    assignment_total(cost, perm), cost[rows, cols].sum(), rtol=1e-12, atol=1e-12
+                )
